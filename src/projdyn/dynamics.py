@@ -20,16 +20,17 @@ from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence, Union
 
-from .coeff import GF, PrimeField, RationalField, parse_field
+from .coeff import GF, PrimeField, RationalField, internal_primes, parse_field
 from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
                      RingMismatchError, UnsupportedScopeError)
 from .mpoly import (Polynomial, Ring, determinant, divexact, embed,
                     equal_up_to_scalar, format_polynomial, parse_polynomial,
                     poly_gcd, primitive_part, squarefree_part,
                     strip_monomial_content)
-from .resultant import macaulay_resultant, sylvester_resultant
+from .resultant import _BadPrime, macaulay_resultant, sylvester_resultant
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
+_EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
 _SCAN_LIMIT = 1_000_000      # largest prime field swept exhaustively
 _FACTOR_LIMIT = 10 ** 12     # largest integer factored for rational roots
 _PARSE_VARS = 64             # probe ring width when inferring variable counts
@@ -430,17 +431,16 @@ def _strip_param_content(g: Polynomial, block_size: int) -> Polynomial:
     return divexact(g, content)
 
 
-def _reduce_poly_mod(g: Polynomial, target: Ring, q: int, images) -> Polynomial:
-    """Map coefficients into F_q and substitute variable images in one pass."""
+def _reduce_poly_mod(g: Polynomial, target: Ring, images) -> Polynomial:
+    """Map coefficients into the prime field of `target` and substitute
+    variable images in one pass; _BadPrime when a denominator vanishes."""
+    fq = target.field
     out = target.zero()
     for m, c in g.terms.items():
-        if isinstance(c, Fraction):
-            den = c.denominator % q
-            if den == 0:
-                raise InvalidInputError("bad prime for this reduction")
-            cv = c.numerator % q * pow(den, q - 2, q) % q
-        else:
-            cv = c % q
+        try:
+            cv = fq.coerce(c)
+        except ZeroDivisionError:
+            raise _BadPrime from None
         term = target.const(cv)
         if term.is_zero():
             continue
@@ -466,8 +466,8 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
         images = [line.const(rng.randrange(q)) + t.scale(rng.randrange(1, q))
                   for _ in range(g.ring.nvars)]
         try:
-            gm = _reduce_poly_mod(g, line, q, images)
-        except InvalidInputError:
+            gm = _reduce_poly_mod(g, line, images)
+        except _BadPrime:
             continue
         if gm.is_zero() or gm.degree() < g.degree():
             continue  # unlucky line or bad prime
@@ -487,27 +487,33 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
     Criterion: the squarefree part of phi divides candidate(f(x)).  Checked
     after reducing mod a small prime and fixing parameters at random values,
     so a passing candidate misses no component (up to reduction accidents);
-    rejection takes two independent failures.
+    rejection takes two independent failures.  A trial whose reduction
+    degenerates is skipped; when the planned trials end with neither a pass
+    nor two failures, further ones are drawn (fresh primes over QQ, fresh
+    parameter points over F_p).  A candidate is never accepted unchecked.
     """
     ring = f.ring
     n1 = f.n + 1
     fld = ring.field
     if isinstance(fld, PrimeField):
-        trials = [(fld.p, t) for t in range(3)]
+        planned = [(fld.p, t) for t in range(3)]
+        extra = ((fld.p, t) for t in range(3, 3 + _EXTRA_CERT_TRIALS))
     else:
-        trials = [(q, t) for q in _CERT_PRIMES[:3] for t in range(2)]
+        planned = [(q, t) for q in _CERT_PRIMES[:3] for t in range(2)]
+        extra = ((q, 0) for q in itertools.islice(internal_primes(),
+                                                  _EXTRA_CERT_TRIALS))
     failures = 0
-    for q, t in trials:
+    for q, t in itertools.chain(planned, extra):
         rng = Random((seed << 8) ^ (q << 3) ^ t)
         point_ring = Ring(n1, GF(q))
         images = [point_ring.var(i) for i in range(n1)] + \
                  [point_ring.const(rng.randrange(q))
                   for _ in range(ring.nvars - n1)]
         try:
-            fs = [_reduce_poly_mod(g, point_ring, q, images) for g in f.forms]
-            ps = _reduce_poly_mod(phi_poly, point_ring, q, images)
-            cs = _reduce_poly_mod(candidate, point_ring, q, images)
-        except InvalidInputError:
+            fs = [_reduce_poly_mod(g, point_ring, images) for g in f.forms]
+            ps = _reduce_poly_mod(phi_poly, point_ring, images)
+            cs = _reduce_poly_mod(candidate, point_ring, images)
+        except _BadPrime:
             continue
         if ps.is_zero() or cs.is_zero() or any(g.is_zero() for g in fs):
             continue
@@ -523,7 +529,7 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
             failures += 1
             if failures >= 2:
                 return False
-    return failures == 0
+    return False
 
 
 def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
@@ -787,9 +793,7 @@ def _rational_projective_roots(form: Polynomial) -> list[ProjectivePoint]:
     deg = prim.homogeneous_degree_in_block((0, 1))
     if deg is None or prim.is_zero():
         raise InvalidInputError("not a binary form")
-    coeffs = [0] * (deg + 1)  # coeffs[i] multiplies x0^i x1^(deg-i)
-    for m, c in prim.terms.items():
-        coeffs[m[0]] = int(c)
+    coeffs = [int(c) for c in _line_coeffs(prim)]
     roots = []
     if coeffs[deg] == 0:
         roots.append(ProjectivePoint((1, 0), fld))
@@ -827,17 +831,7 @@ def periodic_points(f: Endomorphism, s: int, *, exact: bool = False
         raise UnsupportedScopeError("periodic point search is implemented for n = 1")
     if f.nparams:
         raise InvalidInputError("periodic points need a parameter-free map")
-    form = fixed_form(f, s)
-    fld = f.field
-    if isinstance(fld, RationalField):
-        pts = _rational_projective_roots(form)
-    else:
-        if fld.p > _SCAN_LIMIT:
-            raise UnsupportedScopeError("prime field too large for exhaustive sweep")
-        pts = [ProjectivePoint((t, 1), fld) for t in range(fld.p)
-               if fld.is_zero(form.evaluate((t, 1)))]
-        if fld.is_zero(form.evaluate((1, 0))):
-            pts.append(ProjectivePoint((1, 0), fld))
+    pts = binary_form_roots(fixed_form(f, s))
     if exact:
         pts = [p for p in pts if f.orbit(p, max_steps=s + 1).period == s]
     return pts
@@ -878,9 +872,12 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int,
                                 *, seed: int = 0) -> PCFSearchReport:
     """Does some critical point (over the closure) have period <= max_period?
 
-    Decided exactly for n = 1 via resultants of the Jacobian form with the
-    fixed-point forms; the report records the proof scope.  Larger n is out
-    of scope and raises.
+    Decided exactly for n = 1: for s = 1, 2, ... it asks whether the Jacobian
+    form and the fixed-point form of f^s share a zero on P^1 over the
+    closure, which is Res(J, Phi_s) = 0.  A shared zero is either (1:0), when
+    both top coefficients vanish, or a root of the gcd of the two
+    dehomogenized polynomials, found by Euclid over the field.  The report
+    records the proof scope.  Larger n is out of scope and raises.
     """
     if f.n != 1:
         raise UnsupportedScopeError("periodic critical points: only n = 1 is decided")
@@ -888,40 +885,48 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int,
         raise InvalidInputError("needs a parameter-free map")
     if max_period < 1:
         raise InvalidInputError("max_period must be >= 1")
-    jf = jacobian(f).poly
-    deg_j = jf.homogeneous_degree_in_block((0, 1))
-    fld = f.field
+    jc = _line_coeffs(jacobian(f).poly)
     for s in range(1, max_period + 1):
-        phi_s = fixed_form(f, s)
-        deg_s = phi_s.homogeneous_degree_in_block((0, 1))
-        if isinstance(fld, RationalField):
-            vanished = _resultant_is_zero_exact(jf, phi_s, deg_j, deg_s)
-        else:
-            vanished = sylvester_resultant(
-                jf, phi_s, degrees=(deg_j, deg_s)).is_zero()
-        if vanished:
+        if _forms_share_zero(jc, _line_coeffs(fixed_form(f, s)), f.field):
             return PCFSearchReport(True, s, "closure-exact")
     return PCFSearchReport(False, None, "closure-exact")
 
 
-def _resultant_is_zero_exact(p: Polynomial, q: Polynomial, dp: int, dq: int) -> bool:
-    """Zero test for a Sylvester resultant over Q: modular filter, exact confirm.
+def _line_coeffs(form: Polynomial) -> list:
+    """Binary form as [c_0, ..., c_deg], c_i the coefficient of x0^i x1^(deg-i)."""
+    fld = form.ring.field
+    coeffs = [fld.zero()] * (form.homogeneous_degree_in_block((0, 1)) + 1)
+    for m, c in form.terms.items():
+        coeffs[m[0]] = c
+    return coeffs
 
-    The formal degrees are pinned, so the matrix mod a prime is the entrywise
-    reduction of the rational matrix; a nonzero determinant mod the prime
-    proves the rational determinant nonzero.
-    """
-    for qp in _CERT_PRIMES:
-        try:
-            target = Ring(p.ring.nvars, GF(qp))
-            pm = _reduce_poly_mod(p, target, qp, target.gens())
-            qm = _reduce_poly_mod(q, target, qp, target.gens())
-        except InvalidInputError:
-            continue
-        if not sylvester_resultant(pm, qm, degrees=(dp, dq)).is_zero():
-            return False
-        break
-    return sylvester_resultant(p, q, degrees=(dp, dq)).is_zero()
+
+def _forms_share_zero(p: list, q: list, fld) -> bool:
+    """Res(p, q) = 0 for binary forms given by `_line_coeffs` lists."""
+    if fld.is_zero(p[-1]) and fld.is_zero(q[-1]):
+        return True  # common zero at (1:0), which covers a zero form
+    return len(_gcd_coeffs(p, q, fld)) > 1
+
+
+def _gcd_coeffs(a: list, b: list, fld) -> list:
+    """A gcd of two polynomials in t given low degree first, by Euclid over
+    the field; trimmed, so [] for gcd(0, 0) and length 1 for a unit."""
+    def trim(c):
+        while c and fld.is_zero(c[-1]):
+            c.pop()
+        return c
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = fld.inv(b[-1])
+        while len(a) >= len(b):
+            q = fld.mul(a.pop(), inv)
+            shift = len(a) + 1 - len(b)
+            for i in range(len(b) - 1):
+                a[shift + i] = fld.sub(a[shift + i], fld.mul(q, b[i]))
+            trim(a)
+        a, b = b, a
+    return a
 
 
 # -- dimension counts ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence, Union
 
-from .coeff import PrimeField, RationalField
+from .coeff import PrimeField, RationalField, is_prime
 from .dynamics import (Endomorphism, ProjectivePoint, binary_form_roots,
                        critical_points, has_periodic_critical_point, jacobian)
 from .errors import (InvalidInputError, NotDivisibleError, RingMismatchError,
@@ -583,17 +583,6 @@ def period_polynomial(d: int, s: int) -> PeriodPolynomial:
     return PeriodPolynomial(d, s, tuple(coeffs))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def reciprocal_power_map(d: int, c, fld) -> Endomorphism:
     """The map z -> z^(-d) + c as a pair of forms."""
     if d < 1:
@@ -611,7 +600,7 @@ def find_pcf_parameter(d: int, p: int, fld):
     is bicritical with 0 -> infinity forced, so for prime p a closed orbit
     of length p cannot shrink.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InvalidInputError("the period must be prime")
     poly = period_polynomial(d, p)
     ring = Ring(2, fld)

@@ -4,14 +4,16 @@ Numeric oracles here were computed by hand from the definitions (resultant
 row conventions, Vieta expansions, explicit orbit arithmetic) and frozen.
 """
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from projdyn.coeff import GF, QQ
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
-                              dim_end, dim_forms, endomorphism_from_strings,
-                              fixed_form, generic_cert_degree,
-                              has_periodic_critical_point,
+                              _forms_share_zero, _gcd_coeffs, _line_coeffs,
+                              _reduce_poly_mod, dim_end, dim_forms,
+                              endomorphism_from_strings, fixed_form,
+                              generic_cert_degree, has_periodic_critical_point,
                               improper_certificate, jacobian,
                               jacobian_polynomial, periodic_points,
                               pushforward, pushforward_iterated,
@@ -19,6 +21,7 @@ from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
 from projdyn.errors import (DegeneracyError, InvalidInputError,
                             UnsupportedScopeError)
 from projdyn.mpoly import Ring, parse_polynomial
+from projdyn.resultant import _BadPrime, sylvester_resultant
 
 R2 = Ring(2, QQ)
 R3 = Ring(3, QQ)
@@ -199,6 +202,25 @@ def test_pushforward_iterated_steps_match_direct():
     assert pushforward_iterated(f, P("x-2*y"), 0).poly == P("x-2*y")
 
 
+def test_pushforward_checks_a_candidate_when_planned_primes_degenerate():
+    # the middle coordinate vanishes mod each planned certification prime, so
+    # only a further prime can show that the quadric misses the V(x) part
+    n = 10007 * 10009 * 10037
+    f = endomorphism_from_strings(["x^2", f"{n}*y^2", "z^2"], QQ)
+    image = pushforward(f, P("x^2+x*y+x*z", R3))
+    # V(x) maps to V(x0); x+y+z = 0 maps to the conic in x0, x1/n, x2
+    conic = P(f"{n * n}*x^2+y^2+{n * n}*z^2-{2 * n}*x*y-{2 * n * n}*x*z"
+              f"-{2 * n}*y*z", R3)
+    assert image.poly == P("x", R3) * conic
+
+
+def test_bad_prime_reduction_is_an_internal_signal():
+    target = Ring(2, GF(10007))
+    with pytest.raises(_BadPrime):
+        _reduce_poly_mod(P("x/10007+y"), target, target.gens())
+    assert not issubclass(_BadPrime, InvalidInputError)
+
+
 def test_pushforward_through_indeterminacy_raises():
     f = Endomorphism([P("x^2"), P("x*y")])
     with pytest.raises(DegeneracyError):
@@ -283,6 +305,112 @@ def test_periodic_critical_point_reports():
     with pytest.raises(UnsupportedScopeError):
         has_periodic_critical_point(
             endomorphism_from_strings(["x^2", "y^2", "z^2"], QQ), 2)
+
+
+def _resultant_oracle(p, q):
+    degs = tuple(g.homogeneous_degree_in_block((0, 1)) for g in (p, q))
+    return sylvester_resultant(p, q, degrees=degs)
+
+
+def _random_line_map(rng, fld, d, lo, hi):
+    ring = Ring(2, fld)
+    x, y = ring.var(0), ring.var(1)
+    while True:
+        forms = [ring.zero(), ring.zero()]
+        for k in range(2):
+            for i in range(d + 1):
+                c = fld.coerce(rng.randint(lo, hi))
+                forms[k] = forms[k] + (x ** i * y ** (d - i)).scale(c)
+        if all(not g.is_zero() for g in forms) and \
+                not jacobian_polynomial(Endomorphism(forms)).is_zero():
+            return Endomorphism(forms)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(101)], ids=str)
+def test_shared_zero_test_matches_sylvester_oracle(fld):
+    rng = Random(2206)
+    outcomes = set()
+    for d, bound in ((2, 3), (3, 2)):
+        for _ in range(12):
+            f = _random_line_map(rng, fld, d, -3, 3)
+            jf = jacobian(f).poly
+            first = None
+            for s in range(1, bound + 1):
+                phi = fixed_form(f, s)
+                expect = _resultant_oracle(jf, phi).is_zero()
+                got = _forms_share_zero(_line_coeffs(jf), _line_coeffs(phi), fld)
+                assert got == expect, (f, s)
+                outcomes.add(got)
+                if expect and first is None:
+                    first = s
+            report = has_periodic_critical_point(f, bound)
+            assert (report.found, report.period) == (first is not None, first)
+    assert outcomes == {True, False}
+
+
+def test_shared_zero_only_at_infinity():
+    # z -> z^2 + 1: infinity is a fixed critical point, 0 wanders; the
+    # dehomogenized gcd is a unit, so only the top coefficients decide
+    for fld in (QQ, GF(7)):
+        f = endomorphism_from_strings(["x^2+y^2", "y^2"], fld)
+        jc, phic = _line_coeffs(jacobian(f).poly), _line_coeffs(fixed_form(f, 1))
+        assert len(_gcd_coeffs(jc, phic, fld)) == 1
+        assert _forms_share_zero(jc, phic, fld)
+        assert _resultant_oracle(jacobian(f).poly, fixed_form(f, 1)).is_zero()
+        assert has_periodic_critical_point(f, 3).period == 1
+
+
+def test_shared_zero_test_with_a_prime_in_a_denominator():
+    p = P("x^2/10007-3*y^2")  # the zeros of x^2 - 30021*y^2
+    answers = []
+    for other in ("x^2-30021*y^2", "x^2-3*y^2"):
+        q = P("x") * P(other)
+        answers.append(_forms_share_zero(_line_coeffs(p), _line_coeffs(q), QQ))
+        assert answers[-1] == _resultant_oracle(p, q).is_zero()
+    assert answers == [True, False]
+
+
+def test_resultant_zero_only_mod_a_prime_is_not_a_shared_zero():
+    # z -> z + 10007/z: Res(J, Phi_1) = 10007^2, zero mod 10007 only, so
+    # the forms share a zero over F_10007 but not over the closure of QQ
+    f = endomorphism_from_strings(["x^2+10007*y^2", "x*y"], QQ)
+    jf, phi = jacobian(f).poly, fixed_form(f, 1)
+    res = _resultant_oracle(jf, phi).constant_value()
+    assert res != 0 and res % 10007 == 0
+    fq = GF(10007)
+    assert _forms_share_zero([fq.coerce(c) for c in _line_coeffs(jf)],
+                             [fq.coerce(c) for c in _line_coeffs(phi)], fq)
+    assert not _forms_share_zero(_line_coeffs(jf), _line_coeffs(phi), QQ)
+    assert not has_periodic_critical_point(f, 1).found
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(101)], ids=str)
+def test_gcd_degree_matches_sympy(fld):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    opts = {"domain": "QQ"} if fld == QQ else {"modulus": fld.p}
+    rng = Random(1971)
+
+    def rand(deg):
+        return [fld.coerce(rng.randint(-4, 4)) for _ in range(deg)] + [fld.one()]
+
+    def mul(a, b):
+        out = [fld.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = fld.add(out[i + j], fld.mul(x, y))
+        return out
+
+    def to_sympy(c):
+        vals = [sympy.Rational(v.numerator, v.denominator) if fld == QQ else v
+                for v in c]
+        return sympy.Poly(list(reversed(vals)), t, **opts)
+
+    for _ in range(40):
+        g = rand(rng.randint(0, 2))
+        a, b = mul(g, rand(rng.randint(0, 4))), mul(g, rand(rng.randint(1, 4)))
+        expect = to_sympy(a).gcd(to_sympy(b)).degree()
+        assert len(_gcd_coeffs(a, b, fld)) - 1 == expect, (a, b)
 
 
 # -- dimension counts ---------------------------------------------------------------------
