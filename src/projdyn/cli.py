@@ -11,9 +11,6 @@ comma-separated form lists in the x0..xN grammar (x, y, z aliases accepted,
 rational coefficients like x1/2 allowed); points are colon- or
 comma-separated coordinate lists.  All randomized kernels are driven by
 `--seed` (default 0), so identical invocations print identical bytes.
-`--threads` (fallback: the PROJDYN_THREADS environment variable, 0 = auto)
-is accepted on every subcommand and recorded in JSON output; the kernels
-are deterministic regardless of its value.
 
 Exit codes: 0 success or witness found; 1 well-formed negative result;
 2 usage error; 3 computational degeneracy.
@@ -22,24 +19,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence, TextIO
 
 from .coeff import parse_field
-from .dynamics import (Endomorphism, ProjectivePoint, dim_end, dim_forms,
-                       endomorphism_from_strings, generic_cert_degree,
+from .dynamics import (Endomorphism, ProjectivePoint, _parse_forms, dim_end,
+                       dim_forms, generic_cert_degree,
                        has_periodic_critical_point, improper_certificate,
                        jacobian, pushforward, search_improper_witness)
 from .errors import DegeneracyError, ProjdynError, VerificationError
-from .mpoly import Polynomial, Ring, format_polynomial, parse_polynomial
+from .mpoly import format_polynomial
 from .resultant import macaulay_resultant
 from .sympow import find_pcf_parameter, period_polynomial, symmetric_power
-
-_PROBE_VARS = 64
-_ALIASES = {"x": 0, "y": 1, "z": 2}
 
 _COMMANDS = ("iterate", "orbit", "jacobian", "resultant", "pushforward",
              "improper-cert", "improper-search", "ys-test", "sympow",
@@ -107,52 +100,11 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad indices {text!r}: want i0,i1,...")
 
 
-def _shrink(p: Polynomial, ring: Ring) -> Polynomial:
-    return Polynomial(ring, {m[:ring.nvars]: c for m, c in p.terms.items()})
-
-
 def _parse_map_and_forms(map_text: str, form_texts: Sequence[str], fld):
     """Map plus companion forms in one ring: coordinates first, parameters after."""
     comp = _split_map(map_text)
-    probe = Ring(_PROBE_VARS, fld)
-    parsed_map = [parse_polynomial(t, probe, aliases=_ALIASES) for t in comp]
-    parsed_forms = [parse_polynomial(t, probe, aliases=_ALIASES) for t in form_texts]
-    width = len(comp)
-    for q in parsed_map + parsed_forms:
-        vs = q.variables()
-        if vs:
-            width = max(width, max(vs) + 1)
-    f = endomorphism_from_strings(comp, fld, nvars=width)
-    return f, [_shrink(q, f.ring) for q in parsed_forms]
-
-
-def _parse_form_list(texts: Sequence[str], fld) -> list[Polynomial]:
-    probe = Ring(_PROBE_VARS, fld)
-    parsed = [parse_polynomial(t, probe, aliases=_ALIASES) for t in texts]
-    width = len(texts)
-    for q in parsed:
-        vs = q.variables()
-        if vs:
-            width = max(width, max(vs) + 1)
-    ring = Ring(width, fld)
-    return [_shrink(q, ring) for q in parsed]
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 0:
-            raise _UsageError("--threads must be >= 0")
-        return args.threads
-    env = os.environ.get("PROJDYN_THREADS", "").strip()
-    if not env:
-        return 0
-    try:
-        t = int(env)
-    except ValueError:
-        raise _UsageError(f"PROJDYN_THREADS must be an integer, got {env!r}")
-    if t < 0:
-        raise _UsageError("PROJDYN_THREADS must be >= 0")
-    return t
+    polys = _parse_forms(comp + list(form_texts), fld, len(comp))
+    return Endomorphism(polys[:len(comp)]), polys[len(comp):]
 
 
 # -- subcommand handlers ---------------------------------------------------------------
@@ -195,7 +147,7 @@ def _cmd_resultant(args, fld):
     texts = args.form or []
     if len(texts) < 2:
         raise _UsageError("give at least two --form arguments")
-    forms = _parse_form_list(texts, fld)
+    forms = _parse_forms(texts, fld, len(texts))
     res = macaulay_resultant(forms, len(texts), strategy=args.strategy or "auto",
                              seed=args.seed)
     line = format_polynomial(res)
@@ -235,7 +187,7 @@ def _cmd_ys_test(args, fld):
     if args.s < 1:
         raise _UsageError("--s must be >= 1")
     f, _ = _parse_map_and_forms(args.map, [], fld)
-    rep = has_periodic_critical_point(f, args.s, seed=args.seed)
+    rep = has_periodic_critical_point(f, args.s)
     result = {"found": rep.found, "period": rep.period, "scope": rep.scope}
     if rep.found:
         return True, [f"period {rep.period}"], result
@@ -324,8 +276,6 @@ def build_parser() -> _Parser:
                        help="coefficient field: QQ (default) or Fp:<prime>")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized kernels (default 0)")
-        p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="worker hint, 0 = auto (fallback: PROJDYN_THREADS)")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if map_:
             p.add_argument("--map", required=True, metavar="FORMS",
@@ -406,7 +356,6 @@ def run(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None,
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = _resolve_threads(args)
         fld = parse_field(args.field)
         ok, lines, result = _HANDLERS[args.command](args, fld)
     except _UsageError as e:
@@ -426,8 +375,7 @@ def run(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None,
         return 2
     if args.json:
         payload = {"command": args.command, "field": fld.spec(),
-                   "seed": args.seed, "threads": threads, "ok": ok,
-                   "result": result}
+                   "seed": args.seed, "ok": ok, "result": result}
         print(json.dumps(payload, indent=2), file=out)
     else:
         for line in lines:

@@ -180,11 +180,6 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    def symmetric_lift(self, a: int) -> int:
-        """Representative in (-p/2, p/2]."""
-        a %= self.p
-        return a if 2 * a <= self.p else a - self.p
-
     def random(self, rng: Random) -> int:
         return rng.randrange(self.p)
 

@@ -23,18 +23,20 @@ from typing import Optional, Sequence, Union
 from .coeff import GF, PrimeField, RationalField, internal_primes, parse_field
 from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
                      RingMismatchError, UnsupportedScopeError)
-from .mpoly import (Polynomial, Ring, determinant, divexact, embed,
-                    equal_up_to_scalar, format_polynomial, parse_polynomial,
-                    poly_gcd, primitive_part, squarefree_part,
-                    strip_monomial_content)
-from .resultant import _BadPrime, macaulay_resultant, sylvester_resultant
+from .mpoly import (Polynomial, Ring, default_aliases, determinant, divexact,
+                    embed, equal_up_to_scalar, format_polynomial,
+                    parse_polynomial, poly_gcd, primitive_part,
+                    squarefree_part, strip_monomial_content)
+from .resultant import (_BadPrime, _apply_linear, _field_inverse,
+                        _reduce_form_mod, macaulay_resultant,
+                        sylvester_resultant)
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
 _SCAN_LIMIT = 1_000_000      # largest prime field swept exhaustively
 _FACTOR_LIMIT = 10 ** 12     # largest integer factored for rational roots
 _PARSE_VARS = 64             # probe ring width when inferring variable counts
-_XYZ = {"x": 0, "y": 1, "z": 2}
+_PARSE_ALIASES = default_aliases(3)  # x, y, z for x0, x1, x2 in any ring width
 
 
 # -- points -------------------------------------------------------------------------
@@ -262,17 +264,10 @@ class Endomorphism:
         a = [[fld.coerce(x) for x in row] for row in matrix]
         if len(a) != n1 or any(len(r) != n1 for r in a):
             raise InvalidInputError("conjugation matrix has the wrong shape")
-        inv = _matrix_inverse(a, fld)
-        images = []
-        for j in range(self.ring.nvars):
-            if j < n1:
-                img = self.ring.zero()
-                for k in range(n1):
-                    img = img + self.ring.var(k).scale(a[j][k])
-                images.append(img)
-            else:
-                images.append(self.ring.var(j))
-        moved = [f.substitute(images) for f in self.forms]
+        inv = _field_inverse(a, fld)
+        if inv is None:
+            raise InvalidInputError("conjugation matrix is singular")
+        moved = [_apply_linear(f, a, n1) for f in self.forms]
         out = []
         for j in range(n1):
             g = self.ring.zero()
@@ -308,19 +303,23 @@ def endomorphism_from_strings(texts: Sequence[str], fld,
 
     The x/y/z shorthand is always understood; extra variables are x3, x4, ...
     """
+    return Endomorphism(_parse_forms(texts, fld, len(texts), nvars))
+
+
+def _parse_forms(texts: Sequence[str], fld, min_width: int,
+                 nvars: Optional[int] = None) -> list[Polynomial]:
+    """Parse forms into one ring: `nvars` variables, or by default the fewest
+    that hold every variable used and at least `min_width`.  The x/y/z
+    shorthand stands for x0, x1, x2."""
     probe = Ring(_PARSE_VARS, fld)
-    parsed = [parse_polynomial(t, probe, aliases=_XYZ) for t in texts]
-    width = len(texts)
-    for p in parsed:
-        vs = p.variables()
-        if vs:
-            width = max(width, max(vs) + 1)
+    parsed = [parse_polynomial(t, probe, aliases=_PARSE_ALIASES) for t in texts]
+    width = max([min_width] + [v + 1 for p in parsed for v in p.variables()])
     if nvars is None:
         nvars = width
     elif nvars < width:
         raise InvalidInputError("declared variable count is too small")
     ring = Ring(nvars, fld)
-    return Endomorphism([_shrink(p, ring) for p in parsed])
+    return [_shrink(p, ring) for p in parsed]
 
 
 def _shrink(p: Polynomial, ring: Ring) -> Polynomial:
@@ -332,28 +331,6 @@ def _shrink(p: Polynomial, ring: Ring) -> Polynomial:
             raise InvalidInputError("form uses a variable outside the ring")
         out[(m + (0,) * w)[:w]] = c
     return Polynomial(ring, out)
-
-
-def _matrix_inverse(a, fld):
-    k = len(a)
-    m = [list(row) + [fld.one() if c == r else fld.zero() for c in range(k)]
-         for r, row in enumerate(a)]
-    for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if not fld.is_zero(m[r][i]):
-                piv = r
-                break
-        if piv is None:
-            raise InvalidInputError("conjugation matrix is singular")
-        m[i], m[piv] = m[piv], m[i]
-        inv = fld.inv(m[i][i])
-        m[i] = [fld.mul(x, inv) for x in m[i]]
-        for r in range(k):
-            if r != i and not fld.is_zero(m[r][i]):
-                f = m[r][i]
-                m[r] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(m[r], m[i])]
-    return [row[k:] for row in m]
 
 
 # -- jacobians -----------------------------------------------------------------------
@@ -432,23 +409,9 @@ def _strip_param_content(g: Polynomial, block_size: int) -> Polynomial:
 
 
 def _reduce_poly_mod(g: Polynomial, target: Ring, images) -> Polynomial:
-    """Map coefficients into the prime field of `target` and substitute
-    variable images in one pass; _BadPrime when a denominator vanishes."""
-    fq = target.field
-    out = target.zero()
-    for m, c in g.terms.items():
-        try:
-            cv = fq.coerce(c)
-        except ZeroDivisionError:
-            raise _BadPrime from None
-        term = target.const(cv)
-        if term.is_zero():
-            continue
-        for i, e in enumerate(m):
-            if e:
-                term = term * images[i] ** e
-        out = out + term
-    return out
+    """Map coefficients into the prime field of `target`, then substitute
+    variable images; _BadPrime when a denominator vanishes."""
+    return _reduce_form_mod(g, Ring(g.ring.nvars, target.field)).substitute(images)
 
 
 def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
@@ -491,21 +454,25 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
     degenerates is skipped; when the planned trials end with neither a pass
     nor two failures, further ones are drawn (fresh primes over QQ, fresh
     parameter points over F_p).  A candidate is never accepted unchecked.
+    Over F_p without parameters every trial is the same computation, so one
+    trial decides.
     """
     ring = f.ring
     n1 = f.n + 1
     fld = ring.field
     if isinstance(fld, PrimeField):
-        planned = [(fld.p, t) for t in range(3)]
-        extra = ((fld.p, t) for t in range(3, 3 + _EXTRA_CERT_TRIALS))
+        trials = 3 + _EXTRA_CERT_TRIALS if ring.nvars > n1 else 1
+        planned = [(fld, t) for t in range(min(trials, 3))]
+        extra = ((fld, t) for t in range(3, trials))
     else:
-        planned = [(q, t) for q in _CERT_PRIMES[:3] for t in range(2)]
-        extra = ((q, 0) for q in itertools.islice(internal_primes(),
-                                                  _EXTRA_CERT_TRIALS))
+        planned = [(fq, t) for fq in map(GF, _CERT_PRIMES[:3]) for t in range(2)]
+        extra = ((GF(q), 0) for q in itertools.islice(internal_primes(),
+                                                      _EXTRA_CERT_TRIALS))
     failures = 0
-    for q, t in itertools.chain(planned, extra):
+    for fq, t in itertools.chain(planned, extra):
+        q = fq.p
         rng = Random((seed << 8) ^ (q << 3) ^ t)
-        point_ring = Ring(n1, GF(q))
+        point_ring = Ring(n1, fq)
         images = [point_ring.var(i) for i in range(n1)] + \
                  [point_ring.const(rng.randrange(q))
                   for _ in range(ring.nvars - n1)]
@@ -868,8 +835,7 @@ def critical_points(f: Endomorphism) -> list[ProjectivePoint]:
     return binary_form_roots(jacobian(f).poly)
 
 
-def has_periodic_critical_point(f: Endomorphism, max_period: int,
-                                *, seed: int = 0) -> PCFSearchReport:
+def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchReport:
     """Does some critical point (over the closure) have period <= max_period?
 
     Decided exactly for n = 1: for s = 1, 2, ... it asks whether the Jacobian

@@ -10,8 +10,7 @@ normalized to x0, x1, x2 on output.  Round-tripping print -> parse is
 bit-exact.
 
 Algorithms here stay at desk scale on purpose: primitive-PRS gcd, cofactor /
-fraction-free Bareiss determinants, dense interpolation.  No factorization, no
-Groebner machinery.
+fraction-free Bareiss determinants.  No factorization, no Groebner machinery.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .coeff import Field, PrimeField, QQ, RationalField, Value, random_element
-from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
-                     RingMismatchError)
+from .coeff import Field, PrimeField, RationalField, Value
+from .errors import InvalidInputError, NotDivisibleError, RingMismatchError
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -298,16 +295,6 @@ class Polynomial:
             total = total + part
         return total
 
-    def map_coefficients(self, fn: Callable, new_field: Field) -> "Polynomial":
-        """Apply fn to every coefficient, landing in new_field (zeros dropped)."""
-        ring = Ring(self.ring.nvars, new_field)
-        out: dict = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if not new_field.is_zero(v):
-                out[m] = v
-        return Polynomial(ring, out)
-
 
 # -- construction helpers ----------------------------------------------------
 
@@ -345,14 +332,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
             prev = b
         mono.append(degree + nvars - 2 - prev)
         out.append(tuple(mono))
-    out.sort(key=grlex_key, reverse=True)
-    return out
-
-
-def monomials_up_to_degree(nvars: int, bound: int) -> list[Monomial]:
-    out = []
-    for d in range(bound + 1):
-        out.extend(monomials_of_degree(nvars, d))
     out.sort(key=grlex_key, reverse=True)
     return out
 
@@ -457,16 +436,6 @@ def _coeffs_in_var(p: Polynomial, v: int) -> dict[int, Polynomial]:
         m2[v] = 0
         out.setdefault(e, {})[tuple(m2)] = c
     return {e: Polynomial(ring, t) for e, t in out.items()}
-
-
-def _from_coeffs_in_var(coeffs: dict[int, Polynomial], v: int, ring: Ring) -> Polynomial:
-    out: dict = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            m2 = list(m)
-            m2[v] += e
-            out[tuple(m2)] = c
-    return Polynomial(ring, out)
 
 
 def _content_in_var(p: Polynomial, v: int) -> Polynomial:
@@ -653,88 +622,6 @@ def determinant(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         prev = pk
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-# -- interpolation ----------------------------------------------------------------
-
-def _solve_dense(matrix: list[list[Value]], rhs: list[Value], fld: Field) -> Optional[list[Value]]:
-    """Gaussian elimination over a field; None if singular."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if not fld.is_zero(m[r][k]):
-                piv = r
-                break
-        if piv is None:
-            return None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        inv = fld.inv(m[k][k])
-        m[k] = [fld.mul(x, inv) for x in m[k]]
-        for r in range(n):
-            if r != k and not fld.is_zero(m[r][k]):
-                f = m[r][k]
-                m[r] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[r], m[k])]
-    return [m[i][n] for i in range(n)]
-
-
-def interpolate(evaluations: Sequence[tuple[Sequence, Value]], bound: int,
-                ring: Ring) -> Polynomial:
-    """Unique polynomial of total degree <= bound matching the evaluations.
-
-    Solves the dense monomial system from the first len(monomials) samples and
-    verifies the remainder.  Degenerate point sets and inconsistent data raise
-    DegeneracyError with a machine-readable code.
-    """
-    fld = ring.field
-    monos = monomials_up_to_degree(ring.nvars, bound)
-    k = len(monos)
-    if len(evaluations) < k:
-        raise DegeneracyError("interpolation-underdetermined",
-                              f"need {k} samples, got {len(evaluations)}")
-    pts = [[fld.coerce(x) for x in pt] for pt, _ in evaluations]
-    vals = [fld.coerce(v) for _, v in evaluations]
-
-    def mono_at(pt, m):
-        v = fld.one()
-        for i, e in enumerate(m):
-            if e:
-                v = fld.mul(v, fld.pw(pt[i], e))
-        return v
-
-    matrix = [[mono_at(pts[i], m) for m in monos] for i in range(k)]
-    sol = _solve_dense(matrix, vals[:k], fld)
-    if sol is None:
-        raise DegeneracyError("interpolation-singular", "degenerate sample points")
-    p = Polynomial(ring, {m: c for m, c in zip(monos, sol) if not fld.is_zero(c)})
-    for pt, v in zip(pts[k:], vals[k:]):
-        if p.evaluate(pt) != v:
-            raise DegeneracyError("interpolation-inconsistent",
-                                  "extra samples do not match the interpolant")
-    return p
-
-
-def interpolate_oracle(oracle: Callable[[Sequence[Value]], Value], bound: int,
-                       ring: Ring, rng: Random, extra: int = 2,
-                       retries: int = 5) -> Polynomial:
-    """Interpolate from a black-box evaluator at seeded random points."""
-    last = None
-    for _ in range(retries):
-        monos_needed = len(monomials_up_to_degree(ring.nvars, bound)) + extra
-        pts = []
-        seen = set()
-        while len(pts) < monos_needed:
-            pt = tuple(random_element(ring.field, rng) for _ in range(ring.nvars))
-            if pt not in seen:
-                seen.add(pt)
-                pts.append(pt)
-        try:
-            return interpolate([(pt, oracle(pt)) for pt in pts], bound, ring)
-        except DegeneracyError as exc:
-            last = exc
-    raise last  # type: ignore[misc]
 
 
 # -- text grammar -------------------------------------------------------------------

@@ -12,7 +12,6 @@ parametric resultants are returned in the same ring with zero block degrees.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -62,6 +61,35 @@ def _field_det(rows, fld):
             for c in range(i + 1, k):
                 m[r][c] = fld.sub(m[r][c], fld.mul(f, m[i][c]))
     return det
+
+
+def _field_inverse(rows, fld):
+    """Inverse of a matrix of field values by Gauss-Jordan; None if singular."""
+    k = len(rows)
+    m = [list(r) + [fld.one() if c == i else fld.zero() for c in range(k)]
+         for i, r in enumerate(rows)]
+    for i in range(k):
+        piv = None
+        for r in range(i, k):
+            if not fld.is_zero(m[r][i]):
+                piv = r
+                break
+        if piv is None:
+            return None
+        m[i], m[piv] = m[piv], m[i]
+        top = m[i]
+        inv = fld.inv(top[i])
+        # the other rows change only where the pivot row is nonzero
+        cols = [c for c in range(i, 2 * k) if not fld.is_zero(top[c])]
+        for c in cols:
+            top[c] = fld.mul(top[c], inv)
+        for r in range(k):
+            row = m[r]
+            if r != i and not fld.is_zero(row[i]):
+                f = row[i]
+                for c in cols:
+                    row[c] = fld.sub(row[c], fld.mul(f, top[c]))
+    return [row[k:] for row in m]
 
 
 def _random_gl(size: int, fld, rng: Random):
@@ -350,21 +378,18 @@ class _BadPrime(Exception):
     """Internal: this prime divides a denominator or the leading structure."""
 
 
-def _frac_mod(c, p: int) -> int:
-    if isinstance(c, Fraction):
-        den = c.denominator % p
-        if den == 0:
-            raise _BadPrime
-        return c.numerator % p * pow(den, p - 2, p) % p
-    return c % p
-
-
-def _reduce_form_mod(f: Polynomial, target: Ring, p: int) -> Polynomial:
+def _reduce_form_mod(f: Polynomial, target: Ring) -> Polynomial:
+    """f with its coefficients in the prime field of `target`; _BadPrime when
+    a denominator vanishes there."""
+    fld = target.field
     terms = {}
-    for m, c in f.terms.items():
-        v = _frac_mod(c, p)
-        if v:
-            terms[m] = v
+    try:
+        for m, c in f.terms.items():
+            v = fld.coerce(c)
+            if v:
+                terms[m] = v
+    except ZeroDivisionError:
+        raise _BadPrime from None
     return Polynomial(target, terms)
 
 
@@ -435,29 +460,14 @@ def _chunked_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _inverse_vandermonde_mod(vals: Sequence[int], p: int) -> np.ndarray:
-    k = len(vals)
-    m = []
-    for r, v in enumerate(vals):
-        row = [pow(v, j, p) for j in range(k)]
-        row += [1 if c == r else 0 for c in range(k)]
-        m.append(row)
-    for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if m[r][i] % p:
-                piv = r
-                break
-        if piv is None:
-            raise DegeneracyError("interpolation-singular", "repeated grid value")
-        m[i], m[piv] = m[piv], m[i]
-        inv = pow(m[i][i], p - 2, p)
-        m[i] = [x * inv % p for x in m[i]]
-        for r in range(k):
-            if r != i and m[r][i] % p:
-                f = m[r][i]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[i])]
-    return np.array([row[k:] for row in m], dtype=np.int64)
+def _inverse_vandermonde_mod(vals: Sequence[int], fld) -> list:
+    """Inverse of the Vandermonde matrix (v^j) on the nodes `vals` over F_p."""
+    p = fld.p
+    inv = _field_inverse([[pow(v, j, p) for j in range(len(vals))] for v in vals],
+                         fld)
+    if inv is None:
+        raise DegeneracyError("interpolation-singular", "repeated grid value")
+    return inv
 
 
 class _GridPlan:
@@ -541,48 +551,29 @@ class _GridPlan:
         return tuple(mono)
 
 
-def _grid_values_mod(system: MacaulaySystem, plan: _GridPlan, p: int,
-                     seed: int) -> np.ndarray:
-    """Resultant values over the dehomogenized grid, mod p, exact at every point."""
-    axes = plan.axes
-    lengths = [b + 1 for b in plan.axis_bounds]
-    axis_vals = [list(range(1, l + 1)) for l in lengths]
+def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, full_mod: Ring,
+                        lengths: Sequence[int], strides: Sequence[int]):
+    """int64 batch pass over the grid: resultant values mod p, plus the flat
+    indices of the points where unpivoted elimination hit a zero pivot."""
+    p = full_mod.field.p
     npts = plan.npoints
     k = system.size
     km = system.minor_size
-    bs = system.block_size
-    ring = system.ring
 
     # residue tables: form index -> block monomial -> coefficient terms mod p
-    red_tables = []
-    for tab in system.coeff_tables:
-        rt = {}
-        for mb, cpoly in tab.items():
-            terms = []
-            for m, c in cpoly.terms.items():
-                v = _frac_mod(c, p)
-                if v:
-                    terms.append((m, v))
-            rt[mb] = terms
-        red_tables.append(rt)
-
-    strides = []
-    acc = 1
-    for l in reversed(lengths):
-        strides.append(acc)
-        acc *= l
-    strides = list(reversed(strides))
+    red_tables = [{mb: list(_reduce_form_mod(cpoly, full_mod).terms.items())
+                   for mb, cpoly in tab.items()}
+                  for tab in system.coeff_tables]
 
     res = np.zeros(npts, dtype=np.int64)
     bad: list[int] = []
-    for start in range(0, max(npts, 1), _CHUNK_POINTS):
+    for start in range(0, npts, _CHUNK_POINTS):
         stop = min(npts, start + _CHUNK_POINTS)
         count = stop - start
         flat = np.arange(start, stop, dtype=np.int64)
         var_arrays = {}
-        for a_i, v in enumerate(axes):
-            idx = (flat // strides[a_i]) % lengths[a_i]
-            var_arrays[v] = np.array(axis_vals[a_i], dtype=np.int64)[idx]
+        for a_i, v in enumerate(plan.axes):
+            var_arrays[v] = (flat // strides[a_i]) % lengths[a_i] + 1
         for v in plan.params:
             if v in plan.pivots:
                 var_arrays[v] = np.ones(count, dtype=np.int64)
@@ -638,70 +629,75 @@ def _grid_values_mod(system: MacaulaySystem, plan: _GridPlan, p: int,
                                       p - 2, p) % p
         res[start:stop] = np.where(good, vals, 0)
         bad.extend((start + int(j)) for j in np.nonzero(~good)[0])
+    return res, bad
 
-    # honest recomputation for flagged points: pivoted elimination, then the
-    # coordinate-change ladder if the reduced minor genuinely vanishes there
-    if bad:
-        target = Ring(bs, GF(p))
-        full_mod = Ring(ring.nvars, GF(p))
-        reduced = [_reduce_form_mod(f, full_mod, p) for f in system.forms]
+
+def _grid_values_mod(system: MacaulaySystem, plan: _GridPlan, fld: PrimeField,
+                     seed: int) -> np.ndarray:
+    """Resultant values over the dehomogenized grid, mod p, exact at every point.
+
+    Below _NUMPY_SAFE a batched int64 pass fills the grid; above it int64
+    products could overflow, so every point is left for the per-point pass.
+    """
+    p = fld.p
+    lengths = [b + 1 for b in plan.axis_bounds]
+    strides = [math.prod(lengths[a + 1:]) for a in range(len(lengths))]
+    bs = system.block_size
+    full_mod = Ring(system.ring.nvars, fld)
+    if p < _NUMPY_SAFE:
+        res, todo = _batched_values_mod(system, plan, full_mod, lengths, strides)
+    else:
+        res, todo = np.zeros(plan.npoints, dtype=object), range(plan.npoints)
+
+    # per-point pass: pivoted elimination, then the coordinate-change ladder
+    # if the reduced minor genuinely vanishes there
+    if todo:
+        target = Ring(bs, fld)
+        reduced = [_reduce_form_mod(f, full_mod) for f in system.forms]
         rng = Random((seed << 20) ^ p)
-        for flat_idx in bad:
-            exps = {}
-            for a_i, v in enumerate(axes):
-                exps[v] = axis_vals[a_i][(flat_idx // strides[a_i]) % lengths[a_i]]
+        for flat_idx in todo:
+            exps = {v: (flat_idx // strides[a_i]) % lengths[a_i] + 1
+                    for a_i, v in enumerate(plan.axes)}
             point = plan.point_values(exps)
             spec = [_specialize_block_form(f, bs, point, target) for f in reduced]
             res[flat_idx] = _point_resultant(spec, bs, rng)
-    return res.reshape(lengths) if lengths else res.reshape([1])
+    return res.reshape(lengths)
 
 
-def _tensor_coefficients_mod(values: np.ndarray, lengths: Sequence[int],
-                             p: int) -> np.ndarray:
-    """Coefficient tensor of the grid polynomial: one Vandermonde solve per axis."""
-    out = values % p
-    t = len(lengths)
-    for axis in range(t):
-        l = lengths[axis]
-        vinv = _inverse_vandermonde_mod(list(range(1, l + 1)), p)
+def _grid_coeff_dict(system: MacaulaySystem, plan: _GridPlan, fld: PrimeField,
+                     seed: int) -> dict[tuple, int]:
+    """Coefficients mod p of the resultant by monomial: one Vandermonde solve
+    per grid axis (object dtype where int64 products could overflow)."""
+    p = fld.p
+    out = _grid_values_mod(system, plan, fld, seed)
+    dtype = np.int64 if p < _NUMPY_SAFE else object
+    lengths = list(out.shape)
+    for axis, l in enumerate(lengths):
+        vinv = np.array(_inverse_vandermonde_mod(range(1, l + 1), fld), dtype=dtype)
         moved = np.moveaxis(out, axis, 0).reshape(l, -1)
         solved = _chunked_matmul_mod(vinv, moved, p)
-        if t > 1:
-            rest = [lengths[a] for a in range(t) if a != axis]
-            out = np.moveaxis(solved.reshape([l] + rest), 0, axis)
-        else:
-            out = solved.reshape(l)
-    return out
-
-
-def _grid_coeff_dict(system: MacaulaySystem, plan: _GridPlan, p: int,
-                     seed: int) -> dict[tuple, int]:
-    lengths = [b + 1 for b in plan.axis_bounds]
-    values = _grid_values_mod(system, plan, p, seed)
-    if not lengths:
-        flat = int(values.reshape(-1)[0])
-        mono = plan.monomial_for(())
-        return {mono: flat} if flat and mono is not None else {}
-    tensor = _tensor_coefficients_mod(values, lengths, p)
-    out = {}
-    for idx in np.argwhere(tensor != 0):
+        rest = lengths[:axis] + lengths[axis + 1:]
+        out = np.moveaxis(solved.reshape([l] + rest), 0, axis)
+    coeffs = {}
+    for idx in np.argwhere(out != 0):
         mono = plan.monomial_for(tuple(int(x) for x in idx))
         if mono is None:
             raise DegeneracyError("interpolation-inconsistent",
                                   "grid coefficient outside the homogeneity range")
-        out[mono] = int(tensor[tuple(idx)])
-    return out
+        coeffs[mono] = int(out[tuple(idx)])
+    return coeffs
 
 
 def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
-                      plan: _GridPlan, p: int, seed: int) -> bool:
+                      plan: _GridPlan, fld: PrimeField, seed: int) -> bool:
     ring = system.ring
     bs = system.block_size
+    p = fld.p
     rng = Random((seed << 21) ^ p)
-    target = Ring(bs, GF(p))
-    full_mod = Ring(ring.nvars, GF(p))
-    reduced = [_reduce_form_mod(f, full_mod, p) for f in system.forms]
-    cand_red = _reduce_form_mod(candidate, full_mod, p)
+    target = Ring(bs, fld)
+    full_mod = Ring(ring.nvars, fld)
+    reduced = [_reduce_form_mod(f, full_mod) for f in system.forms]
+    cand_red = _reduce_form_mod(candidate, full_mod)
     for _ in range(2):
         point = [rng.randrange(p) for _ in plan.params]
         spec = [_specialize_block_form(f, bs, point, target) for f in reduced]
@@ -721,16 +717,11 @@ def _interpolated_resultant(forms: Sequence[Polynomial], block_size: int,
     plan = _GridPlan(system, blocks)
 
     if isinstance(fld, PrimeField):
-        p = fld.p
-        if plan.max_axis_length() > p:
+        if plan.max_axis_length() > fld.p:
             raise DegeneracyError("interpolation-underdetermined",
                                   "field too small for the required grid")
-        if p >= _NUMPY_SAFE:
-            coeffs = _grid_coeff_dict_python(system, plan, seed)
-        else:
-            coeffs = _grid_coeff_dict(system, plan, p, seed)
-        result = Polynomial(ring, {m: c % p for m, c in coeffs.items() if c % p})
-        if not _verify_candidate(result, system, plan, p, seed):
+        result = Polynomial(ring, _grid_coeff_dict(system, plan, fld, seed))
+        if not _verify_candidate(result, system, plan, fld, seed):
             raise DegeneracyError("interpolation-inconsistent",
                                   "modular image failed the verification probe")
         return result
@@ -743,7 +734,7 @@ def _interpolated_resultant(forms: Sequence[Polynomial], block_size: int,
             raise DegeneracyError("interpolation-unstable",
                                   "rational reconstruction did not stabilize")
         try:
-            residue_maps[p] = _grid_coeff_dict(system, plan, p, seed)
+            residue_maps[p] = _grid_coeff_dict(system, plan, GF(p), seed)
         except _BadPrime:
             continue
         monomials = set()
@@ -769,7 +760,7 @@ def _interpolated_resultant(forms: Sequence[Polynomial], block_size: int,
                 if q in residue_maps:
                     continue
                 try:
-                    verified = _verify_candidate(candidate, system, plan, q, seed)
+                    verified = _verify_candidate(candidate, system, plan, GF(q), seed)
                 except _BadPrime:
                     continue
                 break
@@ -779,50 +770,6 @@ def _interpolated_resultant(forms: Sequence[Polynomial], block_size: int,
             continue
         previous = recon
     raise DegeneracyError("interpolation-unstable", "prime supply exhausted")
-
-
-def _grid_coeff_dict_python(system: MacaulaySystem, plan: _GridPlan,
-                            seed: int) -> dict[tuple, int]:
-    """Pure-python grid pass for prime fields too large for int64 batching."""
-    fld = system.ring.field
-    p = fld.p
-    bs = system.block_size
-    lengths = [b + 1 for b in plan.axis_bounds]
-    target = Ring(bs, fld)
-    rng = Random((seed << 20) ^ p)
-    values = np.zeros(lengths if lengths else [1], dtype=object)
-    for idx in itertools.product(*(range(l) for l in lengths)) if lengths else [()]:
-        exps = {v: iv + 1 for v, iv in zip(plan.axes, idx)}
-        point = plan.point_values(exps)
-        spec = [_specialize_block_form(f, bs, point, target) for f in system.forms]
-        val = _point_resultant(spec, bs, rng)
-        if lengths:
-            values[idx] = val
-        else:
-            values[0] = val
-    if not lengths:
-        v = int(values[0])
-        mono = plan.monomial_for(())
-        return {mono: v} if v and mono is not None else {}
-    # per-axis Vandermonde solves, object dtype to dodge the int64 limit
-    out = values
-    t = len(lengths)
-    for axis in range(t):
-        l = lengths[axis]
-        vinv = _inverse_vandermonde_mod(list(range(1, l + 1)), p).astype(object)
-        moved = np.moveaxis(out, axis, 0).reshape(l, -1)
-        solved = (vinv @ moved) % p
-        rest = [lengths[a] for a in range(t) if a != axis]
-        out = np.moveaxis(solved.reshape([l] + rest), 0, axis) if t > 1 \
-            else solved.reshape(l)
-    coeffs = {}
-    for idx in np.argwhere(out != 0):
-        mono = plan.monomial_for(tuple(int(x) for x in idx))
-        if mono is None:
-            raise DegeneracyError("interpolation-inconsistent",
-                                  "grid coefficient outside the homogeneity range")
-        coeffs[mono] = int(out[tuple(idx)])
-    return coeffs
 
 
 # -- public entry points -------------------------------------------------------------

@@ -155,34 +155,49 @@ class TestExitCodes:
         assert "degeneracy" in err
 
 
+JSON_CASES = [
+    ("iterate", "--map", SQUARING2, "--n", "2"),
+    ("orbit", "--map", SQUARING2, "--point", "1,1"),
+    ("jacobian", "--map", SQUARING3),
+    ("resultant", "--form", "x0^2", "--form", "x1^3"),
+    ("pushforward", "--map", SQUARING3, "--form", "x0+x1+x2"),
+    ("improper-cert", "--map", SQUARING3, "--form", "x0+x1+x2",
+     "--indices", "0,1,2"),
+    ("improper-search", "--map", "[x0, x1/2, -x2/3]",
+     "--form", "x0+x1+x2", "--bound", "3"),
+    ("ys-test", "--map", "[x0^2-x1^2, x1^2]", "--s", "2"),
+    ("sympow", "--map", SQUARING2, "--n", "2"),
+    ("period-poly", "--d", "3", "--s", "3"),
+    ("find-pcf", "--d", "2", "--s", "5", "--field", "Fp:17"),
+    ("dims", "--n", "2", "--m", "1", "--d", "2", "--indices", "0,1,2"),
+]
+
+
+@pytest.fixture(scope="module")
+def json_runs():
+    """(argv, exit code, parsed envelope) for one --json call per subcommand."""
+    runs = []
+    for argv in JSON_CASES:
+        code, out, _ = invoke(*argv, "--json")
+        runs.append((argv, code, json.loads(out)))
+    return runs
+
+
 class TestJsonOutput:
-    def test_every_subcommand_validates(self):
+    def test_every_subcommand_validates(self, json_runs):
         check = validator()
-        cases = [
-            ("iterate", "--map", SQUARING2, "--n", "2"),
-            ("orbit", "--map", SQUARING2, "--point", "1,1"),
-            ("jacobian", "--map", SQUARING3),
-            ("resultant", "--form", "x0^2", "--form", "x1^3"),
-            ("pushforward", "--map", SQUARING3, "--form", "x0+x1+x2"),
-            ("improper-cert", "--map", SQUARING3, "--form", "x0+x1+x2",
-             "--indices", "0,1,2"),
-            ("improper-search", "--map", "[x0, x1/2, -x2/3]",
-             "--form", "x0+x1+x2", "--bound", "3"),
-            ("ys-test", "--map", "[x0^2-x1^2, x1^2]", "--s", "2"),
-            ("sympow", "--map", SQUARING2, "--n", "2"),
-            ("period-poly", "--d", "3", "--s", "3"),
-            ("find-pcf", "--d", "2", "--s", "5", "--field", "Fp:17"),
-            ("dims", "--n", "2", "--m", "1", "--d", "2", "--indices", "0,1,2"),
-        ]
         seen = set()
-        for argv in cases:
-            code, out, _ = invoke(*argv, "--json")
+        for argv, code, payload in json_runs:
             assert code in (0, 1), argv
-            payload = json.loads(out)
             check.validate(payload)
             assert payload["ok"] is (code == 0)
             seen.add(payload["command"])
         assert len(seen) == 12
+
+    def test_envelope_keys_are_the_schema_properties(self, json_runs):
+        properties = set(json.loads(schema_text())["properties"])
+        for argv, _, payload in json_runs:
+            assert set(payload) == properties, argv
 
     def test_negative_result_payload(self):
         code, out, _ = invoke("find-pcf", "--d", "2", "--s", "5", "--json")
@@ -198,21 +213,14 @@ class TestJsonOutput:
                 "modular", "--seed", "11", "--json")
         assert invoke(*argv) == invoke(*argv)
 
-    def test_threads_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("PROJDYN_THREADS", "5")
-        payload = json.loads(invoke("dims", "--n", "1", "--d", "2",
-                                    "--threads", "2", "--json")[1])
-        assert payload["threads"] == 2
+    def test_threads_flag_is_rejected(self):
+        code, out, err = invoke("dims", "--n", "1", "--d", "2", "--threads", "2")
+        assert code == 2 and out == ""
+        assert "--threads" in err
 
-    def test_threads_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("PROJDYN_THREADS", "5")
-        payload = json.loads(invoke("dims", "--n", "1", "--d", "2", "--json")[1])
-        assert payload["threads"] == 5
-
-    def test_bad_threads_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("PROJDYN_THREADS", "many")
-        code, _, err = invoke("dims", "--n", "1", "--d", "2")
-        assert code == 2 and "PROJDYN_THREADS" in err
+    def test_ys_test_output_does_not_depend_on_seed(self):
+        argv = ("ys-test", "--map", "[x0^2-x1^2, x1^2]", "--s", "3")
+        assert invoke(*argv, "--seed", "0") == invoke(*argv, "--seed", "5")
 
 
 class TestStrategies:

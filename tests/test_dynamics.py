@@ -8,10 +8,12 @@ from random import Random
 
 import pytest
 
+from projdyn import dynamics
 from projdyn.coeff import GF, QQ
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
-                              _forms_share_zero, _gcd_coeffs, _line_coeffs,
-                              _reduce_poly_mod, dim_end, dim_forms,
+                              _certify_pushforward, _forms_share_zero,
+                              _gcd_coeffs, _line_coeffs, _reduce_poly_mod,
+                              dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
                               generic_cert_degree, has_periodic_critical_point,
                               improper_certificate, jacobian,
@@ -109,6 +111,14 @@ def test_conjugate_by_translation():
     assert g.forms == (P("x^2+2*x*y"), P("y^2"))
     with pytest.raises(InvalidInputError):
         f.conjugate([[1, 1], [2, 2]])
+
+
+def test_conjugate_over_a_prime_field():
+    f = endomorphism_from_strings(["x^2", "y^2"], GF(7))
+    a, a_inv = [[1, 2], [3, 1]], [[4, 6], [2, 4]]  # inverse pair mod 7
+    assert f.conjugate(a).conjugate(a_inv) == f
+    with pytest.raises(InvalidInputError):
+        f.conjugate([[1, 2], [3, -1]])  # determinant -7
 
 
 def test_json_round_trip():
@@ -219,6 +229,38 @@ def test_bad_prime_reduction_is_an_internal_signal():
     with pytest.raises(_BadPrime):
         _reduce_poly_mod(P("x/10007+y"), target, target.gens())
     assert not issubclass(_BadPrime, InvalidInputError)
+
+
+def count_reductions(monkeypatch):
+    calls = []
+    real = dynamics._reduce_poly_mod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_reduce_poly_mod", counted)
+    return calls
+
+
+def test_certifier_runs_one_trial_on_a_parameter_free_prime_field_map(monkeypatch):
+    f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(10007))
+    plane, image, wrong = (parse_polynomial(t, f.ring) for t in
+                           ("x+y+z", "x^2+y^2+z^2-2*x*y-2*x*z-2*y*z", "x+2*y+3*z"))
+    calls = count_reductions(monkeypatch)
+    assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
+    assert len(calls) == 5  # one trial: three coordinate forms, phi, candidate
+    calls.clear()
+    assert _certify_pushforward(f, plane, 1, image, seed=0)
+    assert len(calls) == 5
+
+
+def test_certifier_keeps_independent_trials_with_parameters(monkeypatch):
+    f = endomorphism_from_strings(["x0^2", "x1^2", "x3*x2^2"], GF(10007))
+    plane, wrong = (parse_polynomial(t, f.ring) for t in ("x0+x1+x2", "x0+2*x1+3*x2"))
+    calls = count_reductions(monkeypatch)
+    assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
+    assert len(calls) == 10  # rejection takes two trials at fresh parameter values
 
 
 def test_pushforward_through_indeterminacy_raises():

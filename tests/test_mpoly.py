@@ -1,5 +1,5 @@
 """Polynomial layer: arithmetic axioms, grammar round trip, gcd/squarefree,
-determinants, interpolation."""
+determinants."""
 
 from fractions import Fraction
 from random import Random
@@ -7,14 +7,13 @@ from random import Random
 import pytest
 
 from projdyn.coeff import GF, QQ, random_element
-from projdyn.errors import (DegeneracyError, InvalidInputError,
-                            NotDivisibleError, RingMismatchError)
+from projdyn.errors import (InvalidInputError, NotDivisibleError,
+                            RingMismatchError)
 from projdyn.mpoly import (NEG_INF, Polynomial, Ring, content_primitive,
                            determinant, divexact, embed, equal_up_to_scalar,
-                           format_polynomial, interpolate, interpolate_oracle,
-                           monomials_of_degree, parse_polynomial, poly_gcd,
-                           primitive_part, squarefree_part,
-                           strip_monomial_content)
+                           format_polynomial, monomials_of_degree,
+                           parse_polynomial, poly_gcd, primitive_part,
+                           squarefree_part, strip_monomial_content)
 
 RNG_SEED = 917
 
@@ -303,39 +302,6 @@ def test_determinant_multiplicative_on_numbers():
         AB = [[sum((A[i][k] * B[k][j] for k in range(n)), ring.zero())
                for j in range(n)] for i in range(n)]
         assert determinant(AB) == determinant(A) * determinant(B)
-
-
-# -- interpolation -----------------------------------------------------------------
-
-def test_interpolate_recovers_line():
-    ring = Ring(2, GF(101))
-    pts = [(1, 2), (3, 5), (2, 9), (7, 12)]
-    target = parse_polynomial("x0+x1", ring)
-    evals = [(pt, target.evaluate(pt)) for pt in pts]
-    assert interpolate(evals, 1, ring) == target
-
-
-def test_interpolate_detects_inconsistency():
-    ring = Ring(1, GF(101))
-    target = parse_polynomial("x0^2", ring)
-    evals = [((x,), target.evaluate((x,))) for x in (1, 2, 3, 4)]
-    with pytest.raises(DegeneracyError):
-        interpolate(evals, 1, ring)
-
-
-def test_interpolate_detects_degenerate_points():
-    ring = Ring(2, GF(101))
-    evals = [((1, 1), 2), ((2, 2), 4), ((3, 3), 6)]  # collinear sample set
-    with pytest.raises(DegeneracyError):
-        interpolate(evals, 1, ring)
-
-
-def test_interpolate_oracle_seeded():
-    rng = Random(RNG_SEED)
-    ring = Ring(3, GF(1000003))
-    target = parse_polynomial("x0^2*x1+3*x2^3+x0*x1*x2+7", ring)
-    got = interpolate_oracle(lambda pt: target.evaluate(pt), 3, ring, rng)
-    assert got == target
 
 
 def test_embed_pads_variables():

@@ -1,4 +1,5 @@
 """Resultant layer: Sylvester, Macaulay, strategies, degeneracy handling."""
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -8,11 +9,12 @@ from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ
 from projdyn.errors import DegeneracyError, InvalidInputError
 from projdyn.extfield import SmallExtField, evaluate_poly, projective_points
 from projdyn.mpoly import Polynomial, Ring, parse_polynomial
-from projdyn.resultant import (MacaulaySystem, discriminant_binary,
-                               gradient_resultant, macaulay_critical_degree,
-                               macaulay_resultant, map_resultant,
-                               resultant_degrees, sylvester_matrix,
-                               sylvester_resultant)
+from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _field_det,
+                               _field_inverse, _inverse_vandermonde_mod,
+                               discriminant_binary, gradient_resultant,
+                               macaulay_critical_degree, macaulay_resultant,
+                               map_resultant, resultant_degrees,
+                               sylvester_matrix, sylvester_resultant)
 
 RNG_SEED = 20260816
 
@@ -203,20 +205,39 @@ def test_parametric_ratio_known_value():
     assert res == P("x2^2+1", ring)
 
 
-def test_parametric_modular_matches_ratio():
-    ring = Ring(8, QQ)
+QUADRATIC_BLOCKS = [[2, 3, 4], [5, 6, 7]]
+
+
+def quadratic_pair(ring):
+    """Two generic binary quadratics in x0, x1 with coefficients x2..x7, and
+    the classical closed form of their resultant."""
     al = {"a": 2, "b": 3, "c": 4, "u": 5, "v": 6, "w": 7}
     f0 = P("a*x0^2+b*x0*x1+c*x1^2", ring, al)
     f1 = P("u*x0^2+v*x0*x1+w*x1^2", ring, al)
-    ratio = macaulay_resultant([f0, f1], block_size=2, strategy="ratio")
-    modular = macaulay_resultant([f0, f1], block_size=2, strategy="modular",
-                                 blocks=[[2, 3, 4], [5, 6, 7]])
-    assert ratio == modular
-    # classical closed form: (aw - cu)^2 - (av - bu)(bw - cv)
+    # (aw - cu)^2 - (av - bu)(bw - cv)
     closed = ((P("a*w", ring, al) - P("c*u", ring, al)) ** 2
               - (P("a*v", ring, al) - P("b*u", ring, al))
               * (P("b*w", ring, al) - P("c*v", ring, al)))
+    return f0, f1, closed
+
+
+def test_parametric_modular_matches_ratio():
+    f0, f1, closed = quadratic_pair(Ring(8, QQ))
+    ratio = macaulay_resultant([f0, f1], block_size=2, strategy="ratio")
+    modular = macaulay_resultant([f0, f1], block_size=2, strategy="modular",
+                                 blocks=QUADRATIC_BLOCKS)
+    assert ratio == modular
     assert ratio == closed
+
+
+@pytest.mark.parametrize("p", [10007, DEFAULT_MODULAR_PRIME])
+def test_parametric_modular_on_both_sides_of_numpy_bound(p):
+    # 10007 takes the batched int64 grid, the 62-bit prime the per-point one
+    assert (p < _NUMPY_SAFE) == (p == 10007)
+    f0, f1, closed = quadratic_pair(Ring(8, GF(p)))
+    modular = macaulay_resultant([f0, f1], block_size=2, strategy="modular",
+                                 blocks=QUADRATIC_BLOCKS)
+    assert modular == closed
 
 
 def test_parametric_modular_no_blocks():
@@ -261,6 +282,71 @@ def test_parametric_field_too_small_for_grid():
     with pytest.raises(DegeneracyError) as err:
         macaulay_resultant([p, q], block_size=2, strategy="modular")
     assert err.value.code == "interpolation-underdetermined"
+
+
+# -- field linear algebra -----------------------------------------------------------
+
+def leibniz_det(rows, fld):
+    k = len(rows)
+    total = fld.zero()
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = fld.one() if inversions % 2 == 0 else fld.neg(fld.one())
+        for i, j in enumerate(perm):
+            term = fld.mul(term, rows[i][j])
+        total = fld.add(total, term)
+    return total
+
+
+def mat_mul(a, b, fld):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = fld.zero()
+            for k, x in enumerate(row):
+                acc = fld.add(acc, fld.mul(x, b[k][j]))
+            out[-1].append(acc)
+    return out
+
+
+def identity(k, fld):
+    return [[fld.one() if i == j else fld.zero() for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("fld", [GF(7), QQ], ids=["GF7", "QQ"])
+def test_field_inverse_and_det_against_brute_force(fld):
+    rng = Random(RNG_SEED)
+    inverted = 0
+    for size in (3, 4):
+        for _ in range(25):
+            a = [[fld.coerce(rng.randint(-3, 3)) for _ in range(size)]
+                 for _ in range(size)]
+            det = _field_det(a, fld)
+            assert det == leibniz_det(a, fld)
+            inv = _field_inverse(a, fld)
+            if fld.is_zero(det):
+                assert inv is None
+            else:
+                inverted += 1
+                assert mat_mul(a, inv, fld) == identity(size, fld)
+        singular = [a[0], a[1], [fld.add(x, y) for x, y in zip(a[0], a[1])]] + a[3:]
+        assert fld.is_zero(_field_det(singular, fld))
+        assert _field_inverse(singular, fld) is None
+    assert inverted > 0
+
+
+@pytest.mark.parametrize("p", [101, DEFAULT_MODULAR_PRIME])
+def test_inverse_vandermonde_on_grid_nodes(p):
+    fld = GF(p)
+    for l in (1, 5, 12):
+        nodes = range(1, l + 1)
+        vander = [[pow(v, j, p) for j in range(l)] for v in nodes]
+        assert mat_mul(_inverse_vandermonde_mod(nodes, fld), vander, fld) \
+            == identity(l, fld)
+    with pytest.raises(DegeneracyError) as err:
+        _inverse_vandermonde_mod([1, 1 + p], fld)
+    assert err.value.code == "interpolation-singular"
 
 
 # -- degeneracy and validation ------------------------------------------------------
