@@ -23,10 +23,10 @@ from typing import Optional, Sequence, Union
 from .coeff import GF, PrimeField, RationalField, internal_primes, parse_field
 from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
                      RingMismatchError, UnsupportedScopeError)
-from .mpoly import (Polynomial, Ring, default_aliases, determinant, divexact,
-                    embed, equal_up_to_scalar, format_polynomial,
-                    parse_polynomial, poly_gcd, primitive_part,
-                    squarefree_part, strip_monomial_content)
+from .mpoly import (Polynomial, Ring, _block_coefficients, default_aliases,
+                    determinant, divexact, embed, equal_up_to_scalar,
+                    format_polynomial, parse_polynomial, poly_gcd,
+                    primitive_part, squarefree_part, strip_monomial_content)
 from .resultant import (_BadPrime, _apply_linear, _field_inverse,
                         _reduce_form_mod, macaulay_resultant,
                         sylvester_resultant)
@@ -391,17 +391,10 @@ def _graph_blocks(forms: Sequence[Polynomial], n1: int):
 
 def _strip_param_content(g: Polynomial, block_size: int) -> Polynomial:
     """Remove any factor free of the block variables (never a hypersurface)."""
-    ring = g.ring
-    if g.is_zero() or ring.nvars == block_size:
+    if g.is_zero() or g.ring.nvars == block_size:
         return g
-    groups: dict[tuple, dict] = {}
-    for m, c in g.terms.items():
-        mb = m[:block_size]
-        mp = (0,) * block_size + m[block_size:]
-        groups.setdefault(mb, {})[mp] = c
     content = None
-    for mp_terms in groups.values():
-        coeff = Polynomial(ring, dict(mp_terms))
+    for coeff in _block_coefficients(g, block_size).values():
         content = coeff if content is None else poly_gcd(content, coeff)
         if content.degree() == 0:
             return g
@@ -454,18 +447,21 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
     degenerates is skipped; when the planned trials end with neither a pass
     nor two failures, further ones are drawn (fresh primes over QQ, fresh
     parameter points over F_p).  A candidate is never accepted unchecked.
-    Over F_p without parameters every trial is the same computation, so one
-    trial decides.
+    Without parameters, trials at one prime are the same computation, so
+    each prime gets one: over F_p that single trial decides.
     """
     ring = f.ring
     n1 = f.n + 1
     fld = ring.field
+    parametric = ring.nvars > n1
     if isinstance(fld, PrimeField):
-        trials = 3 + _EXTRA_CERT_TRIALS if ring.nvars > n1 else 1
+        trials = 3 + _EXTRA_CERT_TRIALS if parametric else 1
         planned = [(fld, t) for t in range(min(trials, 3))]
         extra = ((fld, t) for t in range(3, trials))
     else:
-        planned = [(fq, t) for fq in map(GF, _CERT_PRIMES[:3]) for t in range(2)]
+        per_prime = 2 if parametric else 1
+        planned = [(fq, t) for fq in map(GF, _CERT_PRIMES[:3])
+                   for t in range(per_prime)]
         extra = ((GF(q), 0) for q in itertools.islice(internal_primes(),
                                                       _EXTRA_CERT_TRIALS))
     failures = 0

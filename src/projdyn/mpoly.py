@@ -438,6 +438,16 @@ def _coeffs_in_var(p: Polynomial, v: int) -> dict[int, Polynomial]:
     return {e: Polynomial(ring, t) for e, t in out.items()}
 
 
+def _block_coefficients(p: Polynomial, block_size: int) -> dict[Monomial, Polynomial]:
+    """View p as a form in the leading block: block monomial -> coefficient
+    polynomial in the remaining variables (block exponents zero)."""
+    pad = (0,) * block_size
+    out: dict[Monomial, dict] = {}
+    for m, c in p.terms.items():
+        out.setdefault(m[:block_size], {})[pad + m[block_size:]] = c
+    return {mb: Polynomial(p.ring, t) for mb, t in out.items()}
+
+
 def _content_in_var(p: Polynomial, v: int) -> Polynomial:
     cs = list(_coeffs_in_var(p, v).values())
     g = cs[0]

@@ -1,10 +1,23 @@
 """Resultants of homogeneous polynomial systems.
 
-Sylvester matrices for binary forms, the Macaulay construction (numerator
-matrix and reduced minor) for n+1 forms in n+1 block variables, and the
-strategies used when the plain determinant ratio degenerates: seeded linear
-coordinate changes, and dense interpolation of parametric resultants from
-modular images with CRT + rational reconstruction.
+Sylvester matrices for binary forms, and the Macaulay construction
+(numerator matrix and reduced minor) for n+1 forms in n+1 block variables.
+
+Each Macaulay resultant builds one `MacaulaySystem`: the matrix layout,
+walked once into a list of cells, plus the forms' coefficient tables.
+Every route reads that one system:
+
+- numeric forms, and any parameter point, go through one point evaluator
+  (`_point_value`): zero when a form vanishes there, else det M / det M' on
+  field values;
+- parametric systems take fraction-free symbolic elimination ("ratio") or
+  dense interpolation of modular images ("modular"); over QQ each prime
+  gets one reduced copy of the system, whose grid values (a numpy batch,
+  or the point evaluator) are combined by CRT + rational reconstruction
+  and checked by the point evaluator at a fresh prime.
+
+When the reduced minor vanishes, the ratio route and the point evaluator
+share one ladder of seeded linear coordinate changes.
 
 Ring convention: the first `block_size` variables of the ring are the
 projective block being eliminated; remaining variables are parameters, and
@@ -12,6 +25,7 @@ parametric resultants are returned in the same ring with zero block degrees.
 """
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 from random import Random
@@ -22,8 +36,8 @@ import numpy as np
 from .coeff import (GF, PrimeField, RationalField, crt_combine,
                     internal_primes, rational_reconstruct)
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
-from .mpoly import (Polynomial, Ring, determinant, divexact,
-                    monomials_of_degree)
+from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
+                    divexact, monomials_of_degree)
 
 _RETRIES = 5          # coordinate-change attempts before giving up
 _MAX_PRIMES = 24      # CRT budget for rational interpolation
@@ -201,6 +215,13 @@ class MacaulaySystem:
     x_i^{d_i} | mu; its row is (mu / x_i^{d_i}) * F_i.  The reduced minor
     uses the rows and columns whose monomial is divisible by x_i^{d_i} for
     at least two distinct i.
+
+    `coeff_tables[i]` maps each block monomial of F_i to its coefficient
+    polynomial in the parameters.  The layout is walked once, into `cells`:
+    one (row, column, form, block monomial) per entry of the matrix, and
+    `minor_cells` renumbers those of the reduced minor.  Every matrix this
+    system hands out (symbolic, field values, a numpy batch) is filled from
+    these lists.
     """
 
     def __init__(self, forms: Sequence[Polynomial], block_size: Optional[int] = None):
@@ -225,151 +246,147 @@ class MacaulaySystem:
                     "each form must be nonzero and block-homogeneous of degree >= 1")
             degrees.append(d)
         self.ring = ring
-        self.forms = list(forms)
         self.block_size = bs
         self.degrees = degrees
         self.critical_degree = macaulay_critical_degree(degrees)
         self.columns = monomials_of_degree(bs, self.critical_degree)
-        self.col_index = {m: i for i, m in enumerate(self.columns)}
         self.size = len(self.columns)
+        self.coeff_tables = [_block_coefficients(f, bs) for f in forms]
 
-        assign = []
+        col_index = {m: i for i, m in enumerate(self.columns)}
         extraneous = []
-        for idx, mu in enumerate(self.columns):
+        self.cells = []
+        for row, mu in enumerate(self.columns):
             hits = [i for i in range(bs) if mu[i] >= degrees[i]]
             i = hits[0]  # pigeonhole: some coordinate reaches its degree
+            if len(hits) >= 2:
+                extraneous.append(row)
             shift = list(mu)
             shift[i] -= degrees[i]
-            assign.append((i, tuple(shift)))
-            if len(hits) >= 2:
-                extraneous.append(idx)
-        self.assignment = assign
+            for mb in self.coeff_tables[i]:
+                col = col_index[tuple(s + e for s, e in zip(shift, mb))]
+                self.cells.append((row, col, i, mb))
         self.extraneous = extraneous
         self.minor_size = len(extraneous)
+        pos = {c: k for k, c in enumerate(extraneous)}
+        self.minor_cells = [(pos[r], pos[c], i, mb) for r, c, i, mb in self.cells
+                            if r in pos and c in pos]
 
-        # block-monomial -> parameter-coefficient tables, one per form
-        tables = []
-        for f in forms:
-            tab: dict[tuple, dict] = {}
-            for m, c in f.terms.items():
-                mb = m[:bs]
-                pm = (0,) * bs + m[bs:]
-                tab.setdefault(mb, {})[pm] = c
-            tables.append({mb: Polynomial(ring, d) for mb, d in tab.items()})
-        self.coeff_tables = tables
-
-    def _rows(self, indices):
-        z = self.ring.zero()
-        cols = self.col_index
-        out = []
-        for idx in indices:
-            i, shift = self.assignment[idx]
-            row = [z] * self.size
-            for mb, cpoly in self.coeff_tables[i].items():
-                col = cols[tuple(s + e for s, e in zip(shift, mb))]
-                row[col] = cpoly
-            out.append(row)
+    def _fill(self, tables, out, minor: bool = False):
+        """Write tables[form][block monomial] into out[row][column] at every
+        entry of the matrix (or of the reduced minor).  `out` is a nested
+        list or a (k, k, batch) view of a preallocated numpy batch."""
+        for r, c, i, mb in self.minor_cells if minor else self.cells:
+            out[r][c] = tables[i][mb]
         return out
 
+    def _matrix_of(self, tables, zero, minor: bool = False):
+        """Nested-list matrix (or reduced minor) of table values, `zero` elsewhere."""
+        k = self.minor_size if minor else self.size
+        return self._fill(tables, [[zero] * k for _ in range(k)], minor)
+
     def matrix(self):
-        return self._rows(range(self.size))
+        return self._matrix_of(self.coeff_tables, self.ring.zero())
 
     def minor_matrix(self):
-        rows = self._rows(self.extraneous)
-        return [[row[c] for c in self.extraneous] for row in rows]
-
-    # -- specialization helpers ------------------------------------------------
+        return self._matrix_of(self.coeff_tables, self.ring.zero(), minor=True)
 
     def value_tables(self, point=None):
         """Coefficient tables as field values, parameters set to `point`."""
-        fld = self.ring.field
-        full = None
-        if point is not None:
-            full = [fld.zero()] * self.block_size + list(point)
-        out = []
-        for tab in self.coeff_tables:
-            vt = {}
-            for mb, cpoly in tab.items():
-                vt[mb] = cpoly.constant_value() if full is None else cpoly.evaluate(full)
-            out.append(vt)
-        return out
+        if point is None:
+            return [{mb: c.constant_value() for mb, c in tab.items()}
+                    for tab in self.coeff_tables]
+        full = [self.ring.field.zero()] * self.block_size + list(point)
+        return [{mb: c.evaluate(full) for mb, c in tab.items()}
+                for tab in self.coeff_tables]
 
-    def value_matrix(self, tables, indices=None):
-        fld = self.ring.field
-        idx = range(self.size) if indices is None else indices
-        colset = None if indices is None else {c: k for k, c in enumerate(indices)}
-        width = self.size if indices is None else len(indices)
-        out = []
-        for r in idx:
-            i, shift = self.assignment[r]
-            row = [fld.zero()] * width
-            for mb, val in tables[i].items():
-                col = self.col_index[tuple(s + e for s, e in zip(shift, mb))]
-                if colset is None:
-                    row[col] = val
-                elif col in colset:
-                    row[colset[col]] = val
-            out.append(row)
+    def _reduced(self, fld: PrimeField) -> "MacaulaySystem":
+        """The same layout with every coefficient reduced into `fld`.
+
+        A form may vanish there (its resultant image is then zero, which is
+        correct); _BadPrime when a denominator vanishes.
+        """
+        out = copy.copy(self)
+        out.ring = Ring(self.ring.nvars, fld)
+        out.coeff_tables = [{mb: _reduce_form_mod(c, out.ring) for mb, c in tab.items()}
+                            for tab in self.coeff_tables]
         return out
 
 
-# -- numeric evaluation (field-valued coefficients) ---------------------------------
+# -- determinant ratio and the coordinate-change ladder -----------------------------
 
-def _numeric_ratio(system: MacaulaySystem, point=None):
-    """det M / det M' as a field value; DegeneracyError if the minor vanishes."""
+def _coordinate_ladder(system: MacaulaySystem, forms: Sequence[Polynomial],
+                       rng: Random, solve, detail: str):
+    """Run `solve` on up to _RETRIES seeded linear changes of the block
+    coordinates of `forms` (the system's forms, possibly specialized) until
+    one does not degenerate.  Returns its value and det(A)^(d_0...d_n), the
+    factor by which the change multiplied the resultant."""
     fld = system.ring.field
-    tables = system.value_tables(point)
-    det_minor = _field_det(system.value_matrix(tables, system.extraneous), fld)
+    bs = system.block_size
+    for _ in range(_RETRIES):
+        a, det_a = _random_gl(bs, fld, rng)
+        try:
+            value = solve(MacaulaySystem([_apply_linear(f, a, bs) for f in forms], bs))
+        except DegeneracyError:
+            continue
+        return value, fld.pw(det_a, math.prod(system.degrees))
+    raise DegeneracyError("macaulay-degenerate", detail)
+
+
+def _value_ratio(system: MacaulaySystem, tables):
+    """det M / det M' on field values; DegeneracyError if the minor vanishes."""
+    fld = system.ring.field
+    det_minor = _field_det(system._matrix_of(tables, fld.zero(), minor=True), fld)
     if fld.is_zero(det_minor):
         raise DegeneracyError("macaulay-minor-singular",
                               "reduced minor vanished on this input")
-    det_full = _field_det(system.value_matrix(tables), fld)
-    return fld.div(det_full, det_minor)
+    return fld.div(_field_det(system._matrix_of(tables, fld.zero()), fld), det_minor)
 
 
-def _numeric_resultant(forms: Sequence[Polynomial], block_size: int, rng: Random):
-    """Field value of the resultant of numeric forms, with retry ladder."""
-    fld = forms[0].ring.field
-    system = MacaulaySystem(forms, block_size)
+def _point_value(system: MacaulaySystem, point, rng: Random):
+    """Resultant value with the parameters at `point` (None for numeric forms).
+
+    Zero when a form vanishes there; otherwise the determinant ratio, with
+    the coordinate-change ladder when the reduced minor vanishes.
+    """
+    fld = system.ring.field
+    tables = system.value_tables(point)
+    if any(all(fld.is_zero(v) for v in tab.values()) for tab in tables):
+        return fld.zero()
     try:
-        return _numeric_ratio(system)
+        return _value_ratio(system, tables)
     except DegeneracyError:
         pass
-    correction = math.prod(system.degrees)
-    for _ in range(_RETRIES):
-        a, det_a = _random_gl(block_size, fld, rng)
-        moved = [_apply_linear(f, a, block_size) for f in forms]
-        try:
-            val = _numeric_ratio(MacaulaySystem(moved, block_size))
-        except DegeneracyError:
-            continue
-        return fld.div(val, fld.pw(det_a, correction))
-    raise DegeneracyError("macaulay-degenerate",
-                          "reduced minor vanished for every coordinate change tried")
+    block = Ring(system.block_size, fld)
+    forms = [Polynomial(block, {mb: v for mb, v in tab.items() if not fld.is_zero(v)})
+             for tab in tables]
+    value, scale = _coordinate_ladder(
+        system, forms, rng, lambda s: _value_ratio(s, s.value_tables()),
+        "reduced minor vanished for every coordinate change tried")
+    return fld.div(value, scale)
 
 
-def _ratio_resultant(forms: Sequence[Polynomial], block_size: int,
+def _ratio_resultant(system: MacaulaySystem, forms: Sequence[Polynomial],
                      rng: Random) -> Polynomial:
     """Symbolic det M / det M' via fraction-free elimination and exact division."""
-    ring = forms[0].ring
-    fld = ring.field
-    system = MacaulaySystem(forms, block_size)
-    correction = math.prod(system.degrees)
-    scale = fld.one()
-    for attempt in range(1 + _RETRIES):
-        det_minor = determinant(system.minor_matrix()) if system.minor_size else ring.one()
-        if not det_minor.is_zero():
-            det_full = determinant(system.matrix())
-            if det_full.is_zero():
-                return ring.zero()
-            res = divexact(det_full, det_minor)
-            return res.scale(fld.inv(scale)) if attempt else res
-        a, det_a = _random_gl(block_size, fld, rng)
-        system = MacaulaySystem([_apply_linear(f, a, block_size) for f in forms],
-                                block_size)
-        scale = fld.pw(det_a, correction)
-    raise DegeneracyError("macaulay-degenerate",
-                          "reduced minor identically zero despite coordinate changes")
+    ring = system.ring
+
+    def solve(s: MacaulaySystem) -> Polynomial:
+        det_minor = determinant(s.minor_matrix()) if s.minor_size else ring.one()
+        if det_minor.is_zero():
+            raise DegeneracyError("macaulay-minor-singular",
+                                  "reduced minor vanished identically")
+        det_full = determinant(s.matrix())
+        return ring.zero() if det_full.is_zero() else divexact(det_full, det_minor)
+
+    try:
+        return solve(system)
+    except DegeneracyError:
+        pass
+    res, scale = _coordinate_ladder(
+        system, forms, rng, solve,
+        "reduced minor identically zero despite coordinate changes")
+    return res.scale(ring.field.inv(scale))
 
 
 # -- modular interpolation of parametric resultants ---------------------------------
@@ -391,29 +408,6 @@ def _reduce_form_mod(f: Polynomial, target: Ring) -> Polynomial:
     except ZeroDivisionError:
         raise _BadPrime from None
     return Polynomial(target, terms)
-
-
-def _specialize_block_form(f: Polynomial, block_size: int, point, target: Ring):
-    """Evaluate parameters at field values of `target`; keep the block symbolic."""
-    fld = target.field
-    acc: dict[tuple, object] = {}
-    for m, c in f.terms.items():
-        v = fld.coerce(c)
-        for j, e in enumerate(m[block_size:]):
-            if e:
-                v = fld.mul(v, fld.pw(point[j], e))
-        mb = m[:block_size]
-        acc[mb] = fld.add(acc.get(mb, fld.zero()), v)
-    terms = {m: c for m, c in acc.items() if not fld.is_zero(c)}
-    return Polynomial(target, terms)
-
-
-def _point_resultant(forms_block: Sequence[Polynomial], block_size: int, rng: Random):
-    """Resultant value of numeric block forms, zero-form shortcut included."""
-    fld = forms_block[0].ring.field
-    if any(f.is_zero() for f in forms_block):
-        return fld.zero()
-    return _numeric_resultant(forms_block, block_size, rng)
 
 
 def _vec_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -551,19 +545,22 @@ class _GridPlan:
         return tuple(mono)
 
 
-def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, full_mod: Ring,
+def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan,
                         lengths: Sequence[int], strides: Sequence[int]):
     """int64 batch pass over the grid: resultant values mod p, plus the flat
     indices of the points where unpivoted elimination hit a zero pivot."""
-    p = full_mod.field.p
+    p = system.ring.field.p
     npts = plan.npoints
     k = system.size
     km = system.minor_size
 
-    # residue tables: form index -> block monomial -> coefficient terms mod p
-    red_tables = [{mb: list(_reduce_form_mod(cpoly, full_mod).terms.items())
-                   for mb, cpoly in tab.items()}
-                  for tab in system.coeff_tables]
+    # form index -> block monomial -> coefficient terms mod p
+    term_tables = [{mb: list(cpoly.terms.items()) for mb, cpoly in tab.items()}
+                   for tab in system.coeff_tables]
+    # power tables per variable go up to the largest exponent used
+    max_e = {v: max((m[v] for rt in term_tables for terms in rt.values()
+                     for m, _ in terms), default=0)
+             for v in plan.params}
 
     res = np.zeros(npts, dtype=np.int64)
     bad: list[int] = []
@@ -580,14 +577,6 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, full_mod: Ring,
             elif v not in var_arrays:
                 var_arrays[v] = np.zeros(count, dtype=np.int64)
 
-        # power tables per variable, up to the largest exponent used
-        max_e = {v: 0 for v in plan.params}
-        for rt in red_tables:
-            for terms in rt.values():
-                for m, _ in terms:
-                    for v in plan.params:
-                        if m[v] > max_e[v]:
-                            max_e[v] = m[v]
         powers = {}
         for v in plan.params:
             tab = [np.ones(count, dtype=np.int64)]
@@ -607,21 +596,14 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, full_mod: Ring,
             return out
 
         val_tabs = [{mb: eval_terms(terms) for mb, terms in rt.items()}
-                    for rt in red_tables]
+                    for rt in term_tables]
 
+        # filled in place through (k, k, count) views of the batches
         big = np.zeros((count, k, k), dtype=np.int64)
-        for r in range(k):
-            i, shift = system.assignment[r]
-            for mb, arr in val_tabs[i].items():
-                col = system.col_index[tuple(s + e for s, e in zip(shift, mb))]
-                big[:, r, col] = arr
-        if km:
-            ext = system.extraneous
-            minor = big[:, ext][:, :, ext].copy()
-            det_minor, ok_m = _batched_det_mod(minor, p)
-        else:
-            det_minor = np.ones(count, dtype=np.int64)
-            ok_m = np.ones(count, dtype=bool)
+        system._fill(val_tabs, np.moveaxis(big, 0, -1))
+        minor = np.zeros((count, km, km), dtype=np.int64)
+        system._fill(val_tabs, np.moveaxis(minor, 0, -1), minor=True)
+        det_minor, ok_m = _batched_det_mod(minor, p)
         det_full, ok_f = _batched_det_mod(big, p)
 
         good = ok_m & ok_f & (det_minor != 0)
@@ -632,44 +614,37 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, full_mod: Ring,
     return res, bad
 
 
-def _grid_values_mod(system: MacaulaySystem, plan: _GridPlan, fld: PrimeField,
-                     seed: int) -> np.ndarray:
+def _grid_values_mod(system: MacaulaySystem, plan: _GridPlan, seed: int) -> np.ndarray:
     """Resultant values over the dehomogenized grid, mod p, exact at every point.
 
     Below _NUMPY_SAFE a batched int64 pass fills the grid; above it int64
     products could overflow, so every point is left for the per-point pass.
     """
-    p = fld.p
+    p = system.ring.field.p
     lengths = [b + 1 for b in plan.axis_bounds]
     strides = [math.prod(lengths[a + 1:]) for a in range(len(lengths))]
-    bs = system.block_size
-    full_mod = Ring(system.ring.nvars, fld)
     if p < _NUMPY_SAFE:
-        res, todo = _batched_values_mod(system, plan, full_mod, lengths, strides)
+        res, todo = _batched_values_mod(system, plan, lengths, strides)
     else:
         res, todo = np.zeros(plan.npoints, dtype=object), range(plan.npoints)
 
     # per-point pass: pivoted elimination, then the coordinate-change ladder
     # if the reduced minor genuinely vanishes there
-    if todo:
-        target = Ring(bs, fld)
-        reduced = [_reduce_form_mod(f, full_mod) for f in system.forms]
-        rng = Random((seed << 20) ^ p)
-        for flat_idx in todo:
-            exps = {v: (flat_idx // strides[a_i]) % lengths[a_i] + 1
-                    for a_i, v in enumerate(plan.axes)}
-            point = plan.point_values(exps)
-            spec = [_specialize_block_form(f, bs, point, target) for f in reduced]
-            res[flat_idx] = _point_resultant(spec, bs, rng)
+    rng = Random((seed << 20) ^ p)
+    for flat_idx in todo:
+        exps = {v: (flat_idx // strides[a_i]) % lengths[a_i] + 1
+                for a_i, v in enumerate(plan.axes)}
+        res[flat_idx] = _point_value(system, plan.point_values(exps), rng)
     return res.reshape(lengths)
 
 
-def _grid_coeff_dict(system: MacaulaySystem, plan: _GridPlan, fld: PrimeField,
+def _grid_coeff_dict(system: MacaulaySystem, plan: _GridPlan,
                      seed: int) -> dict[tuple, int]:
     """Coefficients mod p of the resultant by monomial: one Vandermonde solve
     per grid axis (object dtype where int64 products could overflow)."""
+    fld = system.ring.field
     p = fld.p
-    out = _grid_values_mod(system, plan, fld, seed)
+    out = _grid_values_mod(system, plan, seed)
     dtype = np.int64 if p < _NUMPY_SAFE else object
     lengths = list(out.shape)
     for axis, l in enumerate(lengths):
@@ -689,52 +664,48 @@ def _grid_coeff_dict(system: MacaulaySystem, plan: _GridPlan, fld: PrimeField,
 
 
 def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
-                      plan: _GridPlan, fld: PrimeField, seed: int) -> bool:
-    ring = system.ring
-    bs = system.block_size
-    p = fld.p
+                      plan: _GridPlan, seed: int) -> bool:
+    """Compare the candidate with the resultant at two random parameter
+    points of the (prime-field) system."""
+    p = system.ring.field.p
     rng = Random((seed << 21) ^ p)
-    target = Ring(bs, fld)
-    full_mod = Ring(ring.nvars, fld)
-    reduced = [_reduce_form_mod(f, full_mod) for f in system.forms]
-    cand_red = _reduce_form_mod(candidate, full_mod)
+    claimed = _reduce_form_mod(candidate, system.ring)
     for _ in range(2):
         point = [rng.randrange(p) for _ in plan.params]
-        spec = [_specialize_block_form(f, bs, point, target) for f in reduced]
-        direct = _point_resultant(spec, bs, rng)
-        full_point = [0] * bs + point
-        claimed = cand_red.evaluate(full_point)
-        if direct != claimed:
+        direct = _point_value(system, point, rng)
+        if direct != claimed.evaluate([0] * system.block_size + point):
             return False
     return True
 
 
-def _interpolated_resultant(forms: Sequence[Polynomial], block_size: int,
-                            blocks, seed: int) -> Polynomial:
-    ring = forms[0].ring
-    fld = ring.field
-    system = MacaulaySystem(forms, block_size)
-    plan = _GridPlan(system, blocks)
-
-    if isinstance(fld, PrimeField):
-        if plan.max_axis_length() > fld.p:
-            raise DegeneracyError("interpolation-underdetermined",
-                                  "field too small for the required grid")
-        result = Polynomial(ring, _grid_coeff_dict(system, plan, fld, seed))
-        if not _verify_candidate(result, system, plan, fld, seed):
+def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
+                            seed: int) -> Polynomial:
+    """Dense interpolation on the grid of `plan`: in the field itself over
+    F_p; over QQ on one reduced copy of the system per prime, combined by
+    CRT and rational reconstruction and verified at a fresh prime."""
+    ring = system.ring
+    if isinstance(ring.field, PrimeField):
+        result = Polynomial(ring, _grid_coeff_dict(system, plan, seed))
+        if not _verify_candidate(result, system, plan, seed):
             raise DegeneracyError("interpolation-inconsistent",
                                   "modular image failed the verification probe")
         return result
 
+    copies: dict[int, MacaulaySystem] = {}
+
+    def reduced(q: int) -> MacaulaySystem:
+        if q not in copies:
+            copies[q] = system._reduced(GF(q))
+        return copies[q]
+
     residue_maps: dict[int, dict[tuple, int]] = {}
     previous = None
-    prime_iter = internal_primes()
-    for p in prime_iter:
+    for p in internal_primes():
         if len(residue_maps) >= _MAX_PRIMES:
             raise DegeneracyError("interpolation-unstable",
                                   "rational reconstruction did not stabilize")
         try:
-            residue_maps[p] = _grid_coeff_dict(system, plan, GF(p), seed)
+            residue_maps[p] = _grid_coeff_dict(reduced(p), plan, seed)
         except _BadPrime:
             continue
         monomials = set()
@@ -760,7 +731,7 @@ def _interpolated_resultant(forms: Sequence[Polynomial], block_size: int,
                 if q in residue_maps:
                     continue
                 try:
-                    verified = _verify_candidate(candidate, system, plan, GF(q), seed)
+                    verified = _verify_candidate(candidate, reduced(q), plan, seed)
                 except _BadPrime:
                     continue
                 break
@@ -793,32 +764,35 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
     bs = ring.nvars if block_size is None else block_size
     if any(f.is_zero() for f in forms):
         return ring.zero()
-    system_probe = MacaulaySystem(forms, bs)  # validates shapes and degrees
-    numeric = all(
-        all(e == 0 for m in f.terms for e in m[bs:]) for f in forms)
+    system = MacaulaySystem(forms, bs)  # validates shapes and degrees
     rng = Random(seed)
-    if numeric:
-        return ring.const(_numeric_resultant(forms, bs, rng))
+    if all(not any(m[bs:]) for f in forms for m in f.terms):
+        return ring.const(_point_value(system, None, rng))
 
+    # over F_p the grid is planned up front (its size decides whether the
+    # field can hold it); over QQ only when interpolation runs
     fld = ring.field
-    modular_possible = isinstance(fld, RationalField) or (
-        isinstance(fld, PrimeField)
-        and _GridPlan(system_probe, blocks).max_axis_length() <= fld.p)
+    plan = _GridPlan(system, blocks) if isinstance(fld, PrimeField) else None
+    modular_possible = plan is None or plan.max_axis_length() <= fld.p
+
+    def interpolate() -> Polynomial:
+        grid = plan if plan is not None else _GridPlan(system, blocks)
+        return _interpolated_resultant(system, grid, seed)
+
     if strategy == "modular":
         if not modular_possible:
             raise DegeneracyError("interpolation-underdetermined",
                                   "field too small for the required grid")
-        return _interpolated_resultant(forms, bs, blocks, seed)
+        return interpolate()
     if strategy == "ratio":
-        return _ratio_resultant(forms, bs, rng)
-    if system_probe.size <= 14 or not modular_possible:
+        return _ratio_resultant(system, forms, rng)
+    if system.size <= 14 or not modular_possible:
         try:
-            return _ratio_resultant(forms, bs, rng)
+            return _ratio_resultant(system, forms, rng)
         except DegeneracyError:
             if not modular_possible:
                 raise
-            return _interpolated_resultant(forms, bs, blocks, seed)
-    return _interpolated_resultant(forms, bs, blocks, seed)
+    return interpolate()
 
 
 def map_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = None,

@@ -25,6 +25,8 @@ from projdyn.errors import (DegeneracyError, InvalidInputError,
 from projdyn.mpoly import Ring, parse_polynomial
 from projdyn.resultant import _BadPrime, sylvester_resultant
 
+from conftest import count_calls
+
 R2 = Ring(2, QQ)
 R3 = Ring(3, QQ)
 
@@ -231,23 +233,11 @@ def test_bad_prime_reduction_is_an_internal_signal():
     assert not issubclass(_BadPrime, InvalidInputError)
 
 
-def count_reductions(monkeypatch):
-    calls = []
-    real = dynamics._reduce_poly_mod
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(dynamics, "_reduce_poly_mod", counted)
-    return calls
-
-
 def test_certifier_runs_one_trial_on_a_parameter_free_prime_field_map(monkeypatch):
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(10007))
     plane, image, wrong = (parse_polynomial(t, f.ring) for t in
                            ("x+y+z", "x^2+y^2+z^2-2*x*y-2*x*z-2*y*z", "x+2*y+3*z"))
-    calls = count_reductions(monkeypatch)
+    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
     assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
     assert len(calls) == 5  # one trial: three coordinate forms, phi, candidate
     calls.clear()
@@ -258,9 +248,36 @@ def test_certifier_runs_one_trial_on_a_parameter_free_prime_field_map(monkeypatc
 def test_certifier_keeps_independent_trials_with_parameters(monkeypatch):
     f = endomorphism_from_strings(["x0^2", "x1^2", "x3*x2^2"], GF(10007))
     plane, wrong = (parse_polynomial(t, f.ring) for t in ("x0+x1+x2", "x0+2*x1+3*x2"))
-    calls = count_reductions(monkeypatch)
+    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
     assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
     assert len(calls) == 10  # rejection takes two trials at fresh parameter values
+
+
+def reduction_primes(calls):
+    return [target.field.p for _, target, _ in calls]
+
+
+def test_certifier_runs_one_trial_per_prime_on_a_parameter_free_rational_map(
+        monkeypatch):
+    f = endomorphism_from_strings(["x^2", "y^2", "z^2"], QQ)
+    plane, image, wrong = (parse_polynomial(t, f.ring) for t in
+                           ("x+y+z", "x^2+y^2+z^2-2*x*y-2*x*z-2*y*z", "x+2*y+3*z"))
+    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
+    assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
+    # the two failures come from two primes, not one check run twice
+    assert reduction_primes(calls) == [10007] * 5 + [10009] * 5
+    calls.clear()
+    assert _certify_pushforward(f, plane, 1, image, seed=0)
+    assert reduction_primes(calls) == [10007] * 5
+
+
+def test_certifier_keeps_two_trials_per_prime_for_a_parametric_rational_map(
+        monkeypatch):
+    f = endomorphism_from_strings(["x0^2", "x1^2", "x3*x2^2"], QQ)
+    plane, wrong = (parse_polynomial(t, f.ring) for t in ("x0+x1+x2", "x0+2*x1+3*x2"))
+    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
+    assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
+    assert reduction_primes(calls) == [10007] * 10
 
 
 def test_pushforward_through_indeterminacy_raises():

@@ -5,16 +5,21 @@ from random import Random
 
 import pytest
 
-from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ
+from projdyn import resultant
+from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
+from projdyn.dynamics import endomorphism_from_strings, improper_certificate
 from projdyn.errors import DegeneracyError, InvalidInputError
 from projdyn.extfield import SmallExtField, evaluate_poly, projective_points
-from projdyn.mpoly import Polynomial, Ring, parse_polynomial
+from projdyn.mpoly import (Polynomial, Ring, parse_polynomial, poly_gcd,
+                           squarefree_part)
 from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _field_det,
                                _field_inverse, _inverse_vandermonde_mod,
                                discriminant_binary, gradient_resultant,
                                macaulay_critical_degree, macaulay_resultant,
                                map_resultant, resultant_degrees,
                                sylvester_matrix, sylvester_resultant)
+
+from conftest import count_calls
 
 RNG_SEED = 20260816
 
@@ -240,6 +245,68 @@ def test_parametric_modular_on_both_sides_of_numpy_bound(p):
     assert modular == closed
 
 
+def test_modular_route_with_a_form_divisible_by_the_first_internal_prime():
+    # the form vanishes mod the first prime: its image there is zero, which
+    # is correct, not a bad prime
+    p0 = next(internal_primes())
+    assert p0 == 268435399
+    f0, f1, closed = quadratic_pair(Ring(8, QQ))
+    scaled = [f0.scale(p0), f1]
+    modular = macaulay_resultant(scaled, block_size=2, strategy="modular",
+                                 blocks=QUADRATIC_BLOCKS)
+    assert modular == closed.scale(p0 ** 2)
+    assert modular == macaulay_resultant(scaled, block_size=2, strategy="ratio")
+
+
+def test_one_macaulay_system_per_call(monkeypatch):
+    builds = count_calls(monkeypatch, MacaulaySystem, "__init__")
+    ring = Ring(3, QQ)
+    numeric = [P("x0^2+x1*x2", ring), P("x1^2-x0*x2", ring), P("x2^2+3*x0*x1", ring)]
+    assert not macaulay_resultant(numeric).is_zero()
+    assert len(builds) == 1
+    builds.clear()
+    forms = [P("x0-x2*x1", ring), P("x0^2+x1^2", ring)]
+    assert macaulay_resultant(forms, block_size=2, strategy="ratio") == P("x2^2+1", ring)
+    assert len(builds) == 1
+
+    # over QQ: one system, then one reduced copy for each prime the grid
+    # passes and the verification probe use
+    builds.clear()
+    copies = count_calls(monkeypatch, MacaulaySystem, "_reduced")
+    grids = count_calls(monkeypatch, resultant, "_grid_coeff_dict")
+    probes = count_calls(monkeypatch, resultant, "_verify_candidate")
+    f0, f1, closed = quadratic_pair(Ring(8, QQ))
+    assert macaulay_resultant([f0, f1], block_size=2, strategy="modular",
+                              blocks=QUADRATIC_BLOCKS) == closed
+    used = ([system.ring.field.p for system, _, _ in grids]
+            + [system.ring.field.p for _, system, _, _ in probes])
+    assert len(builds) == 1
+    assert [fld.p for _, fld in copies] == used
+    assert len(used) == len(set(used)) >= 3  # two grid primes and a probe
+
+    # a parameter-free certificate over F_p: one system per resultant
+    builds.clear()
+    copies.clear()
+    f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
+    improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
+    assert len(builds) == 5
+    assert not copies
+
+
+def test_bad_blocks_raise_where_the_grid_is_planned():
+    # over F_p the grid is planned for every strategy, over QQ only to
+    # interpolate; x0 is a block variable, not a parameter
+    def run(fld, strategy):
+        ring = Ring(3, fld)
+        return macaulay_resultant([P("x0-x2*x1", ring), P("x0^2+x1^2", ring)],
+                                  block_size=2, strategy=strategy, blocks=[[0]])
+
+    for fld, strategy in ((QQ, "modular"), (GF(101), "modular"), (GF(101), "ratio")):
+        with pytest.raises(InvalidInputError):
+            run(fld, strategy)
+    assert run(QQ, "ratio") == P("x2^2+1", Ring(3, QQ))
+
+
 def test_parametric_modular_no_blocks():
     # same system, inhomogeneous parameter use: no homogeneity blocks given
     ring = Ring(3, QQ)
@@ -347,6 +414,93 @@ def test_inverse_vandermonde_on_grid_nodes(p):
     with pytest.raises(DegeneracyError) as err:
         _inverse_vandermonde_mod([1, 1 + p], fld)
     assert err.value.code == "interpolation-singular"
+
+
+# -- independent oracles ------------------------------------------------------------
+
+def product_of_linear_forms(ring, factors):
+    f = ring.one()
+    for row in factors:
+        f = f * sum((ring.var(j).scale(c) for j, c in enumerate(row)), ring.zero())
+    return f
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_macaulay_is_multiplicative_on_products_of_linear_forms(fld, seed):
+    # Res(prod_j L_0j, prod_k L_1k, prod_l L_2l) = prod det(L_0j, L_1k, L_2l)
+    rng = Random(seed)
+    factors = [[[fld.coerce(rng.randint(-4, 4)) for _ in range(3)]
+                for _ in range(d)] for d in (2, 2, 3)]
+    expected = fld.one()
+    for choice in itertools.product(*factors):
+        expected = fld.mul(expected, leibniz_det(list(choice), fld))
+    ring = Ring(3, fld)
+    forms = [product_of_linear_forms(ring, fs) for fs in factors]
+    assert macaulay_resultant(forms) == ring.const(expected)
+
+
+def sympy_options(fld):
+    return {"domain": "QQ"} if fld == QQ else {"modulus": fld.p}
+
+
+def sympy_poly(poly, sympy, gens):
+    fld = poly.ring.field
+    terms = {m: sympy.Rational(c.numerator, c.denominator) if fld == QQ else c
+             for m, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, **sympy_options(fld))
+
+
+def random_poly(ring, degree, rng, terms=4):
+    fld = ring.field
+    out = ring.zero()
+    for _ in range(terms):
+        m = [0] * ring.nvars
+        for _ in range(rng.randint(0, degree)):
+            m[rng.randrange(ring.nvars)] += 1
+        out = out + Polynomial(ring, {tuple(m): fld.coerce(rng.randint(1, 9))})
+    return out if not out.is_zero() else ring.one()
+
+
+def random_binary_form(ring, degree, rng):
+    """Form in x0, x1 with coefficients in x2; the x0^degree one is nonzero."""
+    t = ring.var(2)
+    f = ring.var(0) ** degree
+    for k in range(degree + 1):
+        c = sum((t ** e).scale(ring.field.coerce(rng.randint(-3, 3)))
+                for e in range(3))
+        f = f + ring.var(0) ** (degree - k) * ring.var(1) ** k * c
+    return f if f.degree_in(0) == degree else random_binary_form(ring, degree, rng)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_sylvester_gcd_and_squarefree_match_sympy(fld):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x0:3")
+    rng = Random(5151)
+    ring = Ring(3, fld)
+    for _ in range(6):
+        # the homogeneous resultant is the resultant of the x1 = 1 chart
+        # when both forms keep their x0 degree
+        p = random_binary_form(ring, rng.randint(1, 3), rng)
+        q = random_binary_form(ring, rng.randint(1, 3), rng)
+        chart = [sympy_poly(h, sympy, x).as_expr().subs(x[1], 1) for h in (p, q)]
+        theirs = sympy.Poly(sympy.resultant(*chart, x[0]), *x, **sympy_options(fld))
+        assert sympy_poly(sylvester_resultant(p, q), sympy, x) == theirs
+
+        g, a, b = (random_poly(ring, 2, rng) for _ in range(3))
+        gcd = sympy_poly(poly_gcd(g * a, g * b), sympy, x)
+        assert gcd.monic() == sympy_poly(g * a, sympy, x).gcd(
+            sympy_poly(g * b, sympy, x)).monic()
+
+    # sympy's square-free part is multivariate over QQ, univariate over F_p
+    sq_ring = ring if fld == QQ else Ring(1, fld)
+    gens = x if fld == QQ else x[:1]
+    for _ in range(6):
+        a, b = random_poly(sq_ring, 2, rng), random_poly(sq_ring, 2, rng)
+        f = a * a * b
+        assert sympy_poly(squarefree_part(f), sympy, gens).monic() \
+            == sympy_poly(f, sympy, gens).sqf_part().monic()
 
 
 # -- degeneracy and validation ------------------------------------------------------
