@@ -143,7 +143,7 @@ class PrimeField:
             den = x.denominator % p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-            return x.numerator * pow(den, p - 2, p) % p
+            return x.numerator * pow(den, -1, p) % p
         if isinstance(x, str):
             return self.coerce(Fraction(x))
         raise InvalidInputError(f"cannot coerce {x!r} into F_{p}")
@@ -167,9 +167,11 @@ class PrimeField:
         return -a % self.p
 
     def inv(self, a):
+        # pow(0, -1, p) would raise ValueError; callers read ZeroDivisionError
+        # (from here or from coerce) as a vanishing denominator, i.e. a bad prime
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p

@@ -11,10 +11,14 @@ Every route reads that one system:
   (`_point_value`): zero when a form vanishes there, else det M / det M' on
   field values;
 - parametric systems take fraction-free symbolic elimination ("ratio") or
-  dense interpolation of modular images ("modular"); over QQ each prime
-  gets one reduced copy of the system, whose grid values (a numpy batch,
-  or the point evaluator) are combined by CRT + rational reconstruction
-  and checked by the point evaluator at a fresh prime.
+  interpolation of modular images ("modular").  An image is interpolated
+  sparsely, by Zippel's variable-by-variable stages, where a few random
+  probes bound the chance of a wrong image by 2^-32; elsewhere (a field
+  small against the resultant's degree) on the dense tensor grid, which is
+  exact.  Values come from a numpy batch or the point evaluator.  Over QQ
+  each prime gets one reduced copy of the system; the images are combined
+  by CRT + rational reconstruction, and the first candidate that
+  reconstructs is checked at a fresh prime.
 
 When the reduced minor vanishes, the ratio route and the point evaluator
 share one ladder of seeded linear coordinate changes.
@@ -26,6 +30,7 @@ parametric resultants are returned in the same ring with zero block degrees.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -39,10 +44,14 @@ from .errors import DegeneracyError, InvalidInputError, RingMismatchError
 from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
                     divexact, monomials_of_degree)
 
-_RETRIES = 5          # coordinate-change attempts before giving up
+_RETRIES = 5          # attempts before giving up: coordinate changes, node
+                      # draws, sparse images
 _MAX_PRIMES = 24      # CRT budget for rational interpolation
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
+_SHORT_VECTOR = 128   # below this length Python's pow inverts faster than numpy
 _NUMPY_SAFE = 1 << 28  # primes below this keep int64 products overflow-free
+_PROBE_BITS = 32       # an accepted candidate is wrong with probability <= 2^-32
+_MAX_SPARSE_PROBES = 4  # sparse stages run only where this many probes suffice
 
 
 # -- small linear algebra over field values ----------------------------------------
@@ -252,6 +261,10 @@ class MacaulaySystem:
         self.columns = monomials_of_degree(bs, self.critical_degree)
         self.size = len(self.columns)
         self.coeff_tables = [_block_coefficients(f, bs) for f in forms]
+        # highest exponent of each parameter over all coefficients
+        self.param_degrees = [max(c.degree_in(v) for tab in self.coeff_tables
+                                  for c in tab.values())
+                              for v in range(bs, ring.nvars)]
 
         col_index = {m: i for i, m in enumerate(self.columns)}
         extraneous = []
@@ -292,13 +305,34 @@ class MacaulaySystem:
         return self._matrix_of(self.coeff_tables, self.ring.zero(), minor=True)
 
     def value_tables(self, point=None):
-        """Coefficient tables as field values, parameters set to `point`."""
+        """Coefficient tables as field values, parameters set to `point`.
+
+        The point is coerced once and each parameter's powers are built
+        once, as far as the coefficients reach.
+        """
         if point is None:
             return [{mb: c.constant_value() for mb, c in tab.items()}
                     for tab in self.coeff_tables]
-        full = [self.ring.field.zero()] * self.block_size + list(point)
-        return [{mb: c.evaluate(full) for mb, c in tab.items()}
-                for tab in self.coeff_tables]
+        fld = self.ring.field
+        bs = self.block_size
+        powers = []
+        for x, top in zip(point, self.param_degrees):
+            x = fld.coerce(x)
+            row = [fld.one()]
+            for _ in range(top):
+                row.append(fld.mul(row[-1], x))
+            powers.append(row)
+
+        def value(c: Polynomial):
+            total = fld.zero()
+            for m, coeff in c.terms.items():
+                for row, e in zip(powers, m[bs:]):
+                    if e:
+                        coeff = fld.mul(coeff, row[e])
+                total = fld.add(total, coeff)
+            return total
+
+        return [{mb: value(c) for mb, c in tab.items()} for tab in self.coeff_tables]
 
     def _reduced(self, fld: PrimeField) -> "MacaulaySystem":
         """The same layout with every coefficient reduced into `fld`.
@@ -421,6 +455,15 @@ def _vec_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return r
 
 
+def _vec_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of nonzero residues.  A short vector takes Python's
+    pow per entry: numpy's per-call cost makes Fermat's ~3 log p array
+    operations slower there."""
+    if len(x) < _SHORT_VECTOR:
+        return np.array([pow(v, -1, p) for v in x.tolist()], dtype=np.int64)
+    return _vec_modpow(x, p - 2, p)
+
+
 def _batched_det_mod(a: np.ndarray, p: int):
     """Determinants of a batch of matrices mod p, no pivoting.
 
@@ -439,33 +482,80 @@ def _batched_det_mod(a: np.ndarray, p: int):
         safe = np.where(zero, 1, piv)
         det = det * safe % p
         if i + 1 < k:
-            inv = _vec_modpow(safe, p - 2, p)
+            inv = _vec_inverse(safe, p)
             factors = a[:, i + 1:, i] * inv[:, None] % p
             a[:, i + 1:, i:] = (a[:, i + 1:, i:]
                                 - factors[:, :, None] * a[:, i, i:][:, None, :]) % p
     return det % p, ok
 
 
-def _chunked_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p with the contraction chunked to stay inside int64."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], 64):
-        out = (out + a[:, s:s + 64] @ b[s:s + 64, :]) % p
+def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
+                       transposed: bool = False) -> list:
+    """Solve a Vandermonde system on distinct nodes over F_p in O(t^2).
+
+    Plain: the c with sum_j c_j nodes[i]^j = rhs[i], the polynomial that
+    takes the values rhs at the nodes.  Transposed: the c with
+    sum_j c_j nodes[j]^i = rhs[i], the coefficients of a sparse polynomial
+    from its values at geometric points.  With M the product of (z - v)
+    over the nodes, the interpolant that is 1 at v and 0 at the other
+    nodes is (M / (z - v)) / M'(v); both solves read these quotients one
+    node at a time.  Entries of `rhs` are ints, or int arrays of one shape
+    (one system per position); no intermediate exceeds p^2 + p.
+    """
+    t = len(nodes)
+    master = [1]  # coefficients of M, constant term first
+    for v in nodes:
+        master = [(a - v * b) % p for a, b in zip([0] + master, master + [0])]
+    out = [0] * t
+    for s, v in enumerate(nodes):
+        quot = [0] * t  # M / (z - v), by synthetic division from the top
+        acc = 1
+        for i in range(t - 1, -1, -1):
+            quot[i] = acc
+            acc = (master[i] + v * acc) % p
+        deriv = 0  # M'(v) = quot(v)
+        for c in reversed(quot):
+            deriv = (deriv * v + c) % p
+        if deriv == 0:
+            raise DegeneracyError("interpolation-singular", "repeated interpolation node")
+        scale = pow(deriv, -1, p)
+        if transposed:
+            acc = 0
+            for q, r in zip(quot, rhs):
+                acc = (acc + q * r) % p
+            out[s] = acc * scale % p
+        else:
+            w = rhs[s] * scale % p
+            out = [(o + q * w) % p for o, q in zip(out, quot)]
     return out
 
 
-def _inverse_vandermonde_mod(vals: Sequence[int], fld) -> list:
-    """Inverse of the Vandermonde matrix (v^j) on the nodes `vals` over F_p."""
-    p = fld.p
-    inv = _field_inverse([[pow(v, j, p) for j in range(len(vals))] for v in vals],
-                         fld)
-    if inv is None:
-        raise DegeneracyError("interpolation-singular", "repeated grid value")
-    return inv
+def _vector(values, p: int) -> np.ndarray:
+    """Field values as an array that numpy arithmetic keeps exact mod p."""
+    return np.array(values, dtype=np.int64 if p < _NUMPY_SAFE else object)
+
+
+def _probe_count(degree_bound: int, p: int) -> Optional[int]:
+    """Least k with (D/p)^k <= 2^-_PROBE_BITS; None when D >= p."""
+    if degree_bound >= p:
+        return None
+    k = 1
+    while degree_bound ** k << _PROBE_BITS > p ** k:
+        k += 1
+    return k
 
 
 class _GridPlan:
-    """Axes, pivots and exact block degrees for one parametric interpolation."""
+    """Axes, pivots and degree bounds for one parametric interpolation.
+
+    Each homogeneity block is dehomogenized at its first variable, the
+    pivot, which is held at 1.  The other parameters with a positive degree
+    bound are the axes, largest bound first: the order in which the sparse
+    stages add them.  `degree_bound` bounds the total degree of the
+    resultant in the parameters: the sum over forms of e_i times the largest
+    total degree of a coefficient of F_i, e_i the resultant's degree in
+    that form's coefficients.
+    """
 
     def __init__(self, system: MacaulaySystem, blocks: Optional[Sequence[Sequence[int]]]):
         ring = system.ring
@@ -480,10 +570,11 @@ class _GridPlan:
                 dv = max((c.degree_in(v) for c in tab.values()), default=0)
                 b += e[i] * dv
             bounds[v] = b
+        self.degree_bound = sum(ei * max(c.degree() for c in tab.values())
+                                for ei, tab in zip(e, system.coeff_tables))
 
         self.block_degree = {}   # pivot var -> exact joint degree of the result
         self.pivot_block = {}    # pivot var -> list of its block's other vars
-        pivots = set()
         for blk in blocks or []:
             blk = list(blk)
             if any(v < bs or v >= ring.nvars for v in blk):
@@ -497,38 +588,25 @@ class _GridPlan:
                         "coefficients are not jointly homogeneous in the given block")
                 degree += e[i] * ds.pop()
             pivot = blk[0]
-            pivots.add(pivot)
             self.block_degree[pivot] = degree
-            self.pivot_block[pivot] = [v for v in blk[1:]]
+            self.pivot_block[pivot] = blk[1:]
             for v in blk[1:]:
                 bounds[v] = min(bounds[v], degree)
 
-        self.axes = []
-        self.axis_bounds = []
-        for v in params:
-            if v in pivots or bounds[v] == 0:
-                continue
-            self.axes.append(v)
-            self.axis_bounds.append(bounds[v])
-        self.pivots = pivots
+        live = [v for v in params if v not in self.block_degree and bounds[v] > 0]
+        self.axes = sorted(live, key=lambda v: -bounds[v])
+        self.axis_bounds = [bounds[v] for v in self.axes]
         self.params = params
         self.block_size = bs
-        self.npoints = math.prod(b + 1 for b in self.axis_bounds)
 
     def max_axis_length(self) -> int:
         return max((b + 1 for b in self.axis_bounds), default=1)
 
-    def point_values(self, exponents_to_vals):
-        """Full parameter vector from per-axis values (pivots 1, dead vars 0)."""
-        out = []
-        for v in self.params:
-            if v in self.pivots:
-                out.append(1)
-            elif v in exponents_to_vals:
-                out.append(exponents_to_vals[v])
-            else:
-                out.append(0)
-        return out
+    def point_values(self, axis_values: Sequence[int]) -> list[int]:
+        """Full parameter vector from values on the axes (pivots 1, the
+        parameters the resultant does not involve 0)."""
+        at = dict(zip(self.axes, axis_values))
+        return [1 if v in self.block_degree else at.get(v, 0) for v in self.params]
 
     def monomial_for(self, axis_exponents) -> Optional[tuple]:
         """Full-ring exponent tuple for a coefficient of the dehomogenized grid."""
@@ -545,53 +623,38 @@ class _GridPlan:
         return tuple(mono)
 
 
-def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan,
-                        lengths: Sequence[int], strides: Sequence[int]):
-    """int64 batch pass over the grid: resultant values mod p, plus the flat
+def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
+    """int64 batch pass over the points: resultant values mod p, plus the
     indices of the points where unpivoted elimination hit a zero pivot."""
     p = system.ring.field.p
-    npts = plan.npoints
+    bs = system.block_size
     k = system.size
     km = system.minor_size
+    full = np.array([plan.point_values(pt) for pt in points],
+                    dtype=np.int64).reshape(len(points), len(plan.params))
 
     # form index -> block monomial -> coefficient terms mod p
     term_tables = [{mb: list(cpoly.terms.items()) for mb, cpoly in tab.items()}
                    for tab in system.coeff_tables]
-    # power tables per variable go up to the largest exponent used
-    max_e = {v: max((m[v] for rt in term_tables for terms in rt.values()
-                     for m, _ in terms), default=0)
-             for v in plan.params}
-
-    res = np.zeros(npts, dtype=np.int64)
+    values: list[int] = []
     bad: list[int] = []
-    for start in range(0, npts, _CHUNK_POINTS):
-        stop = min(npts, start + _CHUNK_POINTS)
-        count = stop - start
-        flat = np.arange(start, stop, dtype=np.int64)
-        var_arrays = {}
-        for a_i, v in enumerate(plan.axes):
-            var_arrays[v] = (flat // strides[a_i]) % lengths[a_i] + 1
-        for v in plan.params:
-            if v in plan.pivots:
-                var_arrays[v] = np.ones(count, dtype=np.int64)
-            elif v not in var_arrays:
-                var_arrays[v] = np.zeros(count, dtype=np.int64)
-
-        powers = {}
-        for v in plan.params:
-            tab = [np.ones(count, dtype=np.int64)]
-            for _ in range(max_e[v]):
-                tab.append(tab[-1] * var_arrays[v] % p)
-            powers[v] = tab
+    for start in range(0, len(points), _CHUNK_POINTS):
+        chunk = full[start:start + _CHUNK_POINTS]
+        count = len(chunk)
+        powers = []
+        for column, top in enumerate(system.param_degrees):
+            row = [np.ones(count, dtype=np.int64)]
+            for _ in range(top):
+                row.append(row[-1] * chunk[:, column] % p)
+            powers.append(row)
 
         def eval_terms(terms):
             out = np.zeros(count, dtype=np.int64)
             for m, c in terms:
                 t = np.full(count, c, dtype=np.int64)
-                for v in plan.params:
-                    e = m[v]
+                for row, e in zip(powers, m[bs:]):
                     if e:
-                        t = t * powers[v][e] % p
+                        t = t * row[e] % p
                 out = (out + t) % p
             return out
 
@@ -607,89 +670,208 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan,
         det_full, ok_f = _batched_det_mod(big, p)
 
         good = ok_m & ok_f & (det_minor != 0)
-        vals = det_full * _vec_modpow(np.where(det_minor == 0, 1, det_minor),
-                                      p - 2, p) % p
-        res[start:stop] = np.where(good, vals, 0)
+        vals = det_full * _vec_inverse(np.where(det_minor == 0, 1, det_minor), p) % p
+        values.extend(np.where(good, vals, 0).tolist())
         bad.extend((start + int(j)) for j in np.nonzero(~good)[0])
-    return res, bad
+    return values, bad
 
 
-def _grid_values_mod(system: MacaulaySystem, plan: _GridPlan, seed: int) -> np.ndarray:
-    """Resultant values over the dehomogenized grid, mod p, exact at every point.
+def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
+                rng: Random) -> list[int]:
+    """Exact resultant values mod p at parameter points, each a tuple of
+    values on the plan's axes.
 
-    Below _NUMPY_SAFE a batched int64 pass fills the grid; above it int64
-    products could overflow, so every point is left for the per-point pass.
+    Below _NUMPY_SAFE an int64 batch serves every point where unpivoted
+    elimination meets no zero pivot.  The other points, and every point
+    above it (where int64 products could overflow), go through the point
+    evaluator: pivoted elimination, then the coordinate-change ladder if the
+    reduced minor genuinely vanishes there.
+    """
+    if system.ring.field.p < _NUMPY_SAFE:
+        values, todo = _batched_values_mod(system, plan, points)
+    else:
+        values, todo = [0] * len(points), range(len(points))
+    for i in todo:
+        values[i] = _point_value(system, plan.point_values(points[i]), rng)
+    return values
+
+
+def _by_monomial(plan: _GridPlan, items) -> Optional[dict[tuple, int]]:
+    """Coefficients keyed by full-ring monomial, from (axis exponents,
+    value) pairs; None when one lies outside a homogeneity block's degree."""
+    out = {}
+    for exps, c in items:
+        mono = plan.monomial_for(exps)
+        if mono is None:
+            return None
+        out[mono] = c
+    return out
+
+
+def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
+                  rng: Random) -> Optional[dict[tuple, int]]:
+    """Interpolation on the full tensor grid, nodes 1..l on every axis.
+
+    Exact values on the whole grid determine the coefficients uniquely, so
+    the result needs no probe.
     """
     p = system.ring.field.p
     lengths = [b + 1 for b in plan.axis_bounds]
-    strides = [math.prod(lengths[a + 1:]) for a in range(len(lengths))]
-    if p < _NUMPY_SAFE:
-        res, todo = _batched_values_mod(system, plan, lengths, strides)
-    else:
-        res, todo = np.zeros(plan.npoints, dtype=object), range(plan.npoints)
-
-    # per-point pass: pivoted elimination, then the coordinate-change ladder
-    # if the reduced minor genuinely vanishes there
-    rng = Random((seed << 20) ^ p)
-    for flat_idx in todo:
-        exps = {v: (flat_idx // strides[a_i]) % lengths[a_i] + 1
-                for a_i, v in enumerate(plan.axes)}
-        res[flat_idx] = _point_value(system, plan.point_values(exps), rng)
-    return res.reshape(lengths)
-
-
-def _grid_coeff_dict(system: MacaulaySystem, plan: _GridPlan,
-                     seed: int) -> dict[tuple, int]:
-    """Coefficients mod p of the resultant by monomial: one Vandermonde solve
-    per grid axis (object dtype where int64 products could overflow)."""
-    fld = system.ring.field
-    p = fld.p
-    out = _grid_values_mod(system, plan, seed)
-    dtype = np.int64 if p < _NUMPY_SAFE else object
-    lengths = list(out.shape)
+    points = list(itertools.product(*(range(1, l + 1) for l in lengths)))
+    table = _vector(_values_mod(system, plan, points, rng), p).reshape(lengths)
     for axis, l in enumerate(lengths):
-        vinv = np.array(_inverse_vandermonde_mod(range(1, l + 1), fld), dtype=dtype)
-        moved = np.moveaxis(out, axis, 0).reshape(l, -1)
-        solved = _chunked_matmul_mod(vinv, moved, p)
-        rest = lengths[:axis] + lengths[axis + 1:]
-        out = np.moveaxis(solved.reshape([l] + rest), 0, axis)
-    coeffs = {}
-    for idx in np.argwhere(out != 0):
-        mono = plan.monomial_for(tuple(int(x) for x in idx))
-        if mono is None:
+        solved = _vandermonde_solve(range(1, l + 1), list(np.moveaxis(table, axis, 0)), p)
+        table = np.moveaxis(np.stack(solved), 0, axis)
+    return _by_monomial(plan, ((tuple(int(x) for x in idx), int(table[tuple(idx)]))
+                               for idx in np.argwhere(table != 0)))
+
+
+def _geometric_nodes(support: list[tuple], p: int, rng: Random):
+    """Ratios r_0..r_{k-1}, and the values prod r_m^e_m of the support's
+    monomials at (r_0, ..., r_{k-1}), redrawn until those values differ."""
+    for _ in range(_RETRIES):
+        ratios = [rng.randrange(2, p) for _ in support[0]]
+        nodes = [math.prod(pow(r, e, p) for r, e in zip(ratios, s)) % p
+                 for s in support]
+        if len(set(nodes)) == len(nodes):
+            return ratios, nodes
+    raise DegeneracyError("interpolation-singular",
+                          "geometric nodes kept colliding on the support")
+
+
+def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
+                   anchors: Sequence[int]) -> Optional[dict[tuple, int]]:
+    """Zippel's variable-by-variable interpolation (EUROSAM 1979).
+
+    Axes not yet reached are held at `anchors`.  Stage 0 interpolates the
+    first axis densely at its anchor and b_0 further values.  After stage k
+    the coefficients of the resultant in axes 0..k are known, on a support
+    of t monomials.  Stage k+1 takes its axis at the anchor (the previous
+    stage itself) and at b further values.  At each, the resultant has its
+    support inside the one found so far, unless an anchor is a root of a
+    coefficient, which the probe catches.  It is solved from t values at
+    the geometric points (r_0^i, ..., r_k^i), i < t, by one transposed
+    Vandermonde system; then each monomial's coefficient is interpolated
+    densely along the new axis.  Stage k+1 costs b * t points, so a support
+    that fills the box costs exactly the dense grid.
+    """
+    p = system.ring.field.p
+    support: list[tuple] = [()]
+    coeffs: list[int] = []  # the previous stage's coefficients on `support`
+    for k, bound in enumerate(plan.axis_bounds):
+        nodes = [anchors[k]]
+        while len(nodes) <= bound:
+            v = rng.randrange(p)
+            if v not in nodes:
+                nodes.append(v)
+        fresh = nodes[1:] if k else nodes
+        ratios, geometric = _geometric_nodes(support, p, rng)
+        heads = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
+        tail = tuple(anchors[k + 1:])
+        points = [head + (v,) + tail for v in fresh for head in heads]
+        values = _vector(_values_mod(system, plan, points, rng), p)
+        # one transposed system per fresh node, solved together: row j of
+        # by_node holds the coefficients on the support at nodes[j]
+        slices = _vandermonde_solve(geometric, list(values.reshape(len(fresh), -1).T),
+                                    p, transposed=True)
+        by_node = np.stack(slices, axis=1)
+        if k:
+            by_node = np.vstack([_vector(coeffs, p), by_node])
+        by_exponent = _vandermonde_solve(nodes, list(by_node), p)
+        found = [(s + (e,), int(c)) for e, row in enumerate(by_exponent)
+                 for s, c in zip(support, row) if c]
+        support = [s for s, _ in found]
+        coeffs = [c for _, c in found]
+        if not support:
+            break
+    return _by_monomial(plan, zip(support, coeffs))
+
+
+def _support_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
+                    support: list[tuple]) -> Optional[dict[tuple, int]]:
+    """Coefficients on a known support (exponents on the axes): values at
+    the geometric points (r_0^i, ..., r_n^i), i < t, and one transposed
+    Vandermonde solve."""
+    p = system.ring.field.p
+    ratios, nodes = _geometric_nodes(support, p, rng)
+    points = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
+    coeffs = _vandermonde_solve(nodes, _values_mod(system, plan, points, rng), p,
+                                transposed=True)
+    return _by_monomial(plan, ((s, c) for s, c in zip(support, coeffs) if c))
+
+
+def _image_coeffs(system: MacaulaySystem, plan: _GridPlan, seed: int,
+                  support: Sequence[tuple] = ()) -> dict[tuple, int]:
+    """Coefficients of the resultant by monomial, over the prime field of
+    the system.
+
+    Sparse stages run where the probe needs at most _MAX_SPARSE_PROBES
+    points to reach its bound.  A support already seen at other primes is
+    tried first (t points); then Zippel's stages from fresh anchors.  Each
+    sparse image is probed at its own prime and recomputed when the probe
+    fails.  Elsewhere (D near p, as in small fields) and when no parameter
+    varies, the full tensor grid runs: a proof.
+    """
+    p = system.ring.field.p
+    rng = Random((seed << 20) ^ p)
+    probes = _probe_count(plan.degree_bound, p)
+    if not plan.axes or probes is None or probes > _MAX_SPARSE_PROBES:
+        coeffs = _dense_coeffs(system, plan, rng)
+        if coeffs is None:
             raise DegeneracyError("interpolation-inconsistent",
                                   "grid coefficient outside the homogeneity range")
-        coeffs[mono] = int(out[tuple(idx)])
-    return coeffs
+        return coeffs
+    for attempt in range(_RETRIES):
+        if attempt == 0 and support:
+            coeffs = _support_coeffs(system, plan, rng, list(support))
+        else:
+            anchors = [rng.randrange(1, p) for _ in plan.axes]
+            coeffs = _sparse_coeffs(system, plan, rng, anchors)
+        if coeffs is not None and _verify_candidate(
+                Polynomial(system.ring, coeffs), system, plan, seed):
+            return coeffs
+    raise DegeneracyError("interpolation-inconsistent",
+                          "modular image failed the verification probe")
 
 
 def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
                       plan: _GridPlan, seed: int) -> bool:
-    """Compare the candidate with the resultant at two random parameter
-    points of the (prime-field) system."""
+    """Compare the candidate with the resultant of the (prime-field) system
+    at k random points of the plan's axes (pivots at 1), k the least with
+    (D/p)^k <= 2^-32 for D = plan.degree_bound.
+
+    The resultant has total degree at most D in the parameters, so a
+    candidate of higher degree is rejected outright.  Otherwise a wrong
+    candidate differs from the resultant by a nonzero polynomial of degree
+    at most D, homogeneous in each block, and so still nonzero with the
+    pivots at 1.  It vanishes at a random point with probability at most
+    D/p (Schwartz-Zippel), so it passes all k probes with probability at
+    most (D/p)^k <= 2^-32.  With D >= p no number of probes reaches the
+    bound, and the candidate is rejected.
+    """
     p = system.ring.field.p
-    rng = Random((seed << 21) ^ p)
+    probes = _probe_count(plan.degree_bound, p)
     claimed = _reduce_form_mod(candidate, system.ring)
-    for _ in range(2):
-        point = [rng.randrange(p) for _ in plan.params]
-        direct = _point_value(system, point, rng)
-        if direct != claimed.evaluate([0] * system.block_size + point):
-            return False
-    return True
+    if probes is None or claimed.degree() > plan.degree_bound:
+        return False
+    rng = Random((seed << 21) ^ p)
+    points = [tuple(rng.randrange(p) for _ in plan.axes) for _ in range(probes)]
+    pad = [0] * system.block_size
+    return all(value == claimed.evaluate(pad + plan.point_values(point))
+               for value, point in zip(_values_mod(system, plan, points, rng), points))
 
 
 def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
                             seed: int) -> Polynomial:
-    """Dense interpolation on the grid of `plan`: in the field itself over
-    F_p; over QQ on one reduced copy of the system per prime, combined by
-    CRT and rational reconstruction and verified at a fresh prime."""
+    """Interpolation on the plan's axes: in the field itself over F_p; over
+    QQ on one reduced copy of the system per prime, combined by CRT and
+    rational reconstruction.  Over QQ the images after the first try the
+    support seen so far; the first candidate whose coefficients all
+    reconstruct is accepted once it passes the probe at a fresh prime, and
+    when it fails, the next prime joins the CRT."""
     ring = system.ring
     if isinstance(ring.field, PrimeField):
-        result = Polynomial(ring, _grid_coeff_dict(system, plan, seed))
-        if not _verify_candidate(result, system, plan, seed):
-            raise DegeneracyError("interpolation-inconsistent",
-                                  "modular image failed the verification probe")
-        return result
+        return Polynomial(ring, _image_coeffs(system, plan, seed))
 
     copies: dict[int, MacaulaySystem] = {}
 
@@ -699,47 +881,35 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
         return copies[q]
 
     residue_maps: dict[int, dict[tuple, int]] = {}
-    previous = None
+    support: set[tuple] = set()  # exponents on the axes, over every image
     for p in internal_primes():
         if len(residue_maps) >= _MAX_PRIMES:
             raise DegeneracyError("interpolation-unstable",
                                   "rational reconstruction did not stabilize")
         try:
-            residue_maps[p] = _grid_coeff_dict(reduced(p), plan, seed)
+            image = _image_coeffs(reduced(p), plan, seed, sorted(support))
         except _BadPrime:
             continue
-        monomials = set()
-        for rm in residue_maps.values():
-            monomials.update(rm)
+        residue_maps[p] = image
+        support.update(tuple(m[v] for v in plan.axes) for m in image)
         recon = {}
-        failed = False
-        for m in monomials:
-            pairs = [(rm.get(m, 0), q) for q, rm in residue_maps.items()]
-            v, modulus = crt_combine(pairs)
+        for m in set().union(*residue_maps.values()):
+            v, modulus = crt_combine((rm.get(m, 0), q) for q, rm in residue_maps.items())
             f = rational_reconstruct(v % modulus, modulus)
             if f is None:
-                failed = True
                 break
             recon[m] = f
-        if failed:
-            previous = None
-            continue
-        if previous is not None and recon == previous:
+        else:
             candidate = Polynomial(ring, {m: c for m, c in recon.items() if c != 0})
-            verified = False
             for q in internal_primes():
                 if q in residue_maps:
                     continue
                 try:
-                    verified = _verify_candidate(candidate, reduced(q), plan, seed)
+                    if _verify_candidate(candidate, reduced(q), plan, seed):
+                        return candidate
                 except _BadPrime:
                     continue
                 break
-            if verified:
-                return candidate
-            previous = None
-            continue
-        previous = recon
     raise DegeneracyError("interpolation-unstable", "prime supply exhausted")
 
 

@@ -51,6 +51,19 @@ def test_prime_field_values_stay_reduced():
     assert f.coerce(Fraction(1, 2)) == f.inv(2)
 
 
+@pytest.mark.parametrize("p", [101, DEFAULT_MODULAR_PRIME])
+def test_prime_field_inverse_of_zero_is_a_zero_division(p):
+    # a vanishing denominator marks a bad prime through ZeroDivisionError
+    f = GF(p)
+    for zero in (0, p, -2 * p):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        f.coerce(Fraction(1, p))
+    assert f.inv(p - 1) == p - 1
+    assert f.coerce(Fraction(3, p + 2)) == 3 * f.inv(2) % p
+
+
 def test_field_axioms_seeded():
     rng = Random(RNG_SEED)
     for field in (QQ, GF(13), GF(DEFAULT_MODULAR_PRIME)):

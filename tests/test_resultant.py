@@ -1,5 +1,6 @@
 """Resultant layer: Sylvester, Macaulay, strategies, degeneracy handling."""
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -7,13 +8,15 @@ import pytest
 
 from projdyn import resultant
 from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
-from projdyn.dynamics import endomorphism_from_strings, improper_certificate
+from projdyn.dynamics import (Endomorphism, endomorphism_from_strings,
+                               improper_certificate, pushforward_iterated)
 from projdyn.errors import DegeneracyError, InvalidInputError
 from projdyn.extfield import SmallExtField, evaluate_poly, projective_points
-from projdyn.mpoly import (Polynomial, Ring, parse_polynomial, poly_gcd,
-                           squarefree_part)
+from projdyn.mpoly import (Polynomial, Ring, monomials_of_degree,
+                           parse_polynomial, poly_gcd, squarefree_part)
 from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _field_det,
-                               _field_inverse, _inverse_vandermonde_mod,
+                               _field_inverse, _probe_count,
+                               _vandermonde_solve,
                                discriminant_binary, gradient_resultant,
                                macaulay_critical_degree, macaulay_resultant,
                                map_resultant, resultant_degrees,
@@ -269,20 +272,22 @@ def test_one_macaulay_system_per_call(monkeypatch):
     assert macaulay_resultant(forms, block_size=2, strategy="ratio") == P("x2^2+1", ring)
     assert len(builds) == 1
 
-    # over QQ: one system, then one reduced copy for each prime the grid
-    # passes and the verification probe use
+    # over QQ: one system, then one reduced copy for each prime: the
+    # image's prime, where the sparse image is probed, then a fresh prime
+    # that probes the reconstructed candidate
     builds.clear()
     copies = count_calls(monkeypatch, MacaulaySystem, "_reduced")
-    grids = count_calls(monkeypatch, resultant, "_grid_coeff_dict")
+    images = count_calls(monkeypatch, resultant, "_image_coeffs")
     probes = count_calls(monkeypatch, resultant, "_verify_candidate")
     f0, f1, closed = quadratic_pair(Ring(8, QQ))
     assert macaulay_resultant([f0, f1], block_size=2, strategy="modular",
                               blocks=QUADRATIC_BLOCKS) == closed
-    used = ([system.ring.field.p for system, _, _ in grids]
-            + [system.ring.field.p for _, system, _, _ in probes])
+    p1, p2 = itertools.islice(internal_primes(), 2)
     assert len(builds) == 1
-    assert [fld.p for _, fld in copies] == used
-    assert len(used) == len(set(used)) >= 3  # two grid primes and a probe
+    assert [system.ring.field.p for system, *_ in images] == [p1]
+    assert [system.ring.field.p for _, system, *_ in probes] == [p1, p2]
+    assert probes[1][0].ring.field == QQ  # the rational candidate
+    assert [fld.p for _, fld in copies] == [p1, p2]
 
     # a parameter-free certificate over F_p: one system per resultant
     builds.clear()
@@ -291,6 +296,155 @@ def test_one_macaulay_system_per_call(monkeypatch):
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
     assert len(builds) == 5
     assert not copies
+
+
+def sparse_parametric_forms(ring, block_size, degrees, rng):
+    """Block forms whose coefficients are sparse random polynomials in the
+    parameters: one or two terms of degree at most two."""
+    fld = ring.field
+    pad = (0,) * (ring.nvars - block_size)
+    forms = []
+    for d in degrees:
+        f = ring.zero()
+        for mb in monomials_of_degree(block_size, d):
+            if rng.random() < 0.4:
+                continue
+            for _ in range(rng.randint(1, 2)):
+                m = [0] * ring.nvars
+                m[:block_size] = mb
+                for _ in range(rng.randint(0, 2)):
+                    m[rng.randrange(block_size, ring.nvars)] += 1
+                f = f + Polynomial(ring, {tuple(m): fld.coerce(rng.randint(1, 9))})
+        forms.append(f if not f.is_zero()
+                     else Polynomial(ring, {(d,) + (0,) * (block_size - 1) + pad: fld.one()}))
+    return forms
+
+
+SPARSE_SHAPES = ((2, (2, 3), 5), (3, (1, 1, 2), 5), (2, (3, 3), 4))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(10007), GF(DEFAULT_MODULAR_PRIME), GF(101)],
+                         ids=["QQ", "GF10007", "GF62bit", "GF101"])
+def test_sparse_parametric_modular_matches_ratio(fld, monkeypatch):
+    sparse = count_calls(monkeypatch, resultant, "_sparse_coeffs")
+    rng = Random(777)
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        ring = Ring(nvars, fld)
+        for _ in range(3):
+            forms = sparse_parametric_forms(ring, block_size, degrees, rng)
+            modular = macaulay_resultant(forms, block_size, strategy="modular")
+            assert modular == macaulay_resultant(forms, block_size, strategy="ratio")
+    # over GF(101) no number of probes up to four reaches the 2^-32 bound at
+    # these degrees, so every image there is the dense grid
+    assert (not sparse) == (fld == GF(101))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(DEFAULT_MODULAR_PRIME)], ids=["QQ", "GF62bit"])
+def test_value_tables_equal_coefficientwise_evaluation(fld):
+    rng = Random(RNG_SEED)
+    ring = Ring(5, fld)
+    for _ in range(5):
+        system = MacaulaySystem(sparse_parametric_forms(ring, 2, (2, 3), rng), 2)
+        point = [fld.random(rng) for _ in range(3)]
+        assert system.value_tables(point) == [
+            {mb: c.evaluate([0, 0] + point) for mb, c in tab.items()}
+            for tab in system.coeff_tables]
+
+
+def record_interpolations(monkeypatch):
+    """Per parametric interpolation: matrix size, dense grid size, points
+    interpolated and probed, evaluations by the point evaluator, and the
+    primes of the images and of the probes."""
+    values = count_calls(monkeypatch, resultant, "_values_mod")
+    evaluations = count_calls(monkeypatch, resultant, "_point_value")
+    images = count_calls(monkeypatch, resultant, "_image_coeffs")
+    probes = []
+    probe = resultant._verify_candidate
+
+    def counted_probe(candidate, system, plan, seed):
+        before = len(values)
+        verdict = probe(candidate, system, plan, seed)
+        probes.append((system.ring.field.p, sum(len(v[2]) for v in values[before:])))
+        return verdict
+
+    monkeypatch.setattr(resultant, "_verify_candidate", counted_probe)
+    runs = []
+    real = resultant._interpolated_resultant
+
+    def run(system, plan, seed):
+        for log in (values, evaluations, images, probes):
+            log.clear()
+        out = real(system, plan, seed)
+        probed = sum(n for _, n in probes)
+        box = math.prod(b + 1 for b in plan.axis_bounds)
+        runs.append({"size": system.size, "box": box, "plan": plan,
+                     "points": sum(len(v[2]) for v in values) - probed,
+                     "probed": probed, "evaluations": len(evaluations),
+                     "images": [s.ring.field.p for s, *_ in images],
+                     "probes": [q for q, _ in probes]})
+        return out
+
+    monkeypatch.setattr(resultant, "_interpolated_resultant", run)
+    return runs
+
+
+def test_direct_second_iterate_interpolates_sparsely(monkeypatch):
+    # criterion 02's direct route: the symbolic plane under the second
+    # iterate of squaring, two 36x36 systems over QQ
+    runs = record_interpolations(monkeypatch)
+    ring = Ring(6, QQ)
+    f = Endomorphism([ring.var(i) ** 2 for i in range(3)])
+    pushforward_iterated(f, P("x3*x0+x4*x1+x5*x2", ring), 2, mode="direct")
+    p1, p2 = itertools.islice(internal_primes(), 2)
+    assert [(r["size"], r["box"]) for r in runs] == [(36, 7225), (36, 13005)]
+    for r in runs:
+        assert r["points"] * 10 <= r["box"]
+        # one image prime, where the image is probed, then one probe prime
+        assert r["images"] == [p1]
+        assert r["probes"] == [p1, p2]
+
+
+def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
+    # a parameter-free certificate over the 62-bit prime interpolates its
+    # pushforward resultants in y, on supports that fill their boxes
+    runs = record_interpolations(monkeypatch)
+    f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
+    improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
+    assert sorted({r["box"] for r in runs}) == [25, 45]
+    for r in runs:
+        probes = _probe_count(r["plan"].degree_bound, DEFAULT_MODULAR_PRIME)
+        assert probes == 1 and r["probed"] == probes
+        assert r["points"] <= r["box"]
+        assert r["evaluations"] == r["points"] + probes
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+def test_anchor_on_a_root_of_a_coefficient_is_caught_and_retried(fld, monkeypatch):
+    # Res_x(x0 - t x1, (s - 5) x0^2 + s x1^2) = (s - 5) t^2 + s, t = x2 and
+    # s = x3; with s held at 5 the first stage sees a constant and misses t^2
+    ring = Ring(4, fld)
+    forms = [P("x0-x2*x1", ring), P("x3*x0^2-5*x0^2+x3*x1^2", ring)]
+    attempts = []
+    real = resultant._sparse_coeffs
+
+    def forced(system, plan, rng, anchors):
+        anchors = list(anchors)
+        if not attempts:
+            anchors[plan.axes.index(3)] = 5
+        attempts.append(real(system, plan, rng, anchors))
+        return attempts[-1]
+
+    monkeypatch.setattr(resultant, "_sparse_coeffs", forced)
+    verdicts = []
+    probe = resultant._verify_candidate
+    monkeypatch.setattr(resultant, "_verify_candidate",
+                        lambda *args: verdicts.append(probe(*args)) or verdicts[-1])
+    res = macaulay_resultant(forms, 2, strategy="modular")
+    assert res == P("x3*x2^2-5*x2^2+x3", ring)
+    assert res == macaulay_resultant(forms, 2, strategy="ratio")
+    assert len(attempts) == 2
+    assert not any(m[2] for m in attempts[0])
+    assert verdicts[0] is False and all(verdicts[1:])
 
 
 def test_bad_blocks_raise_where_the_grid_is_planned():
@@ -404,15 +558,27 @@ def test_field_inverse_and_det_against_brute_force(fld):
 
 
 @pytest.mark.parametrize("p", [101, DEFAULT_MODULAR_PRIME])
-def test_inverse_vandermonde_on_grid_nodes(p):
+def test_vandermonde_solve_matches_field_inverse(p):
     fld = GF(p)
+    rng = Random(p)
     for l in (1, 5, 12):
-        nodes = range(1, l + 1)
-        vander = [[pow(v, j, p) for j in range(l)] for v in nodes]
-        assert mat_mul(_inverse_vandermonde_mod(nodes, fld), vander, fld) \
-            == identity(l, fld)
+        for nodes in (list(range(1, l + 1)), rng.sample(range(p), l)):
+            vander = [[pow(v, j, p) for j in range(l)] for v in nodes]
+            transposed = [list(col) for col in zip(*vander)]
+            rhs = [fld.random(rng) for _ in range(l)]
+            for matrix, flag in ((vander, False), (transposed, True)):
+                expected = [row[0] for row in mat_mul(_field_inverse(matrix, fld),
+                                                      [[r] for r in rhs], fld)]
+                assert _vandermonde_solve(nodes, rhs, p, transposed=flag) == expected
+                # int arrays solve one system per position, as the scalars do
+                other = [fld.random(rng) for _ in range(l)]
+                batch = [resultant._vector([a, b], p) for a, b in zip(rhs, other)]
+                solved = _vandermonde_solve(nodes, batch, p, transposed=flag)
+                assert [int(c[0]) for c in solved] == expected
+                assert [int(c[1]) for c in solved] \
+                    == _vandermonde_solve(nodes, other, p, transposed=flag)
     with pytest.raises(DegeneracyError) as err:
-        _inverse_vandermonde_mod([1, 1 + p], fld)
+        _vandermonde_solve([1, 1 + p], [0, 0], p)
     assert err.value.code == "interpolation-singular"
 
 
