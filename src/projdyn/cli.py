@@ -18,6 +18,7 @@ Exit codes: 0 success or witness found; 1 well-formed negative result;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -263,7 +264,10 @@ _HANDLERS = {
 
 # -- argument grammar ------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument grammar, built once: parsing keeps no state on the
+    parser, and every parse_args call fills a fresh namespace."""
     top = _Parser(prog="projdyn",
                   description="Exact dynamics of endomorphisms of projective space.")
     sub = top.add_subparsers(dest="command", required=True, metavar="subcommand")

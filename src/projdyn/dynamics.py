@@ -20,7 +20,8 @@ from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence, Union
 
-from .coeff import GF, PrimeField, RationalField, internal_primes, parse_field
+from .coeff import (DEFAULT_MODULAR_PRIME, GF, PrimeField, RationalField,
+                    internal_primes, parse_field)
 from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
                      RingMismatchError, UnsupportedScopeError)
 from .mpoly import (Polynomial, Ring, _block_coefficients, default_aliases,
@@ -139,13 +140,7 @@ def _joint_primitive(forms: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     ring = forms[0].ring
     fld = ring.field
     if isinstance(fld, RationalField):
-        num = 0
-        den = 1
-        for f in forms:
-            for c in f.terms.values():
-                num = math.gcd(num, c.numerator)
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        scale = Fraction(den, num) if num else Fraction(1)
+        scale = _primitive_scale(c for f in forms for c in f.terms.values())
         lead = None
         for f in forms:
             if not f.is_zero():
@@ -161,6 +156,16 @@ def _joint_primitive(forms: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
                 break
         scale = fld.inv(lead) if lead is not None else fld.one()
     return tuple(f.scale(scale) for f in forms)
+
+
+def _primitive_scale(values) -> Fraction:
+    """The positive rational that takes rationals to coprime integers
+    (1 when all are zero)."""
+    num, den = 0, 1
+    for c in values:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(den, num) if num else Fraction(1)
 
 
 class Endomorphism:
@@ -408,21 +413,30 @@ def _reduce_poly_mod(g: Polynomial, target: Ring, images) -> Polynomial:
 
 
 def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
-    """Restrict to a random line mod a small prime and test there.
+    """Restrict g to a random line and test the restriction for a square.
 
-    True is a proof (a square factor survives any degree-preserving
-    restriction); False only means the cheap filter was inconclusive.
+    Over QQ the line lives mod a small prime; over F_p it is drawn over
+    F_p itself, with no reduction step.  True is a proof at every p: if
+    g = h^2 k with deg h >= 1, a restriction that keeps deg g keeps every
+    factor's degree, so h's restriction, of degree >= 1, divides the
+    restriction twice and it is not squarefree.  False only means the
+    cheap filter was inconclusive: a line that drops the degree, a bad
+    prime, or a restriction with zero derivative.
     """
-    if g.is_zero() or not isinstance(g.ring.field, RationalField):
+    if g.is_zero():
         return False
-    for q in _CERT_PRIMES:
-        rng = Random(seed ^ q)
-        line = Ring(1, GF(q))
+    fld = g.ring.field
+    fields = ([GF(q) for q in _CERT_PRIMES] if isinstance(fld, RationalField)
+              else [fld])
+    for lf in fields:
+        rng = Random(seed ^ lf.p)
+        line = Ring(1, lf)
         t = line.var(0)
-        images = [line.const(rng.randrange(q)) + t.scale(rng.randrange(1, q))
+        images = [line.const(rng.randrange(lf.p)) + t.scale(rng.randrange(1, lf.p))
                   for _ in range(g.ring.nvars)]
         try:
-            gm = _reduce_poly_mod(g, line, images)
+            gm = (g.substitute(images) if lf is fld
+                  else _reduce_poly_mod(g, line, images))
         except _BadPrime:
             continue
         if gm.is_zero() or gm.degree() < g.degree():
@@ -430,9 +444,7 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
         der = gm.derivative(0)
         if der.is_zero():
             continue
-        if poly_gcd(gm, der).degree() == 0:
-            return True
-        return False
+        return poly_gcd(gm, der).degree() == 0
     return False
 
 
@@ -834,12 +846,37 @@ def critical_points(f: Endomorphism) -> list[ProjectivePoint]:
 def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchReport:
     """Does some critical point (over the closure) have period <= max_period?
 
-    Decided exactly for n = 1: for s = 1, 2, ... it asks whether the Jacobian
-    form and the fixed-point form of f^s share a zero on P^1 over the
-    closure, which is Res(J, Phi_s) = 0.  A shared zero is either (1:0), when
-    both top coefficients vanish, or a root of the gcd of the two
-    dehomogenized polynomials, found by Euclid over the field.  The report
-    records the proof scope.  Larger n is out of scope and raises.
+    Decided exactly for n = 1, without building f^s.  A critical point has
+    period dividing s exactly when the Jacobian form J and the fixed-point
+    form Phi_s = x0*G_s - x1*F_s of f^s = (F_s, G_s) share a zero on P^1,
+    that is Res(J, Phi_s) = 0; the report gives the least such s.
+
+    Finite zeros: every finite critical point is a root of j(t) = J(t, 1),
+    so it is enough to push the generic one, t in K[t]/(j), along f.  From
+    (a, b) = (t, 1) the step (a, b) <- (F(a, b), G(a, b)) mod j reaches
+    (F_s(t, 1), G_s(t, 1)) mod j after s steps, so Phi_s(t, 1) is
+    t*b - a mod j there, and J and Phi_s share a finite zero exactly when
+    gcd(j, t*b - a mod j) has positive degree.  The point (1:0) is a zero of
+    J when J's top coefficient vanishes; it is pushed as the number pair
+    (1, 0), and Phi_s(1, 0) = G_s(1, 0) is the pair's second entry after s
+    steps.  Rescaling a pair by a nonzero constant changes no zero, so
+    f^s's scalars do not matter.  All periods up to N cost
+    O(N * d * deg(j)^2) field operations, where f^N has degree d^N.
+
+    Over QQ the forms and J are primitive, so their coefficients are
+    integers, and every period is first screened at one prime p that does
+    not divide the leading coefficient of j.
+    A "no" there is a proof: with lc(j) a unit at p, division by j commutes
+    with reduction mod p, so the residue mod p is the reduction of the
+    residue r over Q.  The Sylvester resultant with formal degrees is an
+    integer polynomial in the coefficients, and with the lead of j a unit,
+    Res(j mod p, r mod p) != 0 forces Res(j, r) != 0; likewise
+    G_s(1, 0) != 0 mod p forces G_s(1, 0) != 0.  A period the screen does
+    not rule out is decided exactly in Q[t]/(j), with the content taken out
+    at every step.  Heights there still grow like d^s, so a "yes" at a large
+    period over QQ is the slow case: it is not lifted from primes.
+
+    The report records the proof scope.  Larger n is out of scope and raises.
     """
     if f.n != 1:
         raise UnsupportedScopeError("periodic critical points: only n = 1 is decided")
@@ -848,10 +885,99 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchRe
     if max_period < 1:
         raise InvalidInputError("max_period must be >= 1")
     jc = _line_coeffs(jacobian(f).poly)
+    fc, gc = (_line_coeffs(g) for g in f.forms)
+    screen = (_screen_orbit(fc, gc, jc)
+              if isinstance(f.field, RationalField) else None)
+    exact, decided = None, 0
     for s in range(1, max_period + 1):
-        if _forms_share_zero(jc, _line_coeffs(fixed_form(f, s)), f.field):
+        if screen is not None and not next(screen):
+            continue  # no shared zero mod the screen prime, so none over QQ
+        if exact is None:
+            exact = _critical_orbit(fc, gc, jc, f.field)
+        while decided < s:
+            hit = next(exact)
+            decided += 1
+        if hit:
             return PCFSearchReport(True, s, "closure-exact")
     return PCFSearchReport(False, None, "closure-exact")
+
+
+def _screen_orbit(fc: list, gc: list, jc: list):
+    """`_critical_orbit` of a map over QQ at the first prime, from
+    DEFAULT_MODULAR_PRIME on, that does not divide lc(j); only finitely
+    many primes do.  The forms and J are primitive, so their coefficients
+    are integers and reduce mod every p."""
+    top = max(i for i, c in enumerate(jc) if c)
+    for p in itertools.chain((DEFAULT_MODULAR_PRIME,), internal_primes()):
+        fp = GF(p)
+        reduced = [[fp.coerce(c) for c in cs] for cs in (fc, gc, jc)]
+        if reduced[2][top]:
+            return _critical_orbit(*reduced, fp)
+
+
+def _critical_orbit(fc: list, gc: list, jc: list, fld):
+    """Yield, for s = 1, 2, ..., whether J and Phi_s share a zero on P^1.
+
+    fc, gc and jc are the `_line_coeffs` of F, G and a nonzero J over fld;
+    see `has_periodic_critical_point` for the iteration.  Residues mod j are
+    lists of length deg(j), low degree first.
+    """
+    add, mul, is_zero = fld.add, fld.mul, fld.is_zero
+    zero, one = fld.zero(), fld.one()
+    j = list(jc)
+    while is_zero(j[-1]):
+        j.pop()
+    at_infinity = len(j) < len(jc)  # J(1, 0) = 0
+    m = len(j) - 1
+    inv = fld.inv(j[-1])
+    tail = [fld.neg(mul(c, inv)) for c in j[:-1]]  # t^m = sum tail[i] t^i
+
+    def reduce(c):
+        c += [zero] * (m - len(c))
+        for k in range(len(c) - 1, m - 1, -1):
+            q = c[k]
+            if not is_zero(q):
+                for i in range(m):
+                    c[k - m + i] = add(c[k - m + i], mul(q, tail[i]))
+        return c[:m]
+
+    def mulmod(x, y):
+        out = [zero] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            if not is_zero(xi):
+                for k, yk in enumerate(y):
+                    out[i + k] = add(out[i + k], mul(xi, yk))
+        return reduce(out)
+
+    d = len(fc) - 1
+    unit = reduce([one])
+    a, b = reduce([zero, one]), unit
+    u, v = one, zero
+    while True:
+        pa, pb = [unit, a], [unit, b]
+        for _ in range(d - 1):
+            pa.append(mulmod(pa[-1], a))
+            pb.append(mulmod(pb[-1], b))
+        monomials = ([pb[d]] + [mulmod(pa[i], pb[d - i]) for i in range(1, d)]
+                     + [pa[d]])
+        columns = list(zip(*monomials))
+        a, b = ([_dot(cs, col, fld) for col in columns] for cs in (fc, gc))
+        values = [mul(fld.pw(u, i), fld.pw(v, d - i)) for i in range(d + 1)]
+        u, v = (_dot(cs, values, fld) for cs in (fc, gc))
+        if isinstance(fld, RationalField):
+            scale = _primitive_scale(a + b)
+            a, b = [c * scale for c in a], [c * scale for c in b]
+            scale = _primitive_scale((u, v))
+            u, v = u * scale, v * scale
+        r = reduce([fld.sub(x, y) for x, y in zip([zero] + b, a + [zero])])
+        yield (at_infinity and is_zero(v)) or len(_gcd_coeffs(j, r, fld)) > 1
+
+
+def _dot(coeffs: list, values: list, fld):
+    out = fld.zero()
+    for c, x in zip(coeffs, values):
+        out = fld.add(out, fld.mul(c, x))
+    return out
 
 
 def _line_coeffs(form: Polynomial) -> list:
@@ -861,13 +987,6 @@ def _line_coeffs(form: Polynomial) -> list:
     for m, c in form.terms.items():
         coeffs[m[0]] = c
     return coeffs
-
-
-def _forms_share_zero(p: list, q: list, fld) -> bool:
-    """Res(p, q) = 0 for binary forms given by `_line_coeffs` lists."""
-    if fld.is_zero(p[-1]) and fld.is_zero(q[-1]):
-        return True  # common zero at (1:0), which covers a zero form
-    return len(_gcd_coeffs(p, q, fld)) > 1
 
 
 def _gcd_coeffs(a: list, b: list, fld) -> list:

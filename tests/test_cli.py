@@ -6,7 +6,7 @@ import sys
 import jsonschema
 import pytest
 
-from projdyn.cli import run, schema_text
+from projdyn.cli import build_parser, run, schema_text
 from projdyn.coeff import QQ
 from projdyn.mpoly import Ring, format_polynomial, parse_polynomial
 
@@ -221,6 +221,25 @@ class TestJsonOutput:
     def test_ys_test_output_does_not_depend_on_seed(self):
         argv = ("ys-test", "--map", "[x0^2-x1^2, x1^2]", "--s", "3")
         assert invoke(*argv, "--seed", "0") == invoke(*argv, "--seed", "5")
+
+    def test_parser_is_built_once_and_parses_afresh(self):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["resultant", "--form", "x0^2",
+                                           "--form", "x1^3", "--json"])
+        second = build_parser().parse_args(["resultant", "--form", "x1"])
+        assert first.form == ["x0^2", "x1^3"] and first.json
+        assert second.form == ["x1"] and not second.json
+        argv = ("resultant", "--form", "x0^2", "--form", "x1^3")
+        assert invoke(*argv) == invoke(*argv)
+        assert invoke("ys-test", "--map", SQUARING2)[0] == 2  # no --s
+        assert invoke("ys-test", "--map", SQUARING2, "--s", "1")[0] == 0
+
+    def test_ys_test_cubic_at_period_12(self):
+        argv = ("ys-test", "--map",
+                "[8*x0^3-9*x0*x1^2+8*x1^3, x0^3-8*x0^2*x1-5*x0*x1^2+x1^3]",
+                "--s", "12")
+        for field in ("QQ", "Fp:101"):
+            assert invoke(*argv, "--field", field) == (1, "absent\n", "")
 
 
 class TestStrategies:

@@ -9,11 +9,11 @@ from random import Random
 import pytest
 
 from projdyn import dynamics
-from projdyn.coeff import GF, QQ
+from projdyn.coeff import GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
-                              _certify_pushforward, _forms_share_zero,
+                              _certify_pushforward, _critical_orbit,
                               _gcd_coeffs, _line_coeffs, _reduce_poly_mod,
-                              dim_end, dim_forms,
+                              critical_points, dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
                               generic_cert_degree, has_periodic_critical_point,
                               improper_certificate, jacobian,
@@ -323,6 +323,16 @@ def test_proper_family_has_no_witness():
     assert search_improper_witness(f, P("x+y+z", R3), 3) is None
 
 
+@pytest.mark.parametrize("p", [7, 10007, 4611686018427387847], ids=str)
+def test_squarefree_filter_over_a_prime_field(p):
+    # True is a proof at every p; over F_7 a single line is often unlucky
+    ring = Ring(3, GF(p))
+    g, h = P("x^2+y*z-3*z^2", ring), P("x-2*y+z", ring)
+    assert any(dynamics._probably_squarefree(g * h, seed) for seed in range(8))
+    assert not any(dynamics._probably_squarefree(g * h * h, seed)
+                   for seed in range(8))
+
+
 # -- periodic points --------------------------------------------------------------------
 
 def test_fixed_form_of_squaring():
@@ -385,26 +395,74 @@ def _random_line_map(rng, fld, d, lo, hi):
             return Endomorphism(forms)
 
 
+# edge maps for the differential test: two non-morphisms whose Phi_1
+# vanishes identically; z^2/(z+1), with (0:1) critical and fixed;
+# 1 - 2/z^2, whose critical points (1:0) and (0:1) are not periodic;
+# 1/(z^3+1) and z^3+2, whose double critical points at (1:0) and (0:1)
+# drop deg j by two; z + 10007/z, with Res(J, Phi_1) = 10007^2; and
+# z^3/(z^2+3), with a double critical point at (0:1), fixed
+_EDGE_MAPS = (["x*y", "y^2"], ["x^2+x*y", "x*y+y^2"], ["x^2", "x*y+y^2"],
+              ["x^2-2*y^2", "x^2"], ["y^3", "x^3+y^3"], ["x^3+2*y^3", "y^3"],
+              ["x^2+10007*y^2", "x*y"], ["x^3", "x^2*y+3*y^3"])
+
+
+def _sparse_line_map(rng, fld, d):
+    ring = Ring(2, fld)
+    while True:
+        forms = [ring.zero(), ring.zero()]
+        for k in range(2):
+            for i in range(d + 1):
+                c = fld.coerce(rng.randint(-4, 4)) if rng.random() < 0.5 else 0
+                forms[k] = forms[k] + P(f"x^{i}*y^{d - i}", ring).scale(c)
+        if all(not g.is_zero() for g in forms):
+            return Endomorphism(forms)
+
+
 @pytest.mark.parametrize("fld", [QQ, GF(7), GF(101)], ids=str)
 def test_shared_zero_test_matches_sylvester_oracle(fld):
+    # per-period verdicts of the critical orbit and the first period found
+    # by has_periodic_critical_point, against Res(J, Phi_s) at formal
+    # degrees (Phi_s may vanish identically), over the field itself
     rng = Random(2206)
-    outcomes = set()
-    for d, bound in ((2, 3), (3, 2)):
-        for _ in range(12):
-            f = _random_line_map(rng, fld, d, -3, 3)
+    maps = [_random_line_map(rng, fld, d, -3, 3) for d in (2, 3) for _ in range(12)]
+    maps += [endomorphism_from_strings(texts, fld) for texts in _EDGE_MAPS]
+    maps += [_sparse_line_map(rng, fld, rng.choice((2, 3))) for _ in range(24)]
+    outcomes, seen, periods = set(), set(), set()
+    for f in maps:
+        bound = 3 if f.d == 2 else 2
+        try:
             jf = jacobian(f).poly
-            first = None
-            for s in range(1, bound + 1):
-                phi = fixed_form(f, s)
-                expect = _resultant_oracle(jf, phi).is_zero()
-                got = _forms_share_zero(_line_coeffs(jf), _line_coeffs(phi), fld)
-                assert got == expect, (f, s)
-                outcomes.add(got)
-                if expect and first is None:
-                    first = s
-            report = has_periodic_critical_point(f, bound)
-            assert (report.found, report.period) == (first is not None, first)
+        except DegeneracyError:  # J vanishes identically
+            with pytest.raises(DegeneracyError):
+                has_periodic_critical_point(f, bound)
+            continue
+        jc = _line_coeffs(jf)
+        orbit = _critical_orbit(*map(_line_coeffs, f.forms), jc, fld)
+        first = None
+        for s in range(1, bound + 1):
+            degrees = (2 * f.d - 2, f.d ** s + 1)
+            expect = sylvester_resultant(jf, fixed_form(f, s),
+                                         degrees=degrees).is_zero()
+            got = next(orbit)
+            assert got == expect, (f, s)
+            outcomes.add(got)
+            if expect and first is None:
+                first = s
+        report = has_periodic_critical_point(f, bound)
+        assert (report.found, report.period) == (first is not None, first), f
+        periods.add(first)
+        if not f.is_morphism():
+            seen.add("non-morphism")
+        if fld.is_zero(jc[-1]):
+            seen.add("critical (1:0)")
+        if fld.is_zero(jc[0]):
+            seen.add("critical (0:1)")
+        if fld.is_zero(jc[-1]) and fld.is_zero(jc[-2]):
+            seen.add("deg j drops by two")
     assert outcomes == {True, False}
+    assert seen == {"non-morphism", "critical (1:0)", "critical (0:1)",
+                    "deg j drops by two"}
+    assert None in periods and len(periods) >= 3
 
 
 def test_shared_zero_only_at_infinity():
@@ -414,7 +472,7 @@ def test_shared_zero_only_at_infinity():
         f = endomorphism_from_strings(["x^2+y^2", "y^2"], fld)
         jc, phic = _line_coeffs(jacobian(f).poly), _line_coeffs(fixed_form(f, 1))
         assert len(_gcd_coeffs(jc, phic, fld)) == 1
-        assert _forms_share_zero(jc, phic, fld)
+        assert next(_critical_orbit(*map(_line_coeffs, f.forms), jc, fld))
         assert _resultant_oracle(jacobian(f).poly, fixed_form(f, 1)).is_zero()
         assert has_periodic_critical_point(f, 3).period == 1
 
@@ -424,7 +482,7 @@ def test_shared_zero_test_with_a_prime_in_a_denominator():
     answers = []
     for other in ("x^2-30021*y^2", "x^2-3*y^2"):
         q = P("x") * P(other)
-        answers.append(_forms_share_zero(_line_coeffs(p), _line_coeffs(q), QQ))
+        answers.append(len(_gcd_coeffs(_line_coeffs(p), _line_coeffs(q), QQ)) > 1)
         assert answers[-1] == _resultant_oracle(p, q).is_zero()
     assert answers == [True, False]
 
@@ -436,11 +494,70 @@ def test_resultant_zero_only_mod_a_prime_is_not_a_shared_zero():
     jf, phi = jacobian(f).poly, fixed_form(f, 1)
     res = _resultant_oracle(jf, phi).constant_value()
     assert res != 0 and res % 10007 == 0
+    coeffs = [_line_coeffs(g) for g in (*f.forms, jf)]
     fq = GF(10007)
-    assert _forms_share_zero([fq.coerce(c) for c in _line_coeffs(jf)],
-                             [fq.coerce(c) for c in _line_coeffs(phi)], fq)
-    assert not _forms_share_zero(_line_coeffs(jf), _line_coeffs(phi), QQ)
+    assert next(_critical_orbit(*[[fq.coerce(c) for c in cs] for cs in coeffs],
+                                fq))
+    assert not next(_critical_orbit(*coeffs, QQ))
     assert not has_periodic_critical_point(f, 1).found
+
+
+def test_periodic_critical_decision_keeps_its_error_types():
+    for texts, fld, error in ((["x", "y"], QQ, InvalidInputError),
+                              (["x^3", "y^3"], GF(3), DegeneracyError),
+                              (["x^2", "y^2", "z^2"], QQ, UnsupportedScopeError)):
+        with pytest.raises(error):
+            has_periodic_critical_point(endomorphism_from_strings(texts, fld), 2)
+    with pytest.raises(InvalidInputError):
+        has_periodic_critical_point(z2_minus_1(), 0)
+    param = Endomorphism([P("x^2+x2*y^2", R3), P("y^2", R3)])
+    with pytest.raises(InvalidInputError):
+        has_periodic_critical_point(param, 2)
+
+
+def test_periodic_critical_decision_never_builds_iterates(monkeypatch):
+    iterates = count_calls(monkeypatch, Endomorphism, "iterate")
+    fixed = count_calls(monkeypatch, dynamics, "fixed_form")
+    for fld in (QQ, GF(101)):
+        assert has_periodic_critical_point(z2_minus_1(), 6).period == 1
+        f = endomorphism_from_strings(["x^2+y^2", "x*y"], fld)
+        assert not has_periodic_critical_point(f, 8).found
+    assert iterates == [] and fixed == []
+
+
+def test_screen_prime_dividing_the_resultant_falls_back_to_exact(monkeypatch):
+    f = endomorphism_from_strings(["x^2+10007*y^2", "x*y"], QQ)
+    orbits = count_calls(monkeypatch, dynamics, "_critical_orbit")
+    assert not has_periodic_critical_point(f, 3).found
+    assert [call[-1] for call in orbits] == [GF(dynamics.DEFAULT_MODULAR_PRIME)]
+    orbits.clear()
+    monkeypatch.setattr(dynamics, "DEFAULT_MODULAR_PRIME", 10007)
+    assert not has_periodic_critical_point(f, 3).found
+    # 10007 keeps j's degree but divides Res(J, Phi_1): period 1 is
+    # decided over QQ, periods 2 and 3 are ruled out at the prime
+    assert [call[-1] for call in orbits] == [GF(10007), QQ]
+    orbits.clear()
+    # J = 10007*x^2 - y^2: 10007 divides lc(j), so the screen moves on
+    g = endomorphism_from_strings(["10007*x^2+y^2", "x*y"], QQ)
+    assert not has_periodic_critical_point(g, 3).found
+    assert [call[-1] for call in orbits] == [GF(next(internal_primes()))]
+
+
+# a cubic whose reduction mod 101 keeps every degree and has four rational
+# critical points, all strictly preperiodic; so no critical point of it is
+# periodic at any period, over F_101 or over QQ
+_CUBIC = ["8*x^3-9*x*y^2+8*y^3", "x^3-8*x^2*y-5*x*y^2+y^3"]
+
+
+@pytest.mark.parametrize("fld", [GF(101), QQ], ids=str)
+def test_cubic_decided_through_period_12(fld):
+    f = endomorphism_from_strings(_CUBIC, fld)
+    report = has_periodic_critical_point(f, 12)
+    assert not report.found and report.scope == "closure-exact"
+    if fld != QQ:
+        crit = critical_points(f)
+        assert len(crit) == 4
+        assert all(f.orbit(c).tail > 0 for c in crit)
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(7), GF(101)], ids=str)
