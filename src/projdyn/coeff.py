@@ -270,7 +270,9 @@ def rational_reconstruct(value: int, modulus: int) -> Optional[Fraction]:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if r1 == 0:  # value was 0 mod m handled by loop? only if v==0
+    # r1 == 0 when v == 0 (the loop never ran), or when 2 * gcd(v, m)^2 >= m,
+    # so the remainders ran past their gcd to 0; only v == 0 has a value
+    if r1 == 0:
         return Fraction(0) if v == 0 else None
     if 2 * t1 * t1 >= bound_sq:
         return None

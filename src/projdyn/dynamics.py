@@ -651,6 +651,16 @@ def pushforward_iterated(f: Endomorphism, phi, k: int, *, mode: str = "steps",
 
 # -- improperness certificates --------------------------------------------------------
 
+def _certificate_indices(indices: Sequence[int], n: int) -> list[int]:
+    """The indices as a list; InvalidInputError unless they are strictly
+    increasing, nonnegative and n+1 in number."""
+    idx = list(indices)
+    if len(idx) != n + 1 or sorted(set(idx)) != idx or min(idx) < 0:
+        raise InvalidInputError(
+            "indices must be strictly increasing, nonnegative, length n+1")
+    return idx
+
+
 def improper_certificate(f: Endomorphism, phi, indices: Sequence[int], *,
                          strategy: str = "auto", seed: int = 0,
                          blocks=None) -> Polynomial:
@@ -663,10 +673,7 @@ def improper_certificate(f: Endomorphism, phi, indices: Sequence[int], *,
     the coefficients of f and phi, so evaluating a parametric certificate at
     a point agrees with certifying the specialized system directly.
     """
-    idx = list(indices)
-    if len(idx) != f.n + 1 or sorted(set(idx)) != idx or min(idx) < 0:
-        raise InvalidInputError(
-            "indices must be strictly increasing, nonnegative, length n+1")
+    idx = _certificate_indices(indices, f.n)
     pushes = _pushforward_chain(f, phi, max(idx), seed=seed, strategy=strategy)
     forms = [pushes[i] for i in idx]
     if blocks is None:
@@ -1024,7 +1031,5 @@ def dim_end(n: int, d: int) -> int:
 
 def generic_cert_degree(n: int, m: int, d: int, indices: Sequence[int]) -> int:
     """Coefficient-space degree of the certificate for generic data."""
-    idx = list(indices)
-    if len(idx) != n + 1:
-        raise InvalidInputError("need n+1 indices")
+    idx = _certificate_indices(indices, n)
     return (m ** n) * (d ** ((n - 1) * sum(idx))) * sum(d ** i for i in idx)

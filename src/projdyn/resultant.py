@@ -4,21 +4,27 @@ Sylvester matrices for binary forms, and the Macaulay construction
 (numerator matrix and reduced minor) for n+1 forms in n+1 block variables.
 
 Each Macaulay resultant builds one `MacaulaySystem`: the matrix layout,
-walked once into a list of cells, plus the forms' coefficient tables.
-Every route reads that one system:
+walked once into a list of cells, plus the forms' coefficient tables and a
+structural elimination schedule.  Rows and columns put the reduced minor's
+indices first, so det M' is the leading principal minor and one elimination
+without pivoting yields both determinants: det M / det M' is the product of
+the trailing pivots.  Every route reads that one system:
 
 - numeric forms, and any parameter point, go through one point evaluator
   (`_point_value`): zero when a form vanishes there, else det M / det M' on
-  field values;
+  field values, by one elimination along the schedule (the pivoted
+  determinant pair when a pivot is zero);
 - parametric systems take fraction-free symbolic elimination ("ratio") or
   interpolation of modular images ("modular").  An image is interpolated
   sparsely, by Zippel's variable-by-variable stages, where a few random
   probes bound the chance of a wrong image by 2^-32; elsewhere (a field
   small against the resultant's degree) on the dense tensor grid, which is
-  exact.  Values come from a numpy batch or the point evaluator.  Over QQ
-  each prime gets one reduced copy of the system; the images are combined
-  by CRT + rational reconstruction, and the first candidate that
-  reconstructs is checked at a fresh prime.
+  exact.  Values come from an int64 batch eliminated along the schedule,
+  or the point evaluator.  Vandermonde systems are solved by one matrix
+  product with a table of quotients.  Over QQ each prime gets one reduced
+  copy of the system; the images are combined by CRT + rational
+  reconstruction, and the first candidate that reconstructs is checked at
+  a fresh prime.
 
 When the reduced minor vanishes, the ratio route and the point evaluator
 share one ladder of seeded linear coordinate changes.
@@ -216,21 +222,47 @@ def macaulay_critical_degree(degrees: Sequence[int]) -> int:
     return sum(d - 1 for d in degrees) + 1
 
 
+def _elimination_schedule(size: int, cells) -> list[tuple[list[int], list[int]]]:
+    """Per diagonal step i of unpivoted elimination: the rows below i with a
+    structural nonzero in column i, and the columns right of i with one in
+    row i.  Step i fills those rows at those columns, so the pattern grows
+    as the steps run and the schedule covers every fill-in."""
+    pattern = [set() for _ in range(size)]
+    for r, c, _, _ in cells:
+        pattern[r].add(c)
+    schedule = []
+    for i in range(size):
+        below = [r for r in range(i + 1, size) if i in pattern[r]]
+        right = sorted(c for c in pattern[i] if c > i)
+        for r in below:
+            pattern[r].update(right)
+        schedule.append((below, right))
+    return schedule
+
+
 class MacaulaySystem:
     """Macaulay matrix layout for n+1 forms in the leading n+1 variables.
 
-    Columns are the block monomials of the critical degree D, graded-lex
-    descending.  Each column monomial mu is assigned to the least i with
+    Rows and columns are indexed by the block monomials of the critical
+    degree D.  Each monomial mu is assigned to the least i with
     x_i^{d_i} | mu; its row is (mu / x_i^{d_i}) * F_i.  The reduced minor
     uses the rows and columns whose monomial is divisible by x_i^{d_i} for
-    at least two distinct i.
+    at least two distinct i.  Those come first (graded-lex descending), then
+    the rest (likewise), the same order for rows and columns: det M is
+    unchanged, and the reduced minor M' is the leading minor_size x
+    minor_size block.
 
     `coeff_tables[i]` maps each block monomial of F_i to its coefficient
     polynomial in the parameters.  The layout is walked once, into `cells`:
-    one (row, column, form, block monomial) per entry of the matrix, and
-    `minor_cells` renumbers those of the reduced minor.  Every matrix this
-    system hands out (symbolic, field values, a numpy batch) is filled from
-    these lists.
+    one (row, column, form, block monomial) per entry of the matrix.  Every
+    matrix this system hands out (symbolic, field values, a numpy batch) is
+    filled from that list.
+
+    `schedule[i]` is the structural pattern of unpivoted elimination at
+    diagonal step i, closed under fill-in: the rows below i with a nonzero
+    in column i, and the columns right of i with a nonzero in row i.  One
+    elimination along it gives det M' as the product of the first
+    minor_size pivots and det M / det M' as the product of the others.
     """
 
     def __init__(self, forms: Sequence[Polynomial], block_size: Optional[int] = None):
@@ -258,51 +290,48 @@ class MacaulaySystem:
         self.block_size = bs
         self.degrees = degrees
         self.critical_degree = macaulay_critical_degree(degrees)
-        self.columns = monomials_of_degree(bs, self.critical_degree)
-        self.size = len(self.columns)
         self.coeff_tables = [_block_coefficients(f, bs) for f in forms]
         # highest exponent of each parameter over all coefficients
         self.param_degrees = [max(c.degree_in(v) for tab in self.coeff_tables
                                   for c in tab.values())
                               for v in range(bs, ring.nvars)]
 
-        col_index = {m: i for i, m in enumerate(self.columns)}
-        extraneous = []
+        # forms whose pure power divides each monomial (pigeonhole: at least one)
+        hits = {mu: [i for i in range(bs) if mu[i] >= degrees[i]]
+                for mu in monomials_of_degree(bs, self.critical_degree)}
+        extraneous = [mu for mu, h in hits.items() if len(h) >= 2]
+        self.columns = extraneous + [mu for mu, h in hits.items() if len(h) < 2]
+        self.size = len(self.columns)
+        self.minor_size = len(extraneous)
+        col_index = {m: c for c, m in enumerate(self.columns)}
         self.cells = []
         for row, mu in enumerate(self.columns):
-            hits = [i for i in range(bs) if mu[i] >= degrees[i]]
-            i = hits[0]  # pigeonhole: some coordinate reaches its degree
-            if len(hits) >= 2:
-                extraneous.append(row)
+            i = hits[mu][0]
             shift = list(mu)
             shift[i] -= degrees[i]
             for mb in self.coeff_tables[i]:
                 col = col_index[tuple(s + e for s, e in zip(shift, mb))]
                 self.cells.append((row, col, i, mb))
-        self.extraneous = extraneous
-        self.minor_size = len(extraneous)
-        pos = {c: k for k, c in enumerate(extraneous)}
-        self.minor_cells = [(pos[r], pos[c], i, mb) for r, c, i, mb in self.cells
-                            if r in pos and c in pos]
+        self.schedule = _elimination_schedule(self.size, self.cells)
 
-    def _fill(self, tables, out, minor: bool = False):
+    def _fill(self, tables, out):
         """Write tables[form][block monomial] into out[row][column] at every
-        entry of the matrix (or of the reduced minor).  `out` is a nested
-        list or a (k, k, batch) view of a preallocated numpy batch."""
-        for r, c, i, mb in self.minor_cells if minor else self.cells:
+        entry of the matrix.  `out` is a nested list or a (k, k, batch)
+        numpy array."""
+        for r, c, i, mb in self.cells:
             out[r][c] = tables[i][mb]
         return out
 
-    def _matrix_of(self, tables, zero, minor: bool = False):
-        """Nested-list matrix (or reduced minor) of table values, `zero` elsewhere."""
-        k = self.minor_size if minor else self.size
-        return self._fill(tables, [[zero] * k for _ in range(k)], minor)
+    def _matrix_of(self, tables, zero):
+        """Nested-list matrix of table values, `zero` elsewhere."""
+        return self._fill(tables, [[zero] * self.size for _ in range(self.size)])
 
     def matrix(self):
         return self._matrix_of(self.coeff_tables, self.ring.zero())
 
     def minor_matrix(self):
-        return self._matrix_of(self.coeff_tables, self.ring.zero(), minor=True)
+        km = self.minor_size
+        return [row[:km] for row in self.matrix()[:km]]
 
     def value_tables(self, point=None):
         """Coefficient tables as field values, parameters set to `point`.
@@ -367,14 +396,48 @@ def _coordinate_ladder(system: MacaulaySystem, forms: Sequence[Polynomial],
     raise DegeneracyError("macaulay-degenerate", detail)
 
 
-def _value_ratio(system: MacaulaySystem, tables):
-    """det M / det M' on field values; DegeneracyError if the minor vanishes."""
+def _scheduled_ratio(system: MacaulaySystem, tables):
+    """det M / det M' on field values: the product of the pivots after the
+    reduced minor's, from one unpivoted elimination along the schedule;
+    None when a pivot is zero."""
     fld = system.ring.field
-    det_minor = _field_det(system._matrix_of(tables, fld.zero(), minor=True), fld)
+    mul, sub = fld.mul, fld.sub
+    m = system._matrix_of(tables, fld.zero())
+    ratio = fld.one()
+    for i, (below, right) in enumerate(system.schedule):
+        top = m[i]
+        piv = top[i]
+        if fld.is_zero(piv):
+            return None
+        if i >= system.minor_size:
+            ratio = mul(ratio, piv)
+        if below and right:
+            inv = fld.inv(piv)
+            for r in below:
+                row = m[r]
+                f = mul(row[i], inv)
+                for c in right:
+                    row[c] = sub(row[c], mul(f, top[c]))
+    return ratio
+
+
+def _value_ratio(system: MacaulaySystem, tables):
+    """det M / det M' on field values; DegeneracyError if the minor vanishes.
+
+    One elimination along the schedule; at a zero pivot, the pivoted
+    determinants of M' and M.
+    """
+    ratio = _scheduled_ratio(system, tables)
+    if ratio is not None:
+        return ratio
+    fld = system.ring.field
+    full = system._matrix_of(tables, fld.zero())
+    km = system.minor_size
+    det_minor = _field_det([row[:km] for row in full[:km]], fld)
     if fld.is_zero(det_minor):
         raise DegeneracyError("macaulay-minor-singular",
                               "reduced minor vanished on this input")
-    return fld.div(_field_det(system._matrix_of(tables, fld.zero()), fld), det_minor)
+    return fld.div(_field_det(full, fld), det_minor)
 
 
 def _point_value(system: MacaulaySystem, point, rng: Random):
@@ -464,29 +527,29 @@ def _vec_inverse(x: np.ndarray, p: int) -> np.ndarray:
     return _vec_modpow(x, p - 2, p)
 
 
-def _batched_det_mod(a: np.ndarray, p: int):
-    """Determinants of a batch of matrices mod p, no pivoting.
+def _batched_ratio_mod(a: np.ndarray, schedule, minor_size: int, p: int):
+    """det M / det M' mod p for a (k, k, n) batch of matrices in the
+    system's layout order, by one unpivoted elimination along the schedule
+    (the batch is overwritten).
 
-    Returns (dets, ok); entries with ok=False hit a zero pivot and must be
+    Returns (ratios, ok); entries with ok=False hit a zero pivot and must be
     recomputed with a pivoting algorithm.
     """
-    n, k, _ = a.shape
-    det = np.ones(n, dtype=np.int64)
+    n = a.shape[2]
+    ratio = np.ones(n, dtype=np.int64)
     ok = np.ones(n, dtype=bool)
-    if k == 0:
-        return det, ok
-    for i in range(k):
-        piv = a[:, i, i]
+    for i, (below, right) in enumerate(schedule):
+        piv = a[i, i]
         zero = piv == 0
         ok &= ~zero
-        safe = np.where(zero, 1, piv)
-        det = det * safe % p
-        if i + 1 < k:
-            inv = _vec_inverse(safe, p)
-            factors = a[:, i + 1:, i] * inv[:, None] % p
-            a[:, i + 1:, i:] = (a[:, i + 1:, i:]
-                                - factors[:, :, None] * a[:, i, i:][:, None, :]) % p
-    return det % p, ok
+        if i >= minor_size:
+            ratio = ratio * piv % p
+        if below and right:
+            inv = _vec_inverse(np.where(zero, 1, piv), p)
+            factors = a[below, i] * inv % p
+            block = np.ix_(below, right)
+            a[block] = (a[block] - factors[:, None, :] * a[i, right][None, :, :]) % p
+    return ratio, ok
 
 
 def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
@@ -498,35 +561,54 @@ def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
     sum_j c_j nodes[j]^i = rhs[i], the coefficients of a sparse polynomial
     from its values at geometric points.  With M the product of (z - v)
     over the nodes, the interpolant that is 1 at v and 0 at the other
-    nodes is (M / (z - v)) / M'(v); both solves read these quotients one
-    node at a time.  Entries of `rhs` are ints, or int arrays of one shape
-    (one system per position); no intermediate exceeds p^2 + p.
+    nodes is (M / (z - v)) / M'(v).  The t x t table of the quotients
+    M / (z - v), row s for nodes[s], is built once: t steps of synthetic
+    division over all nodes together, then M'(v) by Horner.  The transposed
+    solve is the table times rhs, the plain one its transpose times rhs,
+    each one product mod p, with the 1 / M'(v) applied to the t rows of
+    the result or of rhs.  Entries of `rhs` are ints, or int arrays of one
+    shape (one system per position); the result has the same form.
     """
     t = len(nodes)
-    master = [1]  # coefficients of M, constant term first
-    for v in nodes:
-        master = [(a - v * b) % p for a, b in zip([0] + master, master + [0])]
-    out = [0] * t
-    for s, v in enumerate(nodes):
-        quot = [0] * t  # M / (z - v), by synthetic division from the top
-        acc = 1
-        for i in range(t - 1, -1, -1):
-            quot[i] = acc
-            acc = (master[i] + v * acc) % p
-        deriv = 0  # M'(v) = quot(v)
-        for c in reversed(quot):
-            deriv = (deriv * v + c) % p
-        if deriv == 0:
-            raise DegeneracyError("interpolation-singular", "repeated interpolation node")
-        scale = pow(deriv, -1, p)
-        if transposed:
-            acc = 0
-            for q, r in zip(quot, rhs):
-                acc = (acc + q * r) % p
-            out[s] = acc * scale % p
-        else:
-            w = rhs[s] * scale % p
-            out = [(o + q * w) % p for o, q in zip(out, quot)]
+    z = _vector([v % p for v in nodes], p)
+    master = _vector([1] + [0] * t, p)  # coefficients of M, constant term first
+    for m, v in enumerate(z):
+        master[1:m + 2] = (master[:m + 1] - v * master[1:m + 2]) % p
+        master[0] = -v * master[0] % p
+    table = _vector([[0] * t] * t, p)  # row s: M / (z - nodes[s]), from the top
+    acc = _vector([1] * t, p)
+    for i in range(t - 1, -1, -1):
+        table[:, i] = acc
+        acc = (master[i] + z * acc) % p
+    deriv = _vector([0] * t, p)  # M'(v) = (M / (z - v))(v)
+    for i in range(t - 1, -1, -1):
+        deriv = (deriv * z + table[:, i]) % p
+    if np.count_nonzero(deriv) < t:
+        raise DegeneracyError("interpolation-singular", "repeated interpolation node")
+    scale = _vector([pow(int(d), -1, p) for d in deriv], p)[:, None]
+    values = _vector(rhs, p)
+    flat = values.reshape(t, -1) % p
+    if transposed:
+        solved = scale * _matmul_mod(table, flat, p) % p
+    else:
+        solved = _matmul_mod(table.T, scale * flat % p, p)
+    solved = solved.reshape(values.shape)
+    if solved.ndim == 1:
+        return [int(c) for c in solved]
+    return list(solved)
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a . b mod p.  int64 operands (p < _NUMPY_SAFE, products below 2^56)
+    are summed 64 inner terms at a time, so no sum reaches 2^63; object
+    operands hold Python ints and need no chunks.  Each dtype takes the
+    form whose first call does not grow the process by 128 KiB: np.dot
+    for object, the matmul ufunc for int64."""
+    if a.dtype == object:
+        return np.dot(a, b) % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(0, a.shape[1], 64):
+        out = (out + a[:, j:j + 64] @ b[j:j + 64]) % p
     return out
 
 
@@ -629,7 +711,6 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
     p = system.ring.field.p
     bs = system.block_size
     k = system.size
-    km = system.minor_size
     full = np.array([plan.point_values(pt) for pt in points],
                     dtype=np.int64).reshape(len(points), len(plan.params))
 
@@ -661,18 +742,10 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
         val_tabs = [{mb: eval_terms(terms) for mb, terms in rt.items()}
                     for rt in term_tables]
 
-        # filled in place through (k, k, count) views of the batches
-        big = np.zeros((count, k, k), dtype=np.int64)
-        system._fill(val_tabs, np.moveaxis(big, 0, -1))
-        minor = np.zeros((count, km, km), dtype=np.int64)
-        system._fill(val_tabs, np.moveaxis(minor, 0, -1), minor=True)
-        det_minor, ok_m = _batched_det_mod(minor, p)
-        det_full, ok_f = _batched_det_mod(big, p)
-
-        good = ok_m & ok_f & (det_minor != 0)
-        vals = det_full * _vec_inverse(np.where(det_minor == 0, 1, det_minor), p) % p
-        values.extend(np.where(good, vals, 0).tolist())
-        bad.extend((start + int(j)) for j in np.nonzero(~good)[0])
+        batch = system._fill(val_tabs, np.zeros((k, k, count), dtype=np.int64))
+        ratios, ok = _batched_ratio_mod(batch, system.schedule, system.minor_size, p)
+        values.extend(np.where(ok, ratios, 0).tolist())
+        bad.extend(start + int(j) for j in np.nonzero(~ok)[0])
     return values, bad
 
 
@@ -681,11 +754,12 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
     """Exact resultant values mod p at parameter points, each a tuple of
     values on the plan's axes.
 
-    Below _NUMPY_SAFE an int64 batch serves every point where unpivoted
-    elimination meets no zero pivot.  The other points, and every point
-    above it (where int64 products could overflow), go through the point
-    evaluator: pivoted elimination, then the coordinate-change ladder if the
-    reduced minor genuinely vanishes there.
+    Below _NUMPY_SAFE an int64 batch, eliminated along the schedule, serves
+    every point where it meets no zero pivot.  The other points, and every
+    point above it (where int64 products could overflow), go through the
+    point evaluator: the same scheduled elimination on Python ints, pivoted
+    elimination where that meets a zero pivot, then the coordinate-change
+    ladder if the reduced minor genuinely vanishes there.
     """
     if system.ring.field.p < _NUMPY_SAFE:
         values, todo = _batched_values_mod(system, plan, points)

@@ -213,6 +213,18 @@ class TestJsonOutput:
                 "modular", "--seed", "11", "--json")
         assert invoke(*argv) == invoke(*argv)
 
+    def test_dims_checks_indices_as_improper_cert_does(self):
+        dims = ("dims", "--n", "1", "--m", "1", "--d", "2", "--json")
+        for indices in ("-1,0", "1,0", "0,0", "0", "0,1,2"):
+            code, out, err = invoke(*dims, f"--indices={indices}")
+            assert code == 2 and out == "", indices
+            assert "indices must be strictly increasing" in err
+        code, out, _ = invoke(*dims, "--indices=0,1")
+        assert code == 0
+        payload = json.loads(out)
+        validator().validate(payload)
+        assert payload["result"]["cert_degree"] == 3
+
     def test_threads_flag_is_rejected(self):
         code, out, err = invoke("dims", "--n", "1", "--d", "2", "--threads", "2")
         assert code == 2 and out == ""

@@ -599,3 +599,12 @@ def test_dimension_formulas():
     assert dim_end(2, 2) == 17
     assert generic_cert_degree(2, 1, 2, (0, 1, 2)) == 56
     assert generic_cert_degree(1, 3, 2, (0, 1)) == 9
+
+
+@pytest.mark.parametrize("indices", [(-1, 0), (1, 0), (1, 1), (0,), (0, 1, 2)])
+def test_certificate_degree_checks_indices_as_the_certificate_does(indices):
+    # negative, non-increasing or wrongly many indices: both calls refuse
+    with pytest.raises(InvalidInputError):
+        generic_cert_degree(1, 1, 2, indices)
+    with pytest.raises(InvalidInputError):
+        improper_certificate(squaring(), P("x+y"), indices)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from projdyn import resultant
@@ -557,7 +558,100 @@ def test_field_inverse_and_det_against_brute_force(fld):
     assert inverted > 0
 
 
-@pytest.mark.parametrize("p", [101, DEFAULT_MODULAR_PRIME])
+# block degrees of three forms on P^2 -> (order of M, order of M')
+ELIMINATION_SHAPES = {(1, 2, 2): (10, 2), (2, 2, 2): (15, 3),
+                      (1, 2, 4): (21, 7), (1, 4, 4): (36, 12)}
+
+
+def pivoted_ratio(system, tables):
+    """det M / det M' by the pivoted _field_det pair; None if M' is singular."""
+    fld = system.ring.field
+    full = system._matrix_of(tables, fld.zero())
+    km = system.minor_size
+    det_minor = _field_det([row[:km] for row in full[:km]], fld)
+    if fld.is_zero(det_minor):
+        return None
+    return fld.div(_field_det(full, fld), det_minor)
+
+
+def dense_unpivoted_failures(batch, p):
+    """Points of a (k, k, n) batch where dense elimination without pivoting,
+    every row below and every column right of each pivot, meets a zero."""
+    a = batch.copy()
+    k, _, n = a.shape
+    ok = np.ones(n, dtype=bool)
+    for i in range(k):
+        piv = a[i, i]
+        ok &= piv != 0
+        inv = np.array([pow(int(v), -1, p) if v else 0 for v in piv], dtype=np.int64)
+        factors = a[i + 1:, i] * inv % p
+        a[i + 1:, i:] = (a[i + 1:, i:] - factors[:, None, :] * a[i, i:][None]) % p
+    return int((~ok).sum())
+
+
+@pytest.mark.parametrize("fld", [GF(7), GF(10007), GF(DEFAULT_MODULAR_PRIME), QQ],
+                         ids=["GF7", "GF10007", "GF62bit", "QQ"])
+def test_scheduled_elimination_matches_pivoted_determinants(fld):
+    rng = Random(RNG_SEED)
+    ring = Ring(3, fld)
+    block = (0, 1, 2)
+    fallbacks = 0
+    for degrees, shape in ELIMINATION_SHAPES.items():
+        for _ in range(6):
+            system = MacaulaySystem([random_form(ring, block, d, rng, density=0.7)
+                                     for d in degrees])
+            assert (system.size, system.minor_size) == shape
+            # the reduced minor's monomials lead, in rows and columns alike
+            km = system.minor_size
+            assert all((sum(mu[i] >= d for i, d in enumerate(degrees)) >= 2) == (c < km)
+                       for c, mu in enumerate(system.columns))
+            tables = system.value_tables()
+            expected = pivoted_ratio(system, tables)
+            got = resultant._scheduled_ratio(system, tables)
+            if got is None:
+                fallbacks += 1
+                if expected is None:
+                    with pytest.raises(DegeneracyError):
+                        resultant._value_ratio(system, tables)
+                    continue
+            else:
+                assert got == expected
+            assert resultant._value_ratio(system, tables) == expected
+
+            if fld == QQ or fld.p >= _NUMPY_SAFE:
+                continue
+            # the batch: 64 random value sets on the same structural pattern
+            p = fld.p
+            batch_tables = [{mb: np.array([fld.random(rng) for _ in range(64)],
+                                          dtype=np.int64) for mb in tab}
+                            for tab in tables]
+            k = system.size
+            batch = system._fill(batch_tables, np.zeros((k, k, 64), dtype=np.int64))
+            dense = dense_unpivoted_failures(batch, p)
+            ratios, ok = resultant._batched_ratio_mod(batch, system.schedule, km, p)
+            assert (~ok).sum() <= dense
+            for j in range(64):
+                at_j = [{mb: int(v[j]) for mb, v in tab.items()} for tab in batch_tables]
+                if ok[j]:
+                    assert int(ratios[j]) == pivoted_ratio(system, at_j)
+    if fld == GF(7):  # the pivoted pair behind a zero pivot was checked too
+        assert fallbacks > 0
+
+
+def check_vandermonde(nodes, rhs, solved, p, transposed):
+    """Multiply the solution back: O(t^2) per right-hand side."""
+    t = len(nodes)
+    for i in range(t):
+        if transposed:
+            total = sum(c * pow(nodes[j], i, p) for j, c in enumerate(solved))
+        else:
+            total = sum(c * pow(nodes[i], j, p) for j, c in enumerate(solved))
+        assert total % p == rhs[i] % p
+
+
+# 101 is smaller than the largest t; the first internal prime is the
+# largest that takes the int64 product
+@pytest.mark.parametrize("p", [101, 10007, next(internal_primes()), DEFAULT_MODULAR_PRIME])
 def test_vandermonde_solve_matches_field_inverse(p):
     fld = GF(p)
     rng = Random(p)
@@ -577,6 +671,25 @@ def test_vandermonde_solve_matches_field_inverse(p):
                 assert [int(c[0]) for c in solved] == expected
                 assert [int(c[1]) for c in solved] \
                     == _vandermonde_solve(nodes, other, p, transposed=flag)
+    # around the int64 product's 64-term chunks, checked by multiplying back
+    for l in (63, 64, 65, 130):
+        if l > p:
+            continue
+        nodes = rng.sample(range(p), l)
+        rhs = [fld.random(rng) for _ in range(l)]
+        other = [fld.random(rng) for _ in range(l)]
+        batch = [resultant._vector([a, b], p) for a, b in zip(rhs, other)]
+        for flag in (False, True):
+            solved = _vandermonde_solve(nodes, rhs, p, transposed=flag)
+            assert all(type(c) is int for c in solved)
+            check_vandermonde(nodes, rhs, solved, p, flag)
+            columns = _vandermonde_solve(nodes, batch, p, transposed=flag)
+            assert [int(c[0]) for c in columns] == solved
+            check_vandermonde(nodes, other, [int(c[1]) for c in columns], p, flag)
+    # every entry p - 1: 130 products would pass 2^63 near _NUMPY_SAFE
+    worst = resultant._vector([[p - 1] * 130] * 2, p)
+    assert resultant._matmul_mod(worst, worst.T, p).tolist() \
+        == [[130 * (p - 1) ** 2 % p] * 2] * 2
     with pytest.raises(DegeneracyError) as err:
         _vandermonde_solve([1, 1 + p], [0, 0], p)
     assert err.value.code == "interpolation-singular"
