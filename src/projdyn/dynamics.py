@@ -508,8 +508,23 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
 
 
 def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
-                strategy: str, rescale: bool) -> tuple[Polynomial, Polynomial]:
-    """Reduced defining form of f(V(phi)) plus the first raw elimination.
+                strategy: str, rescale: bool,
+                raw_ext: Optional[Polynomial] = None) -> tuple[Polynomial, Polynomial]:
+    """Reduced defining form of f(V(phi)) plus the first raw elimination,
+    which a retry passes back in as `raw_ext`.
+
+    n = 1: the Sylvester resultant of phi and y1*f0 - y0*f1 is the exact
+    product of image point forms.  n >= 2: where y0 != 0 the minors
+    y0*f_k - y_k*f0 vanish exactly on f^-1(y), so by the Poisson product
+    formula R_a = Res_x(phi, those minors) is y0^e times the norm of phi
+    along f, up to a scalar.  R_b, from y0*f1 - y1*f0 and the
+    y_k*f_{k+1} - y_{k+1}*f_k, is that norm times a monomial in
+    y1..y_{n-1}; each vanishes identically iff V(phi) meets a base point.
+    So R_a's stripped part is the first candidate, as the stripped gcd of
+    both was.  It lacks any true component y_i = 0 of the image: only when
+    it fails the degree cap or the vanishing check does R_b run, and the
+    candidates come from gcd(R_a, R_b), stripped, then whole.  The
+    parameter-free route never runs R_b; it retries normalized, reusing R_a.
 
     With rescale=True every intermediate is primitive-normalized.  With
     rescale=False no coefficient-dependent normalization is applied: every
@@ -520,82 +535,69 @@ def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
     """
     n = f.n
     n1 = n + 1
-    ring = f.ring
     phi_degree = phi_poly.homogeneous_degree_in_block(tuple(range(n1)))
     if phi_poly.is_zero() or phi_degree is None or phi_degree < 1:
         raise InvalidInputError(
             "a hypersurface needs a nonzero block-homogeneous form of degree >= 1")
     norm = primitive_part if rescale else (lambda g: g)
-    ext, into, back = _extended_ring(ring, n)
+    ext, into, back = _extended_ring(f.ring, n)
     fx = [embed(g, ext, into) for g in f.forms]
     px = embed(phi_poly, ext, into)
     y = [ext.var(n1 + i) for i in range(n1)]
+    rejected = []
 
-    if n == 1:
-        raw_ext = sylvester_resultant(px, y[1] * fx[0] - y[0] * fx[1], pair=(0, 1))
-        combined = raw_ext
-    else:
-        minors = {}
-        for j in range(n1):
-            for k in range(j + 1, n1):
-                minors[(j, k)] = y[j] * fx[k] - y[k] * fx[j]
-        choice_a = [minors[(0, k)] for k in range(1, n1)]
-        choice_b = [minors[(0, 1)]] + [minors[(k, k + 1)] for k in range(1, n)]
-        results = [macaulay_resultant([px] + choice, n1, strategy=strategy,
-                                      seed=seed,
-                                      blocks=_graph_blocks([px] + choice, n1))
-                   for choice in (choice_a, choice_b)]
-        raw_ext = results[0]
-        if any(r.is_zero() for r in results):
+    def eliminate(pairs):
+        forms = [px] + [y[j] * fx[k] - y[k] * fx[j] for j, k in pairs]
+        r = macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
+                               blocks=_graph_blocks(forms, n1))
+        if r.is_zero():
             raise DegeneracyError("pushforward-degenerate",
                                   "an elimination resultant vanished identically")
-        if rescale:
-            reduced = [_strip_param_content(primitive_part(r), 2 * n1)
-                       for r in results]
-        else:
-            # each choice differs only by its extraneous coordinate monomial
-            reduced = [strip_monomial_content(r) for r in results]
-        if equal_up_to_scalar(reduced[0], reduced[1]):
-            combined = reduced[0]
-        else:
-            combined = poly_gcd(reduced[0], reduced[1])
+        return r
 
-    if combined.is_zero():
-        raise DegeneracyError("pushforward-degenerate",
-                              "elimination produced the zero form")
-    combined = _strip_param_content(norm(combined), 2 * n1)
-    stripped = strip_monomial_content(combined)
-    variants = [stripped, combined] if stripped != combined else [combined]
-    candidates = []
-    for g in variants:
-        if not _probably_squarefree(g, seed):
-            sf = squarefree_part(g)
-            # equal degree means g was already squarefree: keep its scalars
-            if rescale or sf.degree() != g.degree():
-                g = sf
-        candidates.append(g)
+    def variants(g):
+        if g.is_zero():
+            raise DegeneracyError("pushforward-degenerate",
+                                  "elimination produced the zero form")
+        g = _strip_param_content(norm(g), 2 * n1)
+        return [strip_monomial_content(g), g]
 
-    y_block = tuple(range(n1, 2 * n1))
-    degree_cap = phi_degree * f.d ** (n - 1)
-    final = None
-    for g in candidates:
-        if not 1 <= g.degree_in_block(y_block) <= degree_cap:
-            continue
-        for v in range(n1):
-            if g.degree_in(v) != 0:
+    def first_certified(candidates):
+        for g in candidates:
+            if not _probably_squarefree(g, seed):
+                sf = squarefree_part(g)
+                # equal degree means g was already squarefree: keep its scalars
+                if rescale or sf.degree() != g.degree():
+                    g = sf
+            if not 1 <= g.degree_in_block(tuple(range(n1, 2 * n1))) \
+                    <= phi_degree * f.d ** (n - 1):
+                continue
+            if any(g.degree_in(v) for v in range(n1)):
                 raise DegeneracyError("pushforward-degenerate",
                                       "x variables survived elimination")
-        g_base = norm(embed(g, ring, back))
-        if _certify_pushforward(f, phi_poly, phi_degree, g_base, seed):
-            final = g_base
-            break
+            g_base = norm(embed(g, f.ring, back))
+            if g_base not in rejected:
+                if _certify_pushforward(f, phi_poly, phi_degree, g_base, seed):
+                    return g_base
+                rejected.append(g_base)
+        return None
+
+    if raw_ext is None:
+        raw_ext = (eliminate([(0, k) for k in range(1, n1)]) if n > 1
+                   else sylvester_resultant(px, y[1] * fx[0] - y[0] * fx[1]))
+    # whole, R_a carries y0^e: for n >= 2 only its stripped part is tried
+    final = first_certified(variants(raw_ext)[:1 if n > 1 else 2])
+    if final is None and rescale and n > 1:
+        second = eliminate([(0, 1)] + [(k, k + 1) for k in range(1, n)])
+        reduced = [_strip_param_content(primitive_part(r), 2 * n1)
+                   for r in (raw_ext, second)]
+        final = first_certified(variants(
+            reduced[0] if equal_up_to_scalar(*reduced) else poly_gcd(*reduced)))
     if final is None:
         if not rescale:
-            # when the image form divides the coordinate-monomial junk the
-            # scalar-stable reduction collapses to a constant; only the
-            # normalized route can separate the two
+            # a coordinate-hyperplane component needs R_b and a normalizing gcd
             return _image_form(f, phi_poly, seed=seed, strategy=strategy,
-                               rescale=True)
+                               rescale=True, raw_ext=raw_ext)
         raise DegeneracyError("pushforward-unreduced",
                               "no candidate passed the degree and vanishing checks")
     return final, raw_ext
@@ -605,30 +607,28 @@ def pushforward(f: Endomorphism, phi, *, raw: bool = False, seed: int = 0,
                 strategy: str = "auto"):
     """Image of the hypersurface V(phi) under f, as a reduced primitive form.
 
-    Elimination on the graph ring [x | y | params]: for n = 1 a single
-    Sylvester resultant of phi and y1*f0 - y0*f1 is the exact product of
-    image point forms; for n >= 2 the Macaulay resultant of phi with n of
-    the minors y_j*f_k - y_k*f_j is taken for two choices of minors (each
-    choice contributes its own extraneous coordinate factor), combined by
-    gcd.  Parameter content is stripped, candidate monomial factors are
-    arbitrated by an independent vanishing check, and the result is made
-    squarefree.  With raw=True the first unreduced resultant is returned
-    alongside.  The map should be a morphism; degenerate eliminations raise.
+    Elimination on the graph ring [x | y | params]: for n = 1 one Sylvester
+    resultant; for n >= 2 one Macaulay resultant R_a of phi and the minors
+    y0*f_k - y_k*f0, whose only extraneous factor is a power of y0.  A
+    second choice of minors, combined by gcd, runs only when the image has
+    a coordinate-hyperplane component (see `_image_form`).  Parameter
+    content and monomial factors are stripped, candidates are arbitrated by
+    an independent vanishing check, and the result is made squarefree.
+    With raw=True R_a is returned alongside.  The map should be a morphism;
+    degenerate eliminations raise.
     """
     phi = _as_form(phi, f.n + 1)
     if phi.poly.ring != f.ring:
         raise RingMismatchError("hypersurface and map live in different rings")
     n1 = f.n + 1
-    final, raw_ext = _image_form(f, phi.poly, seed=seed, strategy=strategy,
-                                 rescale=True)
+    form, raw_ext = _image_form(f, phi.poly, seed=seed, strategy=strategy, rescale=True)
     if raw:
-        for v in range(n1):
-            if raw_ext.degree_in(v) != 0:
-                raise DegeneracyError("pushforward-degenerate",
-                                      "x variables survived elimination")
+        if any(raw_ext.degree_in(v) for v in range(n1)):
+            raise DegeneracyError("pushforward-degenerate",
+                                  "x variables survived elimination")
         _, _, back = _extended_ring(f.ring, f.n)
-        return HypersurfaceForm(final, n1), embed(raw_ext, f.ring, back)
-    return HypersurfaceForm(final, n1)
+        return HypersurfaceForm(form, n1), embed(raw_ext, f.ring, back)
+    return HypersurfaceForm(form, n1)
 
 
 def pushforward_iterated(f: Endomorphism, phi, k: int, *, mode: str = "steps",

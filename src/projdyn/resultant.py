@@ -222,16 +222,20 @@ def macaulay_critical_degree(degrees: Sequence[int]) -> int:
     return sum(d - 1 for d in degrees) + 1
 
 
-def _elimination_schedule(size: int, cells) -> list[tuple[list[int], list[int]]]:
+def _elimination_schedule(size: int, cells) -> Optional[list]:
     """Per diagonal step i of unpivoted elimination: the rows below i with a
     structural nonzero in column i, and the columns right of i with one in
     row i.  Step i fills those rows at those columns, so the pattern grows
-    as the steps run and the schedule covers every fill-in."""
+    as the steps run and the schedule covers every fill-in.  None when a
+    diagonal entry is still structurally zero at its step: that pivot is 0
+    at every point."""
     pattern = [set() for _ in range(size)]
     for r, c, _, _ in cells:
         pattern[r].add(c)
     schedule = []
     for i in range(size):
+        if i not in pattern[i]:
+            return None
         below = [r for r in range(i + 1, size) if i in pattern[r]]
         right = sorted(c for c in pattern[i] if c > i)
         for r in below:
@@ -263,6 +267,9 @@ class MacaulaySystem:
     in column i, and the columns right of i with a nonzero in row i.  One
     elimination along it gives det M' as the product of the first
     minor_size pivots and det M / det M' as the product of the others.
+    It is None when a pivot is structurally zero (a form lacks its pure
+    power and no fill-in reaches that diagonal entry); every value then
+    comes from the pivoted determinants.
     """
 
     def __init__(self, forms: Sequence[Polynomial], block_size: Optional[int] = None):
@@ -400,6 +407,8 @@ def _scheduled_ratio(system: MacaulaySystem, tables):
     """det M / det M' on field values: the product of the pivots after the
     reduced minor's, from one unpivoted elimination along the schedule;
     None when a pivot is zero."""
+    if system.schedule is None:
+        return None
     fld = system.ring.field
     mul, sub = fld.mul, fld.sub
     m = system._matrix_of(tables, fld.zero())
@@ -755,13 +764,14 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
     values on the plan's axes.
 
     Below _NUMPY_SAFE an int64 batch, eliminated along the schedule, serves
-    every point where it meets no zero pivot.  The other points, and every
-    point above it (where int64 products could overflow), go through the
-    point evaluator: the same scheduled elimination on Python ints, pivoted
-    elimination where that meets a zero pivot, then the coordinate-change
-    ladder if the reduced minor genuinely vanishes there.
+    every point where it meets no zero pivot.  The other points, every
+    point above it (where int64 products could overflow) and every point of
+    a system without a schedule go through the point evaluator: the same
+    scheduled elimination on Python ints, pivoted elimination where that
+    meets a zero pivot, then the coordinate-change ladder if the reduced
+    minor genuinely vanishes there.
     """
-    if system.ring.field.p < _NUMPY_SAFE:
+    if system.ring.field.p < _NUMPY_SAFE and system.schedule is not None:
         values, todo = _batched_values_mod(system, plan, points)
     else:
         values, todo = [0] * len(points), range(len(points))

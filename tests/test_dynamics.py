@@ -9,10 +9,12 @@ from random import Random
 import pytest
 
 from projdyn import dynamics
-from projdyn.coeff import GF, QQ, internal_primes
+from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
-                              _gcd_coeffs, _line_coeffs, _reduce_poly_mod,
+                              _extended_ring, _gcd_coeffs, _graph_blocks,
+                              _line_coeffs, _probably_squarefree,
+                              _reduce_poly_mod, _strip_param_content,
                               critical_points, dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
                               generic_cert_degree, has_periodic_critical_point,
@@ -22,8 +24,11 @@ from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               search_improper_witness)
 from projdyn.errors import (DegeneracyError, InvalidInputError,
                             UnsupportedScopeError)
-from projdyn.mpoly import Ring, parse_polynomial
-from projdyn.resultant import _BadPrime, sylvester_resultant
+from projdyn.mpoly import (Polynomial, Ring, embed, equal_up_to_scalar,
+                           monomials_of_degree, parse_polynomial, poly_gcd,
+                           primitive_part, squarefree_part,
+                           strip_monomial_content)
+from projdyn.resultant import _BadPrime, macaulay_resultant, sylvester_resultant
 
 from conftest import count_calls
 
@@ -224,6 +229,133 @@ def test_pushforward_checks_a_candidate_when_planned_primes_degenerate():
     conic = P(f"{n * n}*x^2+y^2+{n * n}*z^2-{2 * n}*x*y-{2 * n * n}*x*z"
               f"-{2 * n}*y*z", R3)
     assert image.poly == P("x", R3) * conic
+
+
+def eager_image_form(f, phi_poly, *, seed, strategy, rescale):
+    """Oracle: the eager image step.  For n >= 2 both choices of minors are
+    eliminated up front, and their stripped forms are compared, or combined
+    by gcd, before any candidate is checked."""
+    n1 = f.n + 1
+    ring = f.ring
+    phi_degree = phi_poly.homogeneous_degree_in_block(tuple(range(n1)))
+    if phi_poly.is_zero() or phi_degree is None or phi_degree < 1:
+        raise InvalidInputError("not a hypersurface")
+    norm = primitive_part if rescale else (lambda g: g)
+    ext, into, back = _extended_ring(ring, f.n)
+    fx = [embed(g, ext, into) for g in f.forms]
+    px = embed(phi_poly, ext, into)
+    y = [ext.var(n1 + i) for i in range(n1)]
+    if f.n == 1:
+        raw = combined = sylvester_resultant(px, y[1] * fx[0] - y[0] * fx[1])
+    else:
+        results = []
+        for pairs in ([(0, k) for k in range(1, n1)],
+                      [(0, 1)] + [(k, k + 1) for k in range(1, f.n)]):
+            forms = [px] + [y[j] * fx[k] - y[k] * fx[j] for j, k in pairs]
+            results.append(macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
+                                              blocks=_graph_blocks(forms, n1)))
+        raw = results[0]
+        if any(r.is_zero() for r in results):
+            raise DegeneracyError("pushforward-degenerate", "resultant vanished")
+        reduced = [_strip_param_content(primitive_part(r), 2 * n1) if rescale
+                   else strip_monomial_content(r) for r in results]
+        combined = (reduced[0] if equal_up_to_scalar(*reduced)
+                    else poly_gcd(*reduced))
+    if combined.is_zero():
+        raise DegeneracyError("pushforward-degenerate", "zero form")
+    combined = _strip_param_content(norm(combined), 2 * n1)
+    stripped = strip_monomial_content(combined)
+    candidates = []
+    for g in ([stripped, combined] if stripped != combined else [combined]):
+        if not _probably_squarefree(g, seed):
+            sf = squarefree_part(g)
+            if rescale or sf.degree() != g.degree():
+                g = sf
+        candidates.append(g)
+    for g in candidates:
+        if not 1 <= g.degree_in_block(tuple(range(n1, 2 * n1))) <= phi_degree * f.d ** (n1 - 2):
+            continue
+        if any(g.degree_in(v) for v in range(n1)):
+            raise DegeneracyError("pushforward-degenerate", "x survived")
+        g_base = norm(embed(g, ring, back))
+        if _certify_pushforward(f, phi_poly, phi_degree, g_base, seed):
+            return g_base, raw
+    if not rescale:
+        return eager_image_form(f, phi_poly, seed=seed, strategy=strategy, rescale=True)
+    raise DegeneracyError("pushforward-unreduced", "no candidate passed")
+
+
+def random_block_form(ring, n1, degree, rng, density=1.0):
+    """Seeded form of the given degree in the first n1 variables."""
+    fld = ring.field
+    terms = {}
+    for mb in monomials_of_degree(n1, degree):
+        if rng.random() < density:
+            c = fld.coerce(rng.randint(-5, 5) if fld == QQ else rng.randrange(fld.p))
+            if c:
+                terms[tuple(mb) + (0,) * (ring.nvars - n1)] = c
+    form = Polynomial(ring, terms)
+    return form if not form.is_zero() else random_block_form(ring, n1, degree, rng, density)
+
+
+def image_step_cases(fld, rng):
+    """(map, phi, also certify) triples: seeded P^2 and P^3 maps, parametric
+    planes, and phis with a component inside some V(f_i), whose image has
+    the coordinate hyperplane y_i = 0 as a component."""
+    r3, r4 = Ring(3, fld), Ring(4, fld)
+    cases = []
+    f = Endomorphism([random_block_form(r3, 3, 2, rng, 0.6) for _ in range(3)])
+    cases.append((f, random_block_form(r3, 3, 1, rng), True))
+    line = random_block_form(r3, 3, 1, rng)
+    forms = [line * random_block_form(r3, 3, 1, rng)] + list(f.forms[1:])
+    cases.append((Endomorphism(forms), line * random_block_form(r3, 3, 1, rng), True))
+    squares = [r4.var(i) ** 2 + (r4.var(j) * r4.var(k)).scale(fld.coerce(rng.randint(1, 5)))
+               for i in range(4) for j, k in [sorted(rng.sample(range(4), 2))]]
+    cases.append((Endomorphism(squares), random_block_form(r4, 4, 1, rng), False))
+    linear = [r4.var(0) + r4.var(1)] + [random_block_form(r4, 4, 1, rng) for _ in range(3)]
+    cases.append((Endomorphism(linear), linear[0] * random_block_form(r4, 4, 1, rng), False))
+    r6 = Ring(6, fld)
+    plane = P("x3*x0+x4*x1+x5*x2", r6)
+    squaring_plane = Endomorphism([r6.var(i) ** 2 for i in range(3)])
+    cases += [(squaring_plane, plane, False), (squaring_plane, r6.var(0) * plane, False)]
+    squaring_line = Endomorphism([r4.var(i) ** 2 for i in range(3)])
+    cases.append((squaring_line, P("x0+x3*x1+x2", r4), True))
+    return cases
+
+
+def image_step_outcomes(f, phi, certify, eliminations):
+    """The pushforward with its raw elimination, the number of eliminations
+    it ran, then the certificate if asked; a raised exception stands as its
+    type, which the other route must match."""
+    def outcome(step):
+        try:
+            return step()
+        except Exception as exc:
+            return type(exc)
+
+    eliminations.clear()
+    out = [outcome(lambda: pushforward(f, phi, raw=True)), len(eliminations)]
+    if certify:
+        out.append(outcome(lambda: improper_certificate(f, phi, range(f.n + 1))))
+    return out
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(101), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["QQ", "GF7", "GF101", "GF62bit"])
+def test_lazy_second_elimination_matches_the_eager_route(fld, monkeypatch):
+    eliminations = count_calls(monkeypatch, dynamics, "macaulay_resultant")
+    per_step = []
+    for f, phi, certify in image_step_cases(fld, Random(8)):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_image_form", eager_image_form)
+            expected = image_step_outcomes(f, phi, certify, eliminations)
+        got = image_step_outcomes(f, phi, certify, eliminations)
+        per_step.append(got.pop(1))
+        del expected[1]  # the oracle's eliminations are not counted
+        assert got == expected
+    # one elimination where R_a's stripped part is the image, two where the
+    # image has a coordinate-hyperplane component
+    assert 1 in per_step and 2 in per_step
 
 
 def test_bad_prime_reduction_is_an_internal_signal():

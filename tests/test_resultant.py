@@ -290,12 +290,13 @@ def test_one_macaulay_system_per_call(monkeypatch):
     assert probes[1][0].ring.field == QQ  # the rational candidate
     assert [fld.p for _, fld in copies] == [p1, p2]
 
-    # a parameter-free certificate over F_p: one system per resultant
+    # a parameter-free certificate over F_p: one system per resultant, one
+    # elimination per pushforward step
     builds.clear()
     copies.clear()
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
-    assert len(builds) == 5
+    assert len(builds) == 3
     assert not copies
 
 
@@ -328,16 +329,24 @@ SPARSE_SHAPES = ((2, (2, 3), 5), (3, (1, 1, 2), 5), (2, (3, 3), 4))
                          ids=["QQ", "GF10007", "GF62bit", "GF101"])
 def test_sparse_parametric_modular_matches_ratio(fld, monkeypatch):
     sparse = count_calls(monkeypatch, resultant, "_sparse_coeffs")
+    batched = count_calls(monkeypatch, resultant, "_batched_values_mod")
     rng = Random(777)
+    unscheduled = 0
     for block_size, degrees, nvars in SPARSE_SHAPES:
         ring = Ring(nvars, fld)
         for _ in range(3):
             forms = sparse_parametric_forms(ring, block_size, degrees, rng)
+            unscheduled += MacaulaySystem(forms, block_size).schedule is None
             modular = macaulay_resultant(forms, block_size, strategy="modular")
             assert modular == macaulay_resultant(forms, block_size, strategy="ratio")
     # over GF(101) no number of probes up to four reaches the 2^-32 bound at
     # these degrees, so every image there is the dense grid
     assert (not sparse) == (fld == GF(101))
+    # systems with a structurally zero pivot skip the int64 batch, and their
+    # values, all from the pivoted determinants, still match "ratio"
+    assert unscheduled == 5
+    assert all(system.schedule is not None for system, *_ in batched)
+    assert bool(batched) == (fld != GF(DEFAULT_MODULAR_PRIME))
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(DEFAULT_MODULAR_PRIME)], ids=["QQ", "GF62bit"])
@@ -391,13 +400,13 @@ def record_interpolations(monkeypatch):
 
 def test_direct_second_iterate_interpolates_sparsely(monkeypatch):
     # criterion 02's direct route: the symbolic plane under the second
-    # iterate of squaring, two 36x36 systems over QQ
+    # iterate of squaring, one 36x36 system over QQ
     runs = record_interpolations(monkeypatch)
     ring = Ring(6, QQ)
     f = Endomorphism([ring.var(i) ** 2 for i in range(3)])
     pushforward_iterated(f, P("x3*x0+x4*x1+x5*x2", ring), 2, mode="direct")
     p1, p2 = itertools.islice(internal_primes(), 2)
-    assert [(r["size"], r["box"]) for r in runs] == [(36, 7225), (36, 13005)]
+    assert [(r["size"], r["box"]) for r in runs] == [(36, 7225)]
     for r in runs:
         assert r["points"] * 10 <= r["box"]
         # one image prime, where the image is probed, then one probe prime
@@ -411,7 +420,7 @@ def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
     runs = record_interpolations(monkeypatch)
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
-    assert sorted({r["box"] for r in runs}) == [25, 45]
+    assert sorted({r["box"] for r in runs}) == [25]
     for r in runs:
         probes = _probe_count(r["plan"].degree_bound, DEFAULT_MODULAR_PRIME)
         assert probes == 1 and r["probed"] == probes
@@ -589,13 +598,27 @@ def dense_unpivoted_failures(batch, p):
     return int((~ok).sum())
 
 
-@pytest.mark.parametrize("fld", [GF(7), GF(10007), GF(DEFAULT_MODULAR_PRIME), QQ],
-                         ids=["GF7", "GF10007", "GF62bit", "QQ"])
-def test_scheduled_elimination_matches_pivoted_determinants(fld):
+def structural_batch(system, p, rng):
+    """(k, k, 64) batch of random nonzero values mod p on the system's
+    structural pattern."""
+    k = system.size
+    batch = np.zeros((k, k, 64), dtype=np.int64)
+    for r, c, _, _ in system.cells:
+        batch[r, c] = [rng.randrange(1, p) for _ in range(64)]
+    return batch
+
+
+# each field with the number of its 24 random systems below whose schedule
+# meets a structurally zero pivot
+@pytest.mark.parametrize("fld, expect_unscheduled", [
+    pytest.param(GF(7), 19, id="GF7"), pytest.param(GF(10007), 5, id="GF10007"),
+    pytest.param(GF(DEFAULT_MODULAR_PRIME), 9, id="GF62bit"), pytest.param(QQ, 8, id="QQ")])
+def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unscheduled):
     rng = Random(RNG_SEED)
     ring = Ring(3, fld)
     block = (0, 1, 2)
     fallbacks = 0
+    unscheduled = 0
     for degrees, shape in ELIMINATION_SHAPES.items():
         for _ in range(6):
             system = MacaulaySystem([random_form(ring, block, d, rng, density=0.7)
@@ -605,6 +628,12 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld):
             km = system.minor_size
             assert all((sum(mu[i] >= d for i, d in enumerate(degrees)) >= 2) == (c < km)
                        for c, mu in enumerate(system.columns))
+            # the schedule is withheld exactly when dense elimination without
+            # pivoting meets a zero at every point of the structural pattern
+            oracle = structural_batch(system, 10007, Random(RNG_SEED))
+            flagged = system.schedule is None
+            assert flagged == (dense_unpivoted_failures(oracle, 10007) == 64)
+            unscheduled += flagged
             tables = system.value_tables()
             expected = pivoted_ratio(system, tables)
             got = resultant._scheduled_ratio(system, tables)
@@ -628,6 +657,9 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld):
             k = system.size
             batch = system._fill(batch_tables, np.zeros((k, k, 64), dtype=np.int64))
             dense = dense_unpivoted_failures(batch, p)
+            if flagged:
+                assert dense == 64
+                continue
             ratios, ok = resultant._batched_ratio_mod(batch, system.schedule, km, p)
             assert (~ok).sum() <= dense
             for j in range(64):
@@ -635,7 +667,8 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld):
                 if ok[j]:
                     assert int(ratios[j]) == pivoted_ratio(system, at_j)
     if fld == GF(7):  # the pivoted pair behind a zero pivot was checked too
-        assert fallbacks > 0
+        assert fallbacks > unscheduled
+    assert unscheduled == expect_unscheduled
 
 
 def check_vandermonde(nodes, rhs, solved, p, transposed):
