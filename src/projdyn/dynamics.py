@@ -416,36 +416,69 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
     """Restrict g to a random line and test the restriction for a square.
 
     Over QQ the line lives mod a small prime; over F_p it is drawn over
-    F_p itself, with no reduction step.  True is a proof at every p: if
-    g = h^2 k with deg h >= 1, a restriction that keeps deg g keeps every
-    factor's degree, so h's restriction, of degree >= 1, divides the
-    restriction twice and it is not squarefree.  False only means the
-    cheap filter was inconclusive: a line that drops the degree, a bad
-    prime, or a restriction with zero derivative.
+    F_p itself, with no reduction step.  The restriction is a coefficient
+    list over the line's field, and gcd(r, r') runs by Euclid on it.  True
+    is a proof at every p: if g = h^2 k with deg h >= 1, a restriction that
+    keeps deg g keeps every factor's degree, so h's restriction, of degree
+    >= 1, divides the restriction twice and it is not squarefree.  False
+    only means the cheap filter was inconclusive: a line that drops the
+    degree, a bad prime, or a restriction with zero derivative.
     """
     if g.is_zero():
         return False
     fld = g.ring.field
     fields = ([GF(q) for q in _CERT_PRIMES] if isinstance(fld, RationalField)
               else [fld])
+    degree = g.degree()
     for lf in fields:
         rng = Random(seed ^ lf.p)
-        line = Ring(1, lf)
-        t = line.var(0)
-        images = [line.const(rng.randrange(lf.p)) + t.scale(rng.randrange(1, lf.p))
-                  for _ in range(g.ring.nvars)]
+        line = [(rng.randrange(lf.p), rng.randrange(1, lf.p))
+                for _ in range(g.ring.nvars)]
         try:
-            gm = (g.substitute(images) if lf is fld
-                  else _reduce_poly_mod(g, line, images))
-        except _BadPrime:
-            continue
-        if gm.is_zero() or gm.degree() < g.degree():
+            r = _line_restriction(g, line, lf)
+        except ZeroDivisionError:
+            continue  # bad prime
+        if len(r) <= degree:
             continue  # unlucky line or bad prime
-        der = gm.derivative(0)
-        if der.is_zero():
+        der = [lf.mul(i, c) for i, c in enumerate(r)][1:]
+        if not any(der):
             continue
-        return poly_gcd(gm, der).degree() == 0
+        return len(_gcd_coeffs(r, der, lf)) == 1
     return False
+
+
+def _line_restriction(g: Polynomial, line: Sequence[tuple], lf: PrimeField) -> list:
+    """g at x_i = a_i + b_i t for line = [(a_i, b_i)], with g's coefficients
+    mapped into lf: its coefficients in t, low degree first and trimmed.
+    ZeroDivisionError when a denominator of g vanishes in lf."""
+    p = lf.p
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return [v % p for v in out]
+
+    powers = []  # powers[i][e]: (a_i + b_i t)^e
+    for i, ab in enumerate(line):
+        row = [[1]]
+        for _ in range(g.degree_in(i)):
+            row.append(times(row[-1], ab))
+        powers.append(row)
+    out = [0] * (g.degree() + 1)
+    for m, c in g.terms.items():
+        part = [lf.coerce(c)]
+        for i, e in enumerate(m):
+            if e:
+                part = times(part, powers[i][e])
+        for k, v in enumerate(part):
+            out[k] += v
+    out = [v % p for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
@@ -455,12 +488,15 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
     Criterion: the squarefree part of phi divides candidate(f(x)).  Checked
     after reducing mod a small prime and fixing parameters at random values,
     so a passing candidate misses no component (up to reduction accidents);
-    rejection takes two independent failures.  A trial whose reduction
-    degenerates is skipped; when the planned trials end with neither a pass
-    nor two failures, further ones are drawn (fresh primes over QQ, fresh
-    parameter points over F_p).  A candidate is never accepted unchecked.
-    Without parameters, trials at one prime are the same computation, so
-    each prime gets one: over F_p that single trial decides.
+    rejection takes two independent failures.  The divisor is the reduced
+    phi itself when the line filter proves it squarefree, and its
+    squarefree part only when the filter does not decide.  A trial whose
+    reduction degenerates is skipped; when the planned trials end with
+    neither a pass nor two failures, further ones are drawn (fresh primes
+    over QQ, fresh parameter points over F_p).  A candidate is never
+    accepted unchecked.  Without parameters, trials at one prime are the
+    same computation, so each prime gets one: over F_p that single trial
+    decides.
     """
     ring = f.ring
     n1 = f.n + 1
@@ -497,8 +533,9 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
         composed = cs.substitute(fs)
         if composed.is_zero():
             return True
+        divisor = ps if _probably_squarefree(ps, seed) else squarefree_part(ps)
         try:
-            divexact(composed, squarefree_part(ps))
+            divexact(composed, divisor)
             return True
         except NotDivisibleError:
             failures += 1

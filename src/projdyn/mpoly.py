@@ -286,14 +286,22 @@ class Polynomial:
                 cache[key] = images[i] ** e
             return cache[key]
 
-        total = target.zero()
+        fld = target.field
+        zero = fld.zero()
+        constant = {(0,) * target.nvars: fld.one()}
+        out: dict = {}
         for m, c in self.terms.items():
-            part = target.const(c)
+            part = None
             for i, e in enumerate(m):
                 if e:
-                    part = part * power(i, e)
-            total = total + part
-        return total
+                    part = power(i, e) if part is None else part * power(i, e)
+            for mm, v in (constant if part is None else part.terms).items():
+                s = fld.add(out.get(mm, zero), fld.mul(c, v))
+                if fld.is_zero(s):
+                    out.pop(mm, None)
+                else:
+                    out[mm] = s
+        return Polynomial(target, out)
 
 
 # -- construction helpers ----------------------------------------------------

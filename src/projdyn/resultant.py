@@ -1006,9 +1006,12 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
 
     Numeric systems go through the determinant ratio with a seeded
     coordinate-change ladder.  Parametric systems use fraction-free symbolic
-    elimination ("ratio") or modular interpolation ("modular"); "auto" picks
-    by matrix size and field.  Returns a polynomial of the ambient ring with
-    zero block degrees (a constant when the input is numeric).
+    elimination ("ratio") or modular interpolation ("modular").  "auto"
+    interpolates over F_p whenever the field can hold the grid, and takes
+    the ratio route only when it cannot.  Over QQ it tries the ratio route
+    first on matrices of order <= 14 and interpolates when that degenerates,
+    and interpolates larger ones.  Returns a polynomial of the ambient ring
+    with zero block degrees (a constant when the input is numeric).
     """
     if strategy not in ("auto", "ratio", "modular"):
         raise InvalidInputError(f"unknown strategy {strategy!r}")
@@ -1038,14 +1041,13 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
             raise DegeneracyError("interpolation-underdetermined",
                                   "field too small for the required grid")
         return interpolate()
-    if strategy == "ratio":
+    if strategy == "ratio" or not modular_possible:
         return _ratio_resultant(system, forms, rng)
-    if system.size <= 14 or not modular_possible:
+    if plan is None and system.size <= 14:
         try:
             return _ratio_resultant(system, forms, rng)
         except DegeneracyError:
-            if not modular_possible:
-                raise
+            pass
     return interpolate()
 
 

@@ -3,6 +3,7 @@
 Numeric oracles here were computed by hand from the definitions (resultant
 row conventions, Vieta expansions, explicit orbit arithmetic) and frozen.
 """
+import math
 from fractions import Fraction
 from random import Random
 
@@ -463,6 +464,94 @@ def test_squarefree_filter_over_a_prime_field(p):
     assert any(dynamics._probably_squarefree(g * h, seed) for seed in range(8))
     assert not any(dynamics._probably_squarefree(g * h * h, seed)
                    for seed in range(8))
+
+
+def substituted_filter(g, seed):
+    """The line filter through symbolic polynomials: g substituted into
+    Ring(1, lf) on the same line, then poly_gcd.  Returns the verdict and
+    why it was reached, with the prime of the deciding line."""
+    if g.is_zero():
+        return False, "zero"
+    fld = g.ring.field
+    fields = [GF(q) for q in dynamics._CERT_PRIMES] if fld == QQ else [fld]
+    why = "undecided"
+    for lf in fields:
+        rng = Random(seed ^ lf.p)
+        line = Ring(1, lf)
+        t = line.var(0)
+        images = [line.const(rng.randrange(lf.p)) + t.scale(rng.randrange(1, lf.p))
+                  for _ in range(g.ring.nvars)]
+        try:
+            gm = _reduce_poly_mod(g, line, images)
+        except _BadPrime:
+            why = "bad prime"
+            continue
+        if gm.is_zero() or gm.degree() < g.degree():
+            why = "degree dropped"
+            continue
+        der = gm.derivative(0)
+        if der.is_zero():
+            why = "zero derivative"
+            continue
+        return poly_gcd(gm, der).degree() == 0, f"gcd at {lf.p}"
+    return False, why
+
+
+def random_dense_poly(ring, rng, degree):
+    fld = ring.field
+    out = ring.zero()
+    for _ in range(4):
+        mono = [0] * ring.nvars
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(ring.nvars)] += 1
+        out = out + Polynomial(ring, {tuple(mono): fld.coerce(rng.randint(-9, 9))})
+    return out
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(101), GF(10007), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["QQ", "GF7", "GF101", "GF10007", "GF62bit"])
+def test_squarefree_filter_matches_the_substituted_restriction(fld):
+    # the coefficient-list filter against substitution into Ring(1, lf) and
+    # poly_gcd, seed for seed: random polynomials, planted squares, and
+    # lines that drop the degree
+    rng = Random(4049)
+    ring = Ring(3, fld)
+    polys = []
+    for _ in range(5):
+        g, h = random_dense_poly(ring, rng, 3), random_dense_poly(ring, rng, 2)
+        polys += [g, g * h, g * h * h]
+    # over F_7 the top part x^7 y - x y^7 vanishes at every point of F_7^2,
+    # so every line drops the degree
+    polys.append(P("x^7*y-x*y^7+z^3+x", ring))
+    # over QQ a top coefficient divisible by every line prime drops the degree
+    polys.append(P(f"{math.prod(dynamics._CERT_PRIMES)}*x^3+x*y-z^2", ring))
+    reasons = set()
+    for g in polys:
+        for seed in range(8):
+            verdict, why = substituted_filter(g, seed)
+            assert _probably_squarefree(g, seed) == verdict
+            reasons.add(why if not why.startswith("gcd") else verdict)
+    assert {True, False} <= reasons
+    if fld in (GF(7), QQ):
+        assert "degree dropped" in reasons
+
+
+def test_squarefree_filter_edge_cases(monkeypatch):
+    # zero derivative in characteristic 7: every restriction of x^7 + y^7
+    # is a polynomial in t^7
+    g = P("x^7+y^7", Ring(2, GF(7)))
+    for seed in range(8):
+        assert substituted_filter(g, seed)[1] in ("zero derivative", "degree dropped")
+        assert not _probably_squarefree(g, seed)
+    # a denominator 10007 skips the first prime; 10009 decides
+    g = P("x^2/10007+x*y-3*y^2", R2)
+    restrictions = count_calls(monkeypatch, dynamics, "_line_restriction")
+    for seed in range(8):
+        restrictions.clear()
+        assert _probably_squarefree(g, seed) == substituted_filter(g, seed)[0]
+        assert substituted_filter(g, seed)[1] == "gcd at 10009"
+        assert [lf.p for _, _, lf in restrictions] == [10007, 10009]
+    assert not _probably_squarefree(Polynomial(R2, {}), 0)
 
 
 # -- periodic points --------------------------------------------------------------------

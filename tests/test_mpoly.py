@@ -136,6 +136,20 @@ def test_substitute_and_evaluate_agree():
     for _ in range(10):
         pt = [random_element(QQ, rng) for _ in range(3)]
         assert q.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
+    # terms that cancel across monomials, a constant term, a zero result;
+    # no zero coefficient is stored
+    xy = [P("x0+x1"), P("x0-x1"), P("x2")]
+    assert P("x0^2-x1^2-x0*x1").substitute(xy) == P("4*x0*x1-x0^2+x1^2")
+    assert P("x0*x1-x0^2+5").substitute(xy) == P("5-2*x0*x1-2*x1^2")
+    assert P("x0*x1-x1^2-2*x0+4*x1").substitute([P("x0+x1"), P("x0+x1"), P("x2")]) \
+        == P("2*x0+2*x1")
+    assert P("x0-x1+x2-1").substitute([P("x2+1"), P("x2"), R3.zero()]).is_zero()
+    f5 = Ring(2, GF(5))
+    r = parse_polynomial("x0^2+x1^2+3", f5).substitute(
+        [parse_polynomial("x0+2*x1", f5), parse_polynomial("2*x0-x1", f5)])
+    assert r == parse_polynomial("3", f5)
+    for out in (q, r):
+        assert all(not out.ring.field.is_zero(c) for c in out.terms.values())
 
 
 def test_substitute_ring_mismatch():

@@ -349,6 +349,44 @@ def test_sparse_parametric_modular_matches_ratio(fld, monkeypatch):
     assert bool(batched) == (fld != GF(DEFAULT_MODULAR_PRIME))
 
 
+def outcome(call):
+    """The value of call(), or the type of the DegeneracyError it raised."""
+    try:
+        return call()
+    except DegeneracyError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fld", [GF(10007), GF(DEFAULT_MODULAR_PRIME), QQ, GF(3), GF(5)],
+                         ids=["GF10007", "GF62bit", "QQ", "GF3", "GF5"])
+def test_auto_interpolates_wherever_the_prime_field_holds_the_grid(fld, monkeypatch):
+    # "auto" over F_p interpolates every parametric system whose grid fits
+    # in the field, small orders included; the ratio route serves QQ at
+    # order <= 14 and fields too small for the grid
+    ratio_calls = count_calls(monkeypatch, resultant, "_ratio_resultant")
+    rng = Random(RNG_SEED)
+    routed = {True: 0, False: 0}  # systems by whether auto took the ratio route
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        ring = Ring(nvars, fld)
+        for _ in range(4):
+            forms = sparse_parametric_forms(ring, block_size, degrees, rng)
+            system = MacaulaySystem(forms, block_size)
+            assert system.size <= 14
+            if all(not any(m[block_size:]) for f in forms for m in f.terms):
+                continue  # numeric after reduction: no route to choose
+            fits = (fld != QQ
+                    and resultant._GridPlan(system, None).max_axis_length() <= fld.p)
+            ratio_calls.clear()
+            auto = outcome(lambda: macaulay_resultant(forms, block_size))
+            assert bool(ratio_calls) == (not fits)
+            routed[not fits] += 1
+            assert auto == outcome(
+                lambda: macaulay_resultant(forms, block_size, strategy="ratio"))
+    expected = {GF(3): {True: 8, False: 3}, GF(5): {True: 9, False: 3},
+                QQ: {True: 12, False: 0}}
+    assert routed == expected.get(fld, {True: 0, False: 12})
+
+
 @pytest.mark.parametrize("fld", [QQ, GF(DEFAULT_MODULAR_PRIME)], ids=["QQ", "GF62bit"])
 def test_value_tables_equal_coefficientwise_evaluation(fld):
     rng = Random(RNG_SEED)
@@ -420,7 +458,7 @@ def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
     runs = record_interpolations(monkeypatch)
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
-    assert sorted({r["box"] for r in runs}) == [25]
+    assert sorted({r["box"] for r in runs}) == [9, 25]
     for r in runs:
         probes = _probe_count(r["plan"].degree_bound, DEFAULT_MODULAR_PRIME)
         assert probes == 1 and r["probed"] == probes
