@@ -1,0 +1,115 @@
+"""Record the benchmark's end-to-end numbers in a committed BENCH file.
+
+    python3 scripts/bench_record.py --out BENCH_10.json --seconds 8 \
+        --seeds 101 102 103 --parent ../parent-checkout
+
+Runs ``bench/run.py`` (untraced) for every workload of ``BENCHMARK.json``
+and every seed, in this checkout and, with ``--parent``, in a checkout of
+the parent commit.  The two sides alternate which runs first from one seed
+to the next.  Per run the file keeps the last-line JSON of ``bench/run.py``
+and the run's context, samples and counters from ``.bench_out``.  Per
+workload and side it keeps the median and quartiles of each end-to-end
+metric, and with a parent, how many pairs the change won on each.  It also
+records each side's ``src/`` line count and the machine's ``nproc``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--parent", type=Path,
+                    help="checkout of the parent commit, measured alongside")
+    return ap.parse_args(argv)
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted((tree / "src").rglob("*.py")))
+
+
+def revision(tree: Path):
+    try:
+        out = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text(encoding="utf-8"))
+    return {"seed": seed, "result": result, "context": record["context"],
+            "samples": record["samples"], "counters": record["counters"]}
+
+
+def value(run: dict, metric: str) -> float:
+    return run["result"]["metrics"][metric]["value"]
+
+
+def summary(runs: list, metrics: list) -> dict:
+    out = {}
+    for m in metrics:
+        values = [value(r, m) for r in runs]
+        median = statistics.median(values)
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else [median] * 3
+        out[m] = {"median": median, "q1": q1, "q3": q3}
+    return out
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    trees = {"change": HERE}
+    if args.parent is not None:
+        trees = {"parent": args.parent.resolve(), **trees}
+
+    report = {"command": " ".join(spec["command"]), "seconds": args.seconds,
+              "seeds": args.seeds, "nproc": os.cpu_count(),
+              "trees": {side: {"revision": revision(tree), "src_lines": src_lines(tree)}
+                        for side, tree in trees.items()},
+              "workloads": {}}
+    for w in spec["workloads"]:
+        name = w["name"]
+        runs = {side: [] for side in trees}
+        for i, seed in enumerate(args.seeds):
+            order = list(trees) if i % 2 == 0 else list(reversed(trees))
+            for side in order:
+                runs[side].append(run_once(trees[side], name, seed, args.seconds))
+                print(name, seed, side, value(runs[side][-1], "run_s"), file=sys.stderr)
+        entry = {side: {"summary": summary(rs, metrics), "runs": rs}
+                 for side, rs in runs.items()}
+        if "parent" in runs:
+            wins = {m: 0 for m in metrics}
+            for c, p in zip(runs["change"], runs["parent"]):
+                for m in metrics:
+                    cv, pv = value(c, m), value(p, m)
+                    wins[m] += cv < pv if lower[m] else cv > pv
+            entry["change_wins"] = wins
+        report["workloads"][name] = entry
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

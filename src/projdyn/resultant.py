@@ -10,19 +10,21 @@ indices first, so det M' is the leading principal minor and one elimination
 without pivoting yields both determinants: det M / det M' is the product of
 the trailing pivots.  Every route reads that one system:
 
-- numeric forms, and any parameter point, go through one point evaluator
-  (`_point_value`): zero when a form vanishes there, else det M / det M' on
-  field values, by one elimination along the schedule (the pivoted
-  determinant pair when a pivot is zero);
+- numeric forms go through the point evaluator (`_point_value`): zero when
+  a form vanishes, else det M / det M' on field values, by one elimination
+  along the schedule (the pivoted determinant pair when a pivot is zero);
 - parametric systems take fraction-free symbolic elimination ("ratio") or
   interpolation of modular images ("modular").  An image is interpolated
   sparsely, by Zippel's variable-by-variable stages, where a few random
   probes bound the chance of a wrong image by 2^-32; elsewhere (a field
   small against the resultant's degree) on the dense tensor grid, which is
-  exact.  Values come from an int64 batch eliminated along the schedule,
-  or the point evaluator.  Vandermonde systems are solved by one matrix
-  product with a table of quotients.  Over QQ each prime gets one reduced
-  copy of the system; the images are combined by CRT + rational
+  exact.  The points of a batch are eliminated along the schedule
+  together: in lockstep on Python ints, with one modular inverse per pivot
+  step for the whole batch (Montgomery's trick), or, for large batches
+  below 2^28, as one int64 numpy batch.  Points where that meets a zero
+  pivot go to the point evaluator.  Vandermonde systems are solved by one
+  matrix product with a table of quotients.  Over QQ each prime gets one
+  reduced copy of the system; the images are combined by CRT + rational
   reconstruction, and the first candidate that reconstructs is checked at
   a fresh prime.
 
@@ -54,7 +56,8 @@ _RETRIES = 5          # attempts before giving up: coordinate changes, node
                       # draws, sparse images
 _MAX_PRIMES = 24      # CRT budget for rational interpolation
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
-_SHORT_VECTOR = 128   # below this length Python's pow inverts faster than numpy
+_LOCKSTEP_POINTS = 8  # up to this many points Python ints beat numpy's per-step
+                      # cost (measured crossover: 8-12 points, orders 3-36)
 _NUMPY_SAFE = 1 << 28  # primes below this keep int64 products overflow-free
 _PROBE_BITS = 32       # an accepted candidate is wrong with probability <= 2^-32
 _MAX_SPARSE_PROBES = 4  # sparse stages run only where this many probes suffice
@@ -403,40 +406,97 @@ def _coordinate_ladder(system: MacaulaySystem, forms: Sequence[Polynomial],
     raise DegeneracyError("macaulay-degenerate", detail)
 
 
-def _scheduled_ratio(system: MacaulaySystem, tables):
-    """det M / det M' on field values: the product of the pivots after the
-    reduced minor's, from one unpivoted elimination along the schedule;
-    None when a pivot is zero."""
+def _inverses_mod(values: list[int], p: int) -> list[int]:
+    """Inverses of nonzero residues mod p by Montgomery's simultaneous
+    inversion (Math. Comp. 48, 1987): one pow and 3(n-1) products.  Both
+    scheduled eliminations invert each step's pivots with it."""
+    prefix = []  # prefix[j]: the product of values[:j]
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    acc = pow(acc, -1, p)  # from here on, the inverse of the product of values[:j + 1]
+    for j in range(len(values) - 1, -1, -1):
+        prefix[j], acc = acc * prefix[j] % p, acc * values[j] % p
+    return prefix
+
+
+def _scheduled_ratios(system: MacaulaySystem, batch) -> list:
+    """det M / det M' for each entry of `batch`, a list of value tables (one
+    per point): the product of the pivots after the reduced minor's, from
+    one unpivoted elimination along the schedule.  The points step through
+    the schedule in lockstep, so each diagonal step inverts the pivots of
+    the whole batch at once.  The arithmetic is inlined, on ints mod p or
+    on Fractions over QQ.  None for a point where a pivot is zero, and for
+    every point of a system without a schedule."""
+    n = len(batch)
     if system.schedule is None:
-        return None
+        return [None] * n
     fld = system.ring.field
-    mul, sub = fld.mul, fld.sub
-    m = system._matrix_of(tables, fld.zero())
-    ratio = fld.one()
-    for i, (below, right) in enumerate(system.schedule):
-        top = m[i]
-        piv = top[i]
-        if fld.is_zero(piv):
-            return None
-        if i >= system.minor_size:
-            ratio = mul(ratio, piv)
-        if below and right:
-            inv = fld.inv(piv)
+    km = system.minor_size
+    mats = [system._matrix_of(tables, fld.zero()) for tables in batch]
+    ratios = [fld.one()] * n
+    live = [True] * n
+
+    if isinstance(fld, PrimeField):
+        p = fld.p
+
+        def residue(x):
+            return x % p
+
+        def invert(pivots):
+            return _inverses_mod(pivots, p)
+
+        def eliminate(m, i, inv, below, right):
+            # an entry is reduced only where it is read (pivot, pivot row,
+            # factor); it takes at most one update per step, so stays
+            # below k * p^2 in size
+            top = m[i]
+            for c in right:
+                top[c] %= p
             for r in below:
                 row = m[r]
-                f = mul(row[i], inv)
+                f = row[i] * inv % p
                 for c in right:
-                    row[c] = sub(row[c], mul(f, top[c]))
-    return ratio
+                    row[c] -= f * top[c]
+    else:
+        def residue(x):
+            return x
+
+        def invert(pivots):
+            return [1 / v for v in pivots]
+
+        def eliminate(m, i, inv, below, right):
+            top = m[i]
+            for r in below:
+                row = m[r]
+                f = row[i] * inv
+                for c in right:
+                    row[c] -= f * top[c]
+
+    for i, (below, right) in enumerate(system.schedule):
+        pivots = [residue(m[i][i]) for m in mats]
+        if 0 in pivots:
+            # a dead point takes pivot 1, so the batch stays invertible
+            for j, v in enumerate(pivots):
+                if not v:
+                    live[j] = False
+                    pivots[j] = fld.one()
+        if i >= km:
+            ratios = [residue(r * v) for r, v in zip(ratios, pivots)]
+        if below and right:
+            for m, inv in zip(mats, invert(pivots)):
+                eliminate(m, i, inv, below, right)
+    return [r if ok else None for r, ok in zip(ratios, live)]
 
 
 def _value_ratio(system: MacaulaySystem, tables):
     """det M / det M' on field values; DegeneracyError if the minor vanishes.
 
-    One elimination along the schedule; at a zero pivot, the pivoted
-    determinants of M' and M.
+    The scheduled elimination on a batch of one; at a zero pivot, the
+    pivoted determinants of M' and M.
     """
-    ratio = _scheduled_ratio(system, tables)
+    ratio, = _scheduled_ratios(system, [tables])
     if ratio is not None:
         return ratio
     fld = system.ring.field
@@ -516,26 +576,6 @@ def _reduce_form_mod(f: Polynomial, target: Ring) -> Polynomial:
     return Polynomial(target, terms)
 
 
-def _vec_modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    r = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
-
-
-def _vec_inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of nonzero residues.  A short vector takes Python's
-    pow per entry: numpy's per-call cost makes Fermat's ~3 log p array
-    operations slower there."""
-    if len(x) < _SHORT_VECTOR:
-        return np.array([pow(v, -1, p) for v in x.tolist()], dtype=np.int64)
-    return _vec_modpow(x, p - 2, p)
-
-
 def _batched_ratio_mod(a: np.ndarray, schedule, minor_size: int, p: int):
     """det M / det M' mod p for a (k, k, n) batch of matrices in the
     system's layout order, by one unpivoted elimination along the schedule
@@ -554,7 +594,8 @@ def _batched_ratio_mod(a: np.ndarray, schedule, minor_size: int, p: int):
         if i >= minor_size:
             ratio = ratio * piv % p
         if below and right:
-            inv = _vec_inverse(np.where(zero, 1, piv), p)
+            inv = np.array(_inverses_mod(np.where(zero, 1, piv).tolist(), p),
+                           dtype=np.int64)
             factors = a[below, i] * inv % p
             block = np.ix_(below, right)
             a[block] = (a[block] - factors[:, None, :] * a[i, right][None, :, :]) % p
@@ -763,18 +804,24 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
     """Exact resultant values mod p at parameter points, each a tuple of
     values on the plan's axes.
 
-    Below _NUMPY_SAFE an int64 batch, eliminated along the schedule, serves
-    every point where it meets no zero pivot.  The other points, every
-    point above it (where int64 products could overflow) and every point of
-    a system without a schedule go through the point evaluator: the same
-    scheduled elimination on Python ints, pivoted elimination where that
-    meets a zero pivot, then the coordinate-change ladder if the reduced
-    minor genuinely vanishes there.
+    Every point meets one elimination along the schedule.  A batch of more
+    than _LOCKSTEP_POINTS points below _NUMPY_SAFE runs as one int64 numpy
+    batch; any other batch (every batch above _NUMPY_SAFE, where int64
+    products could overflow) runs in lockstep on Python ints
+    (`_scheduled_ratios`).  Points where that meets a zero pivot (every
+    point where a form vanishes does: its rows are zero), and every point
+    of a system without a schedule, go through the point evaluator: zero
+    for a vanishing form, else pivoted elimination, then the
+    coordinate-change ladder if the reduced minor genuinely vanishes there.
     """
-    if system.ring.field.p < _NUMPY_SAFE and system.schedule is not None:
+    if system.schedule is None:
+        values, todo = [0] * len(points), range(len(points))
+    elif system.ring.field.p < _NUMPY_SAFE and len(points) > _LOCKSTEP_POINTS:
         values, todo = _batched_values_mod(system, plan, points)
     else:
-        values, todo = [0] * len(points), range(len(points))
+        values = _scheduled_ratios(
+            system, [system.value_tables(plan.point_values(pt)) for pt in points])
+        todo = [i for i, v in enumerate(values) if v is None]
     for i in todo:
         values[i] = _point_value(system, plan.point_values(points[i]), rng)
     return values

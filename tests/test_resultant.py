@@ -401,10 +401,19 @@ def test_value_tables_equal_coefficientwise_evaluation(fld):
 
 def record_interpolations(monkeypatch):
     """Per parametric interpolation: matrix size, dense grid size, points
-    interpolated and probed, evaluations by the point evaluator, and the
-    primes of the images and of the probes."""
+    interpolated and probed, evaluations (points valued by the batched
+    kernel, plus calls of the point evaluator), and the primes of the
+    images and of the probes."""
     values = count_calls(monkeypatch, resultant, "_values_mod")
     evaluations = count_calls(monkeypatch, resultant, "_point_value")
+    kernel = resultant._scheduled_ratios
+
+    def counted_kernel(system, batch):
+        ratios = kernel(system, batch)
+        evaluations.extend(r for r in ratios if r is not None)
+        return ratios
+
+    monkeypatch.setattr(resultant, "_scheduled_ratios", counted_kernel)
     images = count_calls(monkeypatch, resultant, "_image_coeffs")
     probes = []
     probe = resultant._verify_candidate
@@ -464,6 +473,59 @@ def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
         assert probes == 1 and r["probed"] == probes
         assert r["points"] <= r["box"]
         assert r["evaluations"] == r["points"] + probes
+
+
+def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
+    batched = count_calls(monkeypatch, resultant, "_batched_values_mod")
+    evaluated = count_calls(monkeypatch, resultant, "_point_value")
+    kernel = resultant._scheduled_ratios
+    zero_pivots = []
+
+    def counted_kernel(system, batch):
+        ratios = kernel(system, batch)
+        zero_pivots.extend(r for r in ratios if r is None)
+        return ratios
+
+    monkeypatch.setattr(resultant, "_scheduled_ratios", counted_kernel)
+
+    # over GF(10007) the same seeded points, in batches just below and just
+    # above the crossover, run in lockstep and as int64 batches alike
+    fld = GF(10007)
+    small = resultant._LOCKSTEP_POINTS
+    rng = Random(RNG_SEED)
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        system = MacaulaySystem(
+            sparse_parametric_forms(Ring(nvars, fld), block_size, degrees, rng), block_size)
+        assert system.schedule is not None
+        plan = resultant._GridPlan(system, None)
+        # the origin zeroes every parameter-dependent coefficient
+        points = [(0,) * len(plan.axes)] + [tuple(fld.random(rng) for _ in plan.axes)
+                                            for _ in range(small * (small + 1) - 1)]
+
+        def in_batches(size):
+            return [v for start in range(0, len(points), size)
+                    for v in resultant._values_mod(system, plan, points[start:start + size],
+                                                   Random(0))]
+
+        batched.clear()
+        lockstep = in_batches(small)
+        assert not batched
+        assert lockstep == in_batches(small + 1)
+        assert len(batched) == small
+    # the origin meets a zero pivot in two of the systems, once per route
+    assert len(evaluated) == 4
+
+    # over the 62-bit prime every batch runs in lockstep; the point evaluator
+    # serves the certificate's own numeric resultant and zero-pivot points,
+    # of which this certificate meets none
+    batched.clear()
+    evaluated.clear()
+    zero_pivots.clear()
+    f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
+    improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
+    assert not batched
+    assert not zero_pivots
+    assert [point for _, point, _ in evaluated] == [None]
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
@@ -646,11 +708,15 @@ def structural_batch(system, p, rng):
     return batch
 
 
+# the points of a 64-point batch where the test plants a zero pivot
+PLANTED_ZERO_PIVOTS = (0, 31, 63)
+
+
 # each field with the number of its 24 random systems below whose schedule
 # meets a structurally zero pivot
 @pytest.mark.parametrize("fld, expect_unscheduled", [
     pytest.param(GF(7), 19, id="GF7"), pytest.param(GF(10007), 5, id="GF10007"),
-    pytest.param(GF(DEFAULT_MODULAR_PRIME), 9, id="GF62bit"), pytest.param(QQ, 8, id="QQ")])
+    pytest.param(GF(DEFAULT_MODULAR_PRIME), 11, id="GF62bit"), pytest.param(QQ, 12, id="QQ")])
 def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unscheduled):
     rng = Random(RNG_SEED)
     ring = Ring(3, fld)
@@ -674,7 +740,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             unscheduled += flagged
             tables = system.value_tables()
             expected = pivoted_ratio(system, tables)
-            got = resultant._scheduled_ratio(system, tables)
+            got, = resultant._scheduled_ratios(system, [tables])
             if got is None:
                 fallbacks += 1
                 if expected is None:
@@ -685,25 +751,48 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
                 assert got == expected
             assert resultant._value_ratio(system, tables) == expected
 
+            # the batch: 64 random value sets on the same structural pattern,
+            # with the first pivot planted zero at the first, a middle and
+            # the last point, so the batch inversion must skip them
+            columns = [{mb: [fld.random(rng) for _ in range(64)] for mb in tab}
+                       for tab in tables]
+            points = [[{mb: col[j] for mb, col in tab.items()} for tab in columns]
+                      for j in range(64)]
+            if flagged:
+                ratios = resultant._scheduled_ratios(system, points)
+                assert ratios == [None] * 64
+            else:
+                form, mb = next((i, mb) for r, c, i, mb in system.cells if r == c == 0)
+                for j in PLANTED_ZERO_PIVOTS:
+                    points[j][form][mb] = fld.zero()
+                ratios = resultant._scheduled_ratios(system, points)
+                assert all(ratios[j] is None for j in PLANTED_ZERO_PIVOTS)
+                for ratio, at_j in zip(ratios, points):
+                    expected = pivoted_ratio(system, at_j)
+                    if ratio is not None:
+                        assert ratio == expected
+                    elif expected is None:
+                        with pytest.raises(DegeneracyError):
+                            resultant._value_ratio(system, at_j)
+                    else:
+                        assert resultant._value_ratio(system, at_j) == expected
             if fld == QQ or fld.p >= _NUMPY_SAFE:
                 continue
-            # the batch: 64 random value sets on the same structural pattern
+            # the int64 batch on the same value sets meets the same zero
+            # pivots and agrees wherever it meets none
             p = fld.p
-            batch_tables = [{mb: np.array([fld.random(rng) for _ in range(64)],
-                                          dtype=np.int64) for mb in tab}
-                            for tab in tables]
+            batch_tables = [{mb: np.array([pt[i][mb] for pt in points], dtype=np.int64)
+                             for mb in tab} for i, tab in enumerate(tables)]
             k = system.size
             batch = system._fill(batch_tables, np.zeros((k, k, 64), dtype=np.int64))
             dense = dense_unpivoted_failures(batch, p)
             if flagged:
                 assert dense == 64
                 continue
-            ratios, ok = resultant._batched_ratio_mod(batch, system.schedule, km, p)
+            numpy_ratios, ok = resultant._batched_ratio_mod(batch, system.schedule, km, p)
             assert (~ok).sum() <= dense
-            for j in range(64):
-                at_j = [{mb: int(v[j]) for mb, v in tab.items()} for tab in batch_tables]
-                if ok[j]:
-                    assert int(ratios[j]) == pivoted_ratio(system, at_j)
+            assert [r is not None for r in ratios] == ok.tolist()
+            assert [r for r in ratios if r is not None] == numpy_ratios[ok].tolist()
     if fld == GF(7):  # the pivoted pair behind a zero pivot was checked too
         assert fallbacks > unscheduled
     assert unscheduled == expect_unscheduled
