@@ -1,6 +1,6 @@
-"""Record the benchmark's end-to-end numbers in a committed BENCH file.
+"""Record the benchmark's end-to-end and per-layer numbers in a committed BENCH file.
 
-    python3 scripts/bench_record.py --out BENCH_10.json --seconds 8 \
+    python3 scripts/bench_record.py --out BENCH_11.json --seconds 8 \
         --seeds 101 102 103 --parent ../parent-checkout
 
 Runs ``bench/run.py`` (untraced) for every workload of ``BENCHMARK.json``
@@ -9,8 +9,11 @@ the parent commit.  The two sides alternate which runs first from one seed
 to the next.  Per run the file keeps the last-line JSON of ``bench/run.py``
 and the run's context, samples and counters from ``.bench_out``.  Per
 workload and side it keeps the median and quartiles of each end-to-end
-metric, and with a parent, how many pairs the change won on each.  It also
-records each side's ``src/`` line count and the machine's ``nproc``.
+metric, and with a parent, how many pairs the change won on each.  After
+the pairs, one traced run (``--trace 1``, the first seed) per workload and
+side records the per-layer metrics: calls and counts per pass, and self
+times per pass, rescaled like the task times.  It also records each side's
+``src/`` line count and the machine's ``nproc``.
 """
 
 from __future__ import annotations
@@ -50,12 +53,13 @@ def revision(tree: Path):
     return out.stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json")
+    record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
                         .read_text(encoding="utf-8"))
     return {"seed": seed, "result": result, "context": record["context"],
             "samples": record["samples"], "counters": record["counters"]}
@@ -99,6 +103,9 @@ def main(argv=None) -> int:
                 print(name, seed, side, value(runs[side][-1], "run_s"), file=sys.stderr)
         entry = {side: {"summary": summary(rs, metrics), "runs": rs}
                  for side, rs in runs.items()}
+        for side, tree in trees.items():
+            entry[side]["traced"] = run_once(tree, name, args.seeds[0], args.seconds,
+                                             trace=1)
         if "parent" in runs:
             wins = {m: 0 for m in metrics}
             for c, p in zip(runs["change"], runs["parent"]):

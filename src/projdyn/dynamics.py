@@ -28,9 +28,8 @@ from .mpoly import (Polynomial, Ring, _block_coefficients, default_aliases,
                     determinant, divexact, embed, equal_up_to_scalar,
                     format_polynomial, parse_polynomial, poly_gcd,
                     primitive_part, squarefree_part, strip_monomial_content)
-from .resultant import (_BadPrime, _apply_linear, _field_inverse,
-                        _reduce_form_mod, macaulay_resultant,
-                        sylvester_resultant)
+from .resultant import (_MAX_SPARSE_PROBES, _apply_linear, _field_inverse,
+                        _probe_count, macaulay_resultant, sylvester_resultant)
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
@@ -406,12 +405,6 @@ def _strip_param_content(g: Polynomial, block_size: int) -> Polynomial:
     return divexact(g, content)
 
 
-def _reduce_poly_mod(g: Polynomial, target: Ring, images) -> Polynomial:
-    """Map coefficients into the prime field of `target`, then substitute
-    variable images; _BadPrime when a denominator vanishes."""
-    return _reduce_form_mod(g, Ring(g.ring.nvars, target.field)).substitute(images)
-
-
 def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
     """Restrict g to a random line and test the restriction for a square.
 
@@ -435,9 +428,10 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
         line = [(rng.randrange(lf.p), rng.randrange(1, lf.p))
                 for _ in range(g.ring.nvars)]
         try:
-            r = _line_restriction(g, line, lf)
+            terms = {m: lf.coerce(c) for m, c in g.terms.items()}
         except ZeroDivisionError:
             continue  # bad prime
+        r = _evaluate_coeffs(terms, line, lf.p)
         if len(r) <= degree:
             continue  # unlucky line or bad prime
         der = [lf.mul(i, c) for i, c in enumerate(r)][1:]
@@ -447,56 +441,125 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
     return False
 
 
-def _line_restriction(g: Polynomial, line: Sequence[tuple], lf: PrimeField) -> list:
-    """g at x_i = a_i + b_i t for line = [(a_i, b_i)], with g's coefficients
-    mapped into lf: its coefficients in t, low degree first and trimmed.
-    ZeroDivisionError when a denominator of g vanishes in lf."""
-    p = lf.p
+def _evaluate_coeffs(terms: dict, point: Sequence, p: int,
+                     modulus: Optional[list] = None) -> list:
+    """The sum of c * prod_i point[i]^m_i over terms = {m: c}, where the
+    point's entries are polynomials in t over F_p, low degree first; reduced
+    mod `modulus` when one is given.  Trimmed, so [] for zero."""
+    if modulus is not None:
+        inv = pow(modulus[-1], -1, p)
+        tail = [-c * inv % p for c in modulus[:-1]]  # t^m = sum tail[i] t^i
+        m = len(tail)
 
-    def times(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
+    def mul(x, y):
+        if len(x) == 1:
+            out = [x[0] * v for v in y]
+        else:
+            out = [0] * (len(x) + len(y) - 1)
+            for i, u in enumerate(x):
+                if u:
+                    for j, v in enumerate(y):
+                        out[i + j] += u * v
+        if modulus is not None:
+            for k in range(len(out) - 1, m - 1, -1):
+                q = out[k] % p
+                if q:
+                    for i in range(m):
+                        out[k - m + i] += q * tail[i]
+            del out[m:]
         return [v % p for v in out]
 
-    powers = []  # powers[i][e]: (a_i + b_i t)^e
-    for i, ab in enumerate(line):
+    powers = []  # powers[i][e]: point[i]^e
+    for x, top in zip(point, map(max, zip(*terms))):
         row = [[1]]
-        for _ in range(g.degree_in(i)):
-            row.append(times(row[-1], ab))
+        for _ in range(top):
+            row.append(mul(row[-1], x))
         powers.append(row)
-    out = [0] * (g.degree() + 1)
-    for m, c in g.terms.items():
-        part = [lf.coerce(c)]
-        for i, e in enumerate(m):
+    total = []
+    for mono, c in terms.items():
+        part = None
+        for row, e in zip(powers, mono):
             if e:
-                part = times(part, powers[i][e])
+                part = row[e] if part is None else mul(part, row[e])
+        part = [1] if part is None else part
+        total += [0] * (len(part) - len(total))
         for k, v in enumerate(part):
-            out[k] += v
-    out = [v % p for v in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+            total[k] += c * v
+    total = [v % p for v in total]
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+def _exact_quotient(a: list, b: list, p: int) -> list:
+    """a / b in F_p[t] for a trimmed b that divides a, low degree first."""
+    a = list(a)
+    top = len(b) - 1
+    inv = pow(b[top], -1, p)
+    quo = [0] * (len(a) - top)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = a[k + top] * inv % p
+        for i in range(top):
+            a[k + i] -= c * b[i]
+    return quo
+
+
+def _specialized(g: Polynomial, n1: int, values: list, fq: PrimeField) -> dict:
+    """g with its coefficients mapped into fq and its parameters fixed at
+    `values`, as {x monomial: nonzero value}.  ZeroDivisionError when a
+    denominator of g vanishes in fq."""
+    p = fq.p
+    out = {}
+    for m, c in g.terms.items():
+        v = fq.coerce(c)
+        for x, e in zip(values, m[n1:]):
+            v = v * pow(x, e, p) % p
+        out[m[:n1]] = (out.get(m[:n1], 0) + v) % p
+    return {m: v for m, v in out.items() if v}
 
 
 def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
                          candidate: Polynomial, seed: int) -> bool:
-    """Test that the candidate vanishes on the image of V(phi).
+    """Test that the candidate g vanishes on the image of V(phi).
 
-    Criterion: the squarefree part of phi divides candidate(f(x)).  Checked
-    after reducing mod a small prime and fixing parameters at random values,
-    so a passing candidate misses no component (up to reduction accidents);
-    rejection takes two independent failures.  The divisor is the reduced
-    phi itself when the line filter proves it squarefree, and its
-    squarefree part only when the filter does not decide.  A trial whose
-    reduction degenerates is skipped; when the planned trials end with
-    neither a pass nor two failures, further ones are drawn (fresh primes
-    over QQ, fresh parameter points over F_p).  A candidate is never
-    accepted unchecked.  Without parameters, trials at one prime are the
-    same computation, so each prime gets one: over F_p that single trial
-    decides.
+    Criterion: rad(phi) divides g∘f.  Each trial maps the coefficients into
+    F_q for a prime q (over F_p, p itself) and fixes any parameters at
+    random values, once for all its lines.  It then draws k random lines
+    L = {a + t*b} of the x block and restricts phi to L, a polynomial r in
+    t.  The line passes iff r / gcd(r, r') divides (g∘f)|_L: f and then g
+    are evaluated at a + t*b in F_q[t] modulo that divisor.  g∘f itself is
+    never built.
+
+    A true candidate passes every line.  If g∘f vanishes on V(phi), then
+    rad(phi) divides g∘f, so rad(phi)|_L divides (g∘f)|_L; rad(phi|_L)
+    divides rad(phi)|_L, and r / gcd(r, r') is a product of distinct
+    factors of r, so it divides rad(phi|_L).  Hence a failing line proves
+    that the trial's reduced, specialized candidate fails the criterion.
+    Over F_p without parameters the one trial is the map itself, and one
+    failing line proves rejection; with parameters or over QQ a failure
+    may be an accident of the specialization or the reduction, so
+    rejection takes two failing trials.
+
+    Bound: let psi be an irreducible factor of phi (at the trial's
+    specialization) that does not divide G = g∘f.  A line passes only if
+    psi(b) = 0 or Res_t(psi|_L, G|_L) = 0, a nonzero form in (a, b) of
+    degree at most 2D, D = deg phi * deg g * d.  By Schwartz-Zippel a
+    uniform line passes with probability at most (2D + deg phi)/q, and a
+    trial runs the least k lines with bound^k <= 2^-32 (`_probe_count`).
+    There q exceeds deg phi, so r / gcd(r, r') is all of rad(r).
+
+    The trial composes g∘f exactly instead (`_composed_trial`) when k is
+    None or above _MAX_SPARSE_PROBES (small fields, high degrees), or when
+    a line gives r = 0 or r' = 0 (L inside V(phi), or the derivative
+    killed by characteristic q).
+
+    Schedule: over QQ the trials run at fresh primes, one each for a
+    parameter-free map and two for a parametric one; over F_p, at fresh
+    parameter values, and a parameter-free map gets its single trial.  A
+    trial whose reduction meets a denominator, or whose specialization
+    zeroes phi, g or some f_i, is skipped; when the planned trials end with
+    neither a pass nor two failures, further ones are drawn.  A candidate
+    is never accepted unchecked.
     """
     ring = f.ring
     n1 = f.n + 1
@@ -512,36 +575,68 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
                    for t in range(per_prime)]
         extra = ((GF(q), 0) for q in itertools.islice(internal_primes(),
                                                       _EXTRA_CERT_TRIALS))
+    bound = phi_degree * (2 * candidate.degree_in_block(range(n1)) * f.d + 1)
     failures = 0
     for fq, t in itertools.chain(planned, extra):
         q = fq.p
         rng = Random((seed << 8) ^ (q << 3) ^ t)
-        point_ring = Ring(n1, fq)
-        images = [point_ring.var(i) for i in range(n1)] + \
-                 [point_ring.const(rng.randrange(q))
-                  for _ in range(ring.nvars - n1)]
+        values = [rng.randrange(q) for _ in range(ring.nvars - n1)]
         try:
-            fs = [_reduce_poly_mod(g, point_ring, images) for g in f.forms]
-            ps = _reduce_poly_mod(phi_poly, point_ring, images)
-            cs = _reduce_poly_mod(candidate, point_ring, images)
-        except _BadPrime:
-            continue
-        if ps.is_zero() or cs.is_zero() or any(g.is_zero() for g in fs):
-            continue
-        if ps.degree() < phi_degree:
-            continue  # this parameter point degenerates the hypersurface
-        composed = cs.substitute(fs)
-        if composed.is_zero():
+            phi_q, g_q, *fs_q = (_specialized(h, n1, values, fq)
+                                 for h in (phi_poly, candidate, *f.forms))
+        except ZeroDivisionError:
+            continue  # bad prime
+        if not (phi_q and g_q and all(fs_q)):
+            continue  # this specialization degenerates
+        k = _probe_count(bound, q)
+        if k is None or k > _MAX_SPARSE_PROBES:
+            passed = _composed_trial(phi_q, g_q, fs_q, fq, seed)
+        else:
+            lines = [[(rng.randrange(q), rng.randrange(q)) for _ in range(n1)]
+                     for _ in range(k)]
+            passed = _line_trial(phi_q, g_q, fs_q, fq, lines, seed)
+        if passed:
             return True
-        divisor = ps if _probably_squarefree(ps, seed) else squarefree_part(ps)
-        try:
-            divexact(composed, divisor)
-            return True
-        except NotDivisibleError:
-            failures += 1
-            if failures >= 2:
-                return False
+        failures += 1
+        if failures >= 2:
+            return False
     return False
+
+
+def _line_trial(phi_q: dict, g_q: dict, fs_q: list, fq: PrimeField, lines: list,
+                seed: int) -> bool:
+    """One trial of `_certify_pushforward` on `lines`, from the specialized
+    phi, candidate and map as {monomial: value} over fq: does every line
+    pass?  `_composed_trial` decides when a line cannot."""
+    p = fq.p
+    for line in lines:
+        r = _evaluate_coeffs(phi_q, line, p)
+        der = [i * c % p for i, c in enumerate(r)][1:]
+        if not any(der):
+            return _composed_trial(phi_q, g_q, fs_q, fq, seed)
+        rad = _exact_quotient(r, _gcd_coeffs(r, der, fq), p)
+        images = [_evaluate_coeffs(h, line, p, rad) for h in fs_q]
+        if _evaluate_coeffs(g_q, images, p, rad):
+            return False
+    return True
+
+
+def _composed_trial(phi_q: dict, g_q: dict, fs_q: list, fq: PrimeField,
+                    seed: int) -> bool:
+    """One trial of `_certify_pushforward` by exact composition, from the
+    specialized phi, candidate and map: phi's squarefree part (phi itself
+    when the line filter proves that) must divide candidate∘f."""
+    ring = Ring(len(fs_q), fq)
+    phi, g = Polynomial(ring, phi_q), Polynomial(ring, g_q)
+    composed = g.substitute([Polynomial(ring, h) for h in fs_q])
+    if composed.is_zero():
+        return True
+    divisor = phi if _probably_squarefree(phi, seed) else squarefree_part(phi)
+    try:
+        divexact(composed, divisor)
+    except NotDivisibleError:
+        return False
+    return True
 
 
 def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,

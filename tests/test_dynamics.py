@@ -15,7 +15,7 @@ from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
                               _extended_ring, _gcd_coeffs, _graph_blocks,
                               _line_coeffs, _probably_squarefree,
-                              _reduce_poly_mod, _strip_param_content,
+                              _pushforward_chain, _strip_param_content,
                               critical_points, dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
                               generic_cert_degree, has_periodic_critical_point,
@@ -29,9 +29,12 @@ from projdyn.mpoly import (Polynomial, Ring, embed, equal_up_to_scalar,
                            monomials_of_degree, parse_polynomial, poly_gcd,
                            primitive_part, squarefree_part,
                            strip_monomial_content)
-from projdyn.resultant import _BadPrime, macaulay_resultant, sylvester_resultant
+from projdyn.resultant import (_MAX_SPARSE_PROBES, _BadPrime, _probe_count,
+                               _reduce_form_mod, macaulay_resultant,
+                               sylvester_resultant)
 
 from conftest import count_calls
+from test_acceptance import certificate_product_mod
 
 R2 = Ring(2, QQ)
 R3 = Ring(3, QQ)
@@ -360,34 +363,54 @@ def test_lazy_second_elimination_matches_the_eager_route(fld, monkeypatch):
 
 
 def test_bad_prime_reduction_is_an_internal_signal():
-    target = Ring(2, GF(10007))
     with pytest.raises(_BadPrime):
-        _reduce_poly_mod(P("x/10007+y"), target, target.gens())
+        _reduce_form_mod(P("x/10007+y"), Ring(2, GF(10007)))
     assert not issubclass(_BadPrime, InvalidInputError)
+
+
+def trial_lines(calls):
+    """The number of lines each `_line_trial` call was given."""
+    return [len(lines) for *_, lines, _seed in calls]
+
+
+def trial_primes(calls):
+    return [fq.p for _, _, _, fq, *_ in calls]
 
 
 def test_certifier_runs_one_trial_on_a_parameter_free_prime_field_map(monkeypatch):
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(10007))
     plane, image, wrong = (parse_polynomial(t, f.ring) for t in
                            ("x+y+z", "x^2+y^2+z^2-2*x*y-2*x*z-2*y*z", "x+2*y+3*z"))
-    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
+    trials = count_calls(monkeypatch, dynamics, "_line_trial")
+    evaluations = count_calls(monkeypatch, dynamics, "_evaluate_coeffs")
+    composed = count_calls(monkeypatch, dynamics, "_composed_trial")
+
+    def lines_run():  # each line restricts phi once, with no modulus
+        return sum(len(args) == 3 for args in evaluations)
+
     assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
-    assert len(calls) == 5  # one trial: three coordinate forms, phi, candidate
-    calls.clear()
+    # one trial of k lines, (bound/q)^k <= 2^-32 for bound 2D + deg phi, D = 1*1*2;
+    # its first line fails, which proves the rejection
+    assert trial_lines(trials) == [_probe_count(5, 10007)] == [3]
+    assert lines_run() == 1
+    trials.clear()
+    evaluations.clear()
     assert _certify_pushforward(f, plane, 1, image, seed=0)
-    assert len(calls) == 5
+    assert trial_lines(trials) == [_probe_count(9, 10007)] == [4]
+    assert lines_run() == 4
+    assert not composed
 
 
 def test_certifier_keeps_independent_trials_with_parameters(monkeypatch):
     f = endomorphism_from_strings(["x0^2", "x1^2", "x3*x2^2"], GF(10007))
     plane, wrong = (parse_polynomial(t, f.ring) for t in ("x0+x1+x2", "x0+2*x1+3*x2"))
-    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
+    trials = count_calls(monkeypatch, dynamics, "_line_trial")
     assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
-    assert len(calls) == 10  # rejection takes two trials at fresh parameter values
-
-
-def reduction_primes(calls):
-    return [target.field.p for _, target, _ in calls]
+    # rejection takes two trials at fresh parameter values: the third form
+    # specializes to c*x2^2 with a new c
+    assert trial_lines(trials) == [3, 3]
+    third = [fs_q[2] for _, _, fs_q, *_ in trials]
+    assert [set(h) for h in third] == [{(0, 0, 2)}] * 2 and third[0] != third[1]
 
 
 def test_certifier_runs_one_trial_per_prime_on_a_parameter_free_rational_map(
@@ -395,22 +418,140 @@ def test_certifier_runs_one_trial_per_prime_on_a_parameter_free_rational_map(
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], QQ)
     plane, image, wrong = (parse_polynomial(t, f.ring) for t in
                            ("x+y+z", "x^2+y^2+z^2-2*x*y-2*x*z-2*y*z", "x+2*y+3*z"))
-    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
+    trials = count_calls(monkeypatch, dynamics, "_line_trial")
     assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
     # the two failures come from two primes, not one check run twice
-    assert reduction_primes(calls) == [10007] * 5 + [10009] * 5
-    calls.clear()
+    assert trial_primes(trials) == [10007, 10009]
+    trials.clear()
     assert _certify_pushforward(f, plane, 1, image, seed=0)
-    assert reduction_primes(calls) == [10007] * 5
+    assert trial_primes(trials) == [10007]
 
 
 def test_certifier_keeps_two_trials_per_prime_for_a_parametric_rational_map(
         monkeypatch):
     f = endomorphism_from_strings(["x0^2", "x1^2", "x3*x2^2"], QQ)
     plane, wrong = (parse_polynomial(t, f.ring) for t in ("x0+x1+x2", "x0+2*x1+3*x2"))
-    calls = count_calls(monkeypatch, dynamics, "_reduce_poly_mod")
+    trials = count_calls(monkeypatch, dynamics, "_line_trial")
     assert not _certify_pushforward(f, plane, 1, wrong, seed=0)
-    assert reduction_primes(calls) == [10007] * 10
+    assert trial_primes(trials) == [10007, 10007]
+
+
+def exact_certifier(monkeypatch, *args):
+    """Oracle: `_certify_pushforward` with every trial composing g∘f exactly,
+    the route it takes where no line count meets the bound."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_probe_count", lambda bound, q: None)
+        return _certify_pushforward(*args)
+
+
+def certifier_cases(fld, rng):
+    """(map, phi, candidate, kind) for the differential test: the image
+    steps of `image_step_cases`, and the two steps of two sweep planes under
+    squaring (one planted with a + b + c = 0) plus the first with phi
+    squared, each with its true image, a multiple g*h of it, and a
+    one-coefficient perturbation."""
+    steps = []
+    for f, phi, _ in image_step_cases(fld, rng):
+        try:
+            steps.append((f, phi, pushforward(f, phi).poly))
+        except DegeneracyError:
+            continue
+    ring = Ring(3, fld)
+    squaring_map = Endomorphism([ring.var(i) ** 2 for i in range(3)])
+    p = fld.p if fld != QQ else 10007
+    for planted in (False, True):
+        a, b = rng.randrange(1, p), rng.randrange(1, p)
+        c = -a - b if planted else rng.randrange(1, p)
+        plane = Polynomial(ring, {(1, 0, 0): fld.coerce(a), (0, 1, 0): fld.coerce(b),
+                                  (0, 0, 1): fld.coerce(c)})
+        chain = _pushforward_chain(squaring_map, plane, 2, seed=0, strategy="auto")
+        steps += [(squaring_map, chain[i], chain[i + 1]) for i in range(2)]
+        # a square: the divisor is rad(phi), not phi
+        steps.append((squaring_map, chain[0] ** 2, chain[1]))
+    cases = []
+    for f, phi, g in steps:
+        n1 = f.n + 1
+        h = random_block_form(f.ring, n1, 1, rng)
+        mono = rng.choice(monomials_of_degree(n1, g.degree_in_block(range(n1))))
+        bump = Polynomial(f.ring, {tuple(mono) + (0,) * f.nparams:
+                                   fld.coerce(rng.randint(1, 5))})
+        cases += [(f, phi, g, "image"), (f, phi, g * h, "multiple"),
+                  (f, phi, g + bump, "perturbed")]
+    return cases
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(101), GF(10007), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["QQ", "GF7", "GF101", "GF10007", "GF62bit"])
+def test_line_certifier_matches_the_exact_composition(fld, monkeypatch):
+    line_trials = count_calls(monkeypatch, dynamics, "_line_trial")
+    composed = count_calls(monkeypatch, dynamics, "_composed_trial")
+    verdicts = {"image": set(), "multiple": set(), "perturbed": set()}
+    routes = []
+    for seed, (f, phi, g, kind) in enumerate(certifier_cases(fld, Random(5501))):
+        phi_degree = phi.homogeneous_degree_in_block(range(f.n + 1))
+        args = (f, phi, phi_degree, g, seed)
+        expected = exact_certifier(monkeypatch, *args)
+        line_trials.clear()
+        composed.clear()
+        got = _certify_pushforward(*args)
+        assert got == expected, (kind, f, phi, g)
+        verdicts[kind].add(got)
+        bound = phi_degree * (2 * g.degree_in_block(range(f.n + 1)) * f.d + 1)
+        k = _probe_count(bound, fld.p if fld != QQ else 10007)
+        routes.append((k is not None and k <= _MAX_SPARSE_PROBES,
+                       bool(line_trials), bool(composed)))
+    assert verdicts["image"] == verdicts["multiple"] == {True}
+    if fld == QQ or fld.p >= 10007:
+        assert verdicts["perturbed"] == {False}
+    if fld == GF(7):
+        # no line count reaches the bound: every trial composes exactly
+        assert {r[1:] for r in routes} == {(False, True)}
+    elif fld in (GF(10007), GF(DEFAULT_MODULAR_PRIME)):
+        # lines decide every candidate whose bound they meet, without composing
+        assert all((lines, exact) == (True, False) for fits, lines, exact in routes if fits)
+        assert all(not lines for fits, lines, _ in routes if not fits)
+        assert any(fits for fits, _, _ in routes)
+        if fld.p > 10007:
+            assert all(fits for fits, _, _ in routes)
+
+
+def test_sweep_certificate_never_composes(monkeypatch):
+    # squaring and seeded planes at 62 bits, as in the certificate sweep: the
+    # certifier restricts to lines and calls no multivariate kernel
+    p = DEFAULT_MODULAR_PRIME
+    fld = GF(p)
+    ring = Ring(3, fld)
+    f = Endomorphism([ring.var(i) ** 2 for i in range(3)])
+    calls, inside = [], [0]
+    counts = {"substitute": 0, "divexact": 0, "squarefree_part": 0}
+    certify = dynamics._certify_pushforward
+
+    def scoped(*args):
+        calls.append(args)
+        inside[0] += 1
+        try:
+            return certify(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(dynamics, "_certify_pushforward", scoped)
+    for owner, name in ((Polynomial, "substitute"), (dynamics, "divexact"),
+                        (dynamics, "squarefree_part")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += inside[0] > 0
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    rng = Random(41)
+    ratios = []
+    for _ in range(2):
+        a, b, c = (rng.randrange(1, p) for _ in range(3))
+        phi = Polynomial(ring, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+        value = improper_certificate(f, phi, (0, 1, 2)).constant_value()
+        ratios.append(value * pow(certificate_product_mod(a, b, c, p), -1, p) % p)
+    assert len(calls) == 4  # two image steps per certificate
+    assert counts == {"substitute": 0, "divexact": 0, "squarefree_part": 0}
+    # criterion 03's factored product, up to its one universal constant
+    assert ratios[0] == ratios[1] != 0
 
 
 def test_pushforward_through_indeterminacy_raises():
@@ -482,7 +623,7 @@ def substituted_filter(g, seed):
         images = [line.const(rng.randrange(lf.p)) + t.scale(rng.randrange(1, lf.p))
                   for _ in range(g.ring.nvars)]
         try:
-            gm = _reduce_poly_mod(g, line, images)
+            gm = _reduce_form_mod(g, Ring(g.ring.nvars, lf)).substitute(images)
         except _BadPrime:
             why = "bad prime"
             continue
@@ -545,12 +686,13 @@ def test_squarefree_filter_edge_cases(monkeypatch):
         assert not _probably_squarefree(g, seed)
     # a denominator 10007 skips the first prime; 10009 decides
     g = P("x^2/10007+x*y-3*y^2", R2)
-    restrictions = count_calls(monkeypatch, dynamics, "_line_restriction")
+    restrictions = count_calls(monkeypatch, dynamics, "_evaluate_coeffs")
     for seed in range(8):
         restrictions.clear()
         assert _probably_squarefree(g, seed) == substituted_filter(g, seed)[0]
         assert substituted_filter(g, seed)[1] == "gcd at 10009"
-        assert [lf.p for _, _, lf in restrictions] == [10007, 10009]
+        # 10007 fails while mapping the coefficients, before any restriction
+        assert [p for _, _, p in restrictions] == [10009]
     assert not _probably_squarefree(Polynomial(R2, {}), 0)
 
 
