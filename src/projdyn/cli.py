@@ -35,11 +35,6 @@ from .mpoly import format_polynomial
 from .resultant import macaulay_resultant
 from .sympow import find_pcf_parameter, period_polynomial, symmetric_power
 
-_COMMANDS = ("iterate", "orbit", "jacobian", "resultant", "pushforward",
-             "improper-cert", "improper-search", "ys-test", "sympow",
-             "period-poly", "find-pcf", "dims")
-
-
 class _UsageError(Exception):
     pass
 

@@ -28,8 +28,8 @@ from .mpoly import (Polynomial, Ring, _block_coefficients, default_aliases,
                     determinant, divexact, embed, equal_up_to_scalar,
                     format_polynomial, parse_polynomial, poly_gcd,
                     primitive_part, squarefree_part, strip_monomial_content)
-from .resultant import (_MAX_SPARSE_PROBES, _apply_linear, _field_inverse,
-                        _probe_count, macaulay_resultant, sylvester_resultant)
+from .resultant import (_apply_linear, _field_inverse, _probe_count,
+                        macaulay_resultant, sylvester_resultant)
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
@@ -375,21 +375,16 @@ def _extended_ring(ring: Ring, n: int):
     return ext, into, back
 
 
-def _joint_degrees(g: Polynomial, blk) -> set:
-    return {sum(m[v] for v in blk) for m in g.terms}
+def _homogeneous_blocks(forms: Sequence[Polynomial], candidates):
+    """The nonempty candidate blocks in which every form is jointly
+    homogeneous (one block degree per form), or None when there are none.
 
-
-def _graph_blocks(forms: Sequence[Polynomial], n1: int):
-    """Homogeneity blocks of graph-ring forms: y block, then parameters.
-
-    A block is usable for interpolation only when every form is jointly
-    homogeneous in it (one block degree per form).
+    Only such blocks are usable for interpolation: graph-ring forms offer
+    the y block and the parameters, certificate forms the parameters.
     """
-    ext = forms[0].ring
-    blocks = []
-    for blk in (list(range(n1, 2 * n1)), list(range(2 * n1, ext.nvars))):
-        if blk and all(len(_joint_degrees(g, blk)) <= 1 for g in forms):
-            blocks.append(blk)
+    blocks = [blk for blk in candidates
+              if blk and all(len({sum(m[v] for v in blk) for m in g.terms}) <= 1
+                             for g in forms)]
     return blocks or None
 
 
@@ -420,8 +415,7 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
     if g.is_zero():
         return False
     fld = g.ring.field
-    fields = ([GF(q) for q in _CERT_PRIMES] if isinstance(fld, RationalField)
-              else [fld])
+    fields = map(GF, _CERT_PRIMES) if isinstance(fld, RationalField) else [fld]
     degree = g.degree()
     for lf in fields:
         rng = Random(seed ^ lf.p)
@@ -545,13 +539,15 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
     psi(b) = 0 or Res_t(psi|_L, G|_L) = 0, a nonzero form in (a, b) of
     degree at most 2D, D = deg phi * deg g * d.  By Schwartz-Zippel a
     uniform line passes with probability at most (2D + deg phi)/q, and a
-    trial runs the least k lines with bound^k <= 2^-32 (`_probe_count`).
-    There q exceeds deg phi, so r / gcd(r, r') is all of rad(r).
+    trial runs the least k lines with bound^k <= 2^-32 (`_probe_count`),
+    however large k is.  There q exceeds deg phi, so r / gcd(r, r') is all
+    of rad(r).
 
-    The trial composes g∘f exactly instead (`_composed_trial`) when k is
-    None or above _MAX_SPARSE_PROBES (small fields, high degrees), or when
-    a line gives r = 0 or r' = 0 (L inside V(phi), or the derivative
-    killed by characteristic q).
+    Exact composition of g∘f (`_composed_trial`) is the small-field route
+    and the degenerate-line route, and nothing else: a trial composes when
+    k is None (no number of lines reaches the bound) or when a line gives
+    r = 0 or r' = 0 (L inside V(phi), or the derivative killed by
+    characteristic q).
 
     Schedule: over QQ the trials run at fresh primes, one each for a
     parameter-free map and two for a parametric one; over F_p, at fresh
@@ -571,8 +567,8 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
         extra = ((fld, t) for t in range(3, trials))
     else:
         per_prime = 2 if parametric else 1
-        planned = [(fq, t) for fq in map(GF, _CERT_PRIMES[:3])
-                   for t in range(per_prime)]
+        planned = ((fq, t) for fq in map(GF, _CERT_PRIMES[:3])
+                   for t in range(per_prime))
         extra = ((GF(q), 0) for q in itertools.islice(internal_primes(),
                                                       _EXTRA_CERT_TRIALS))
     bound = phi_degree * (2 * candidate.degree_in_block(range(n1)) * f.d + 1)
@@ -589,7 +585,7 @@ def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
         if not (phi_q and g_q and all(fs_q)):
             continue  # this specialization degenerates
         k = _probe_count(bound, q)
-        if k is None or k > _MAX_SPARSE_PROBES:
+        if k is None:
             passed = _composed_trial(phi_q, g_q, fs_q, fq, seed)
         else:
             lines = [[(rng.randrange(q), rng.randrange(q)) for _ in range(n1)]
@@ -680,8 +676,10 @@ def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
 
     def eliminate(pairs):
         forms = [px] + [y[j] * fx[k] - y[k] * fx[j] for j, k in pairs]
+        blocks = _homogeneous_blocks(forms, [range(n1, 2 * n1),
+                                             range(2 * n1, ext.nvars)])
         r = macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
-                               blocks=_graph_blocks(forms, n1))
+                               blocks=blocks)
         if r.is_zero():
             raise DegeneracyError("pushforward-degenerate",
                                   "an elimination resultant vanished identically")
@@ -794,8 +792,7 @@ def _certificate_indices(indices: Sequence[int], n: int) -> list[int]:
 
 
 def improper_certificate(f: Endomorphism, phi, indices: Sequence[int], *,
-                         strategy: str = "auto", seed: int = 0,
-                         blocks=None) -> Polynomial:
+                         strategy: str = "auto", seed: int = 0) -> Polynomial:
     """Resultant of the n+1 iterated images f^i_* V(phi) for i in `indices`.
 
     Zero exactly when those images fail to intersect properly (share a common
@@ -808,10 +805,9 @@ def improper_certificate(f: Endomorphism, phi, indices: Sequence[int], *,
     idx = _certificate_indices(indices, f.n)
     pushes = _pushforward_chain(f, phi, max(idx), seed=seed, strategy=strategy)
     forms = [pushes[i] for i in idx]
-    if blocks is None:
-        blocks = _detect_joint_block(forms, f.n + 1)
     return macaulay_resultant(forms, f.n + 1, strategy=strategy, seed=seed,
-                              blocks=blocks)
+                              blocks=_homogeneous_blocks(
+                                  forms, [range(f.n + 1, f.ring.nvars)]))
 
 
 def _pushforward_chain(f: Endomorphism, phi, top: int, *, seed: int,
@@ -842,17 +838,6 @@ def _pushforward_chain(f: Endomorphism, phi, top: int, *, seed: int,
     return chain
 
 
-def _detect_joint_block(forms: Sequence[Polynomial], block_size: int):
-    """[all parameters] if every form is jointly homogeneous there."""
-    ring = forms[0].ring
-    params = list(range(block_size, ring.nvars))
-    if not params:
-        return None
-    if any(len(_joint_degrees(g, params)) > 1 for g in forms):
-        return None
-    return [params]
-
-
 def search_improper_witness(f: Endomorphism, phi, bound: int, *,
                             strategy: str = "auto", seed: int = 0
                             ) -> Optional[tuple[int, ...]]:
@@ -863,9 +848,9 @@ def search_improper_witness(f: Endomorphism, phi, bound: int, *,
     pushes = _pushforward_chain(f, phi, bound, seed=seed, strategy=strategy)
     for combo in itertools.combinations(range(bound + 1), f.n + 1):
         forms = [pushes[i] for i in combo]
-        blocks = _detect_joint_block(forms, f.n + 1)
         res = macaulay_resultant(forms, f.n + 1, strategy=strategy, seed=seed,
-                                 blocks=blocks)
+                                 blocks=_homogeneous_blocks(
+                                     forms, [range(f.n + 1, f.ring.nvars)]))
         if res.is_zero():
             return combo
     return None

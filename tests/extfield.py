@@ -1,7 +1,7 @@
 """Minimal GF(p^k) arithmetic for brute-force closure oracles (k <= 3).
 
-Not a coefficient field for polynomials: the coeff module stays QQ / F_p.
-Dynamics and resultant tests use this to enumerate projective points over
+Not a coefficient field for polynomials: projdyn's coeff module stays QQ /
+F_p.  Resultant tests use this to enumerate projective points over
 small extensions when checking vanishing statements against the closure.
 
 Elements are exponent-ordered coefficient tuples of length k (constant term
@@ -13,8 +13,8 @@ from __future__ import annotations
 from random import Random
 from typing import Iterator, Sequence
 
-from .coeff import PrimeField
-from .errors import InvalidInputError
+from projdyn.coeff import PrimeField
+from projdyn.errors import InvalidInputError
 
 Element = tuple[int, ...]
 

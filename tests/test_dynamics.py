@@ -13,7 +13,7 @@ from projdyn import dynamics
 from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
-                              _extended_ring, _gcd_coeffs, _graph_blocks,
+                              _extended_ring, _gcd_coeffs, _homogeneous_blocks,
                               _line_coeffs, _probably_squarefree,
                               _pushforward_chain, _strip_param_content,
                               critical_points, dim_end, dim_forms,
@@ -29,9 +29,8 @@ from projdyn.mpoly import (Polynomial, Ring, embed, equal_up_to_scalar,
                            monomials_of_degree, parse_polynomial, poly_gcd,
                            primitive_part, squarefree_part,
                            strip_monomial_content)
-from projdyn.resultant import (_MAX_SPARSE_PROBES, _BadPrime, _probe_count,
-                               _reduce_form_mod, macaulay_resultant,
-                               sylvester_resultant)
+from projdyn.resultant import (_BadPrime, _probe_count, _reduce_form_mod,
+                               macaulay_resultant, sylvester_resultant)
 
 from conftest import count_calls
 from test_acceptance import certificate_product_mod
@@ -256,8 +255,10 @@ def eager_image_form(f, phi_poly, *, seed, strategy, rescale):
         for pairs in ([(0, k) for k in range(1, n1)],
                       [(0, 1)] + [(k, k + 1) for k in range(1, f.n)]):
             forms = [px] + [y[j] * fx[k] - y[k] * fx[j] for j, k in pairs]
+            blocks = _homogeneous_blocks(forms, [range(n1, 2 * n1),
+                                                 range(2 * n1, ext.nvars)])
             results.append(macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
-                                              blocks=_graph_blocks(forms, n1)))
+                                              blocks=blocks))
         raw = results[0]
         if any(r.is_zero() for r in results):
             raise DegeneracyError("pushforward-degenerate", "resultant vanished")
@@ -498,20 +499,23 @@ def test_line_certifier_matches_the_exact_composition(fld, monkeypatch):
         verdicts[kind].add(got)
         bound = phi_degree * (2 * g.degree_in_block(range(f.n + 1)) * f.d + 1)
         k = _probe_count(bound, fld.p if fld != QQ else 10007)
-        routes.append((k is not None and k <= _MAX_SPARSE_PROBES,
-                       bool(line_trials), bool(composed)))
+        routes.append((k is not None, bool(line_trials), bool(composed)))
     assert verdicts["image"] == verdicts["multiple"] == {True}
     if fld == QQ or fld.p >= 10007:
         assert verdicts["perturbed"] == {False}
     if fld == GF(7):
         # no line count reaches the bound: every trial composes exactly
         assert {r[1:] for r in routes} == {(False, True)}
-    elif fld in (GF(10007), GF(DEFAULT_MODULAR_PRIME)):
-        # lines decide every candidate whose bound they meet, without composing
-        assert all((lines, exact) == (True, False) for fits, lines, exact in routes if fits)
+    else:
+        # every candidate whose bound some number of lines meets runs its
+        # lines, however many that takes; only over F_101 did a degenerate
+        # line (r = 0 or r' = 0) hand its trial to the exact composition
+        assert all(lines for fits, lines, _ in routes if fits)
         assert all(not lines for fits, lines, _ in routes if not fits)
         assert any(fits for fits, _, _ in routes)
-        if fld.p > 10007:
+        if fld != GF(101):
+            assert not any(exact for fits, _, exact in routes if fits)
+        if fld == GF(DEFAULT_MODULAR_PRIME):
             assert all(fits for fits, _, _ in routes)
 
 

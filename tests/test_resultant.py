@@ -12,7 +12,6 @@ from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, endomorphism_from_strings,
                                improper_certificate, pushforward_iterated)
 from projdyn.errors import DegeneracyError, InvalidInputError
-from projdyn.extfield import SmallExtField, evaluate_poly, projective_points
 from projdyn.mpoly import (Polynomial, Ring, monomials_of_degree,
                            parse_polynomial, poly_gcd, squarefree_part)
 from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _field_det,
@@ -24,6 +23,7 @@ from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _field_det,
                                sylvester_matrix, sylvester_resultant)
 
 from conftest import count_calls
+from extfield import SmallExtField, evaluate_poly, projective_points
 
 RNG_SEED = 20260816
 
@@ -385,6 +385,20 @@ def test_auto_interpolates_wherever_the_prime_field_holds_the_grid(fld, monkeypa
     expected = {GF(3): {True: 8, False: 3}, GF(5): {True: 9, False: 3},
                 QQ: {True: 12, False: 0}}
     assert routed == expected.get(fld, {True: 0, False: 12})
+
+
+def test_auto_resolves_tall_qq_cubics_through_the_ratio_route_first():
+    # binary cubics with 60-bit coefficients and one parameter: the
+    # modular route raises interpolation-unstable here, because its CRT
+    # primes stop short of the height, so the QQ ratio-first cutoff
+    # (order <= 14) is what resolves them
+    ring = Ring(3, QQ)
+    c = [QQ.coerce((3 * 7 ** k + 1) % 2 ** 60 + 2 ** 59) for k in range(9)]
+    p = Polynomial(ring, {(3, 0, 0): c[1], (2, 1, 1): c[2], (1, 2, 0): c[3],
+                          (0, 3, 0): c[4]})
+    q = Polynomial(ring, {(3, 0, 0): c[5], (2, 1, 0): c[6], (1, 2, 1): c[7],
+                          (0, 3, 0): c[8]})
+    assert macaulay_resultant([p, q], 2) == sylvester_resultant(p, q)
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(DEFAULT_MODULAR_PRIME)], ids=["QQ", "GF62bit"])
@@ -1030,3 +1044,50 @@ def test_resultant_zero_iff_closure_zero_ternary():
     res = macaulay_resultant([f0, f1, g2])
     shared = _common_projective_zero_exists([f0, f1, g2], ext, 2)
     assert res.is_zero() == shared
+
+
+def _specialized_forms(forms, block_size, point):
+    """The forms with their parameters fixed at `point`, in the block ring."""
+    fld = forms[0].ring.field
+    ring = Ring(block_size, fld)
+    out = []
+    for f in forms:
+        terms = {}
+        for m, c in f.terms.items():
+            v = c
+            for x, e in zip(point, m[block_size:]):
+                v = fld.mul(v, fld.pw(x, e))
+            terms[m[:block_size]] = fld.add(terms.get(m[:block_size], fld.zero()), v)
+        out.append(Polynomial(ring, {m: v for m, v in terms.items() if v}))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_small_field_parametric_resultants_against_brute_force(p, monkeypatch):
+    # seeded systems whose grid F_p cannot hold, so "auto" takes the ratio
+    # route; at every parameter point c, R(c) must be the resultant of the
+    # specialized forms, and nonzero only if they share no zero in P^n(F_p^2)
+    ratio_calls = count_calls(monkeypatch, resultant, "_ratio_resultant")
+    fld, ext = GF(p), SmallExtField(p, 2)
+    rng = Random(RNG_SEED)
+    values = {True: 0, False: 0}  # by whether R(c) = 0
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        ring = Ring(nvars, fld)
+        for _ in range(4):
+            forms = sparse_parametric_forms(ring, block_size, degrees, rng)
+            system = MacaulaySystem(forms, block_size)
+            if resultant._GridPlan(system, None).max_axis_length() <= p:
+                continue
+            ratio_calls.clear()
+            res = macaulay_resultant(forms, block_size)
+            assert ratio_calls
+            origin = (0,) * block_size
+            for point in itertools.product(range(p), repeat=nvars - block_size):
+                specialized = _specialized_forms(forms, block_size, point)
+                value = res.evaluate(origin + point)
+                assert value == macaulay_resultant(specialized).evaluate(origin)
+                values[value == 0] += 1
+                if value:
+                    assert not _common_projective_zero_exists(
+                        specialized, ext, block_size - 1)
+    assert values[True] and values[False]
