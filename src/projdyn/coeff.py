@@ -121,14 +121,20 @@ class RationalField:
         return "QQ"
 
 
+# Moduli that is_prime has proven, so that building a field over one again
+# skips Miller-Rabin; a composite is tested (and rejected) on every call.
+_PROVEN_PRIMES: set[int] = set()
+
+
 class PrimeField:
     """F_p for an odd prime p >= 3.  Values are int in [0, p)."""
 
     kind = "prime-field"
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p < 3 or not is_prime(p):
+        if not isinstance(p, int) or p < 3 or (p not in _PROVEN_PRIMES and not is_prime(p)):
             raise InvalidInputError(f"prime field modulus must be an odd prime >= 3, got {p}")
+        _PROVEN_PRIMES.add(p)
         self.p = p
         self.characteristic = p
 
@@ -285,16 +291,29 @@ def rational_reconstruct(value: int, modulus: int) -> Optional[Fraction]:
     return Fraction(r1, t1)
 
 
+# start_below -> the primes below it in descending order, as far as any
+# stream has drawn them; every stream reads and extends the one list.
+_PRIMES_BELOW: dict[int, list[int]] = {}
+
+
 def internal_primes(start_below: int = 1 << 28):
     """Deterministic descending stream of primes below start_below.
 
     Used by the modular-interpolation strategy; 28-bit keeps int64 products safe
-    in the vectorized kernel.
+    in the vectorized kernel.  Primes found once are not searched for again.
     """
-    c = start_below - 1
-    if c % 2 == 0:
-        c -= 1
-    while c > 3:
-        if is_prime(c):
-            yield c
-        c -= 2
+    found = _PRIMES_BELOW.setdefault(start_below, [])
+    i = 0
+    while True:
+        if i == len(found):
+            c = (found[-1] if found else start_below) - 1
+            if c % 2 == 0:
+                c -= 1
+            while c > 3 and not is_prime(c):
+                c -= 2
+            if c <= 3:
+                return
+            found.append(c)
+            _PROVEN_PRIMES.add(c)
+        yield found[i]
+        i += 1

@@ -9,12 +9,14 @@ x, y, z are accepted on input for rings with at most three variables and are
 normalized to x0, x1, x2 on output.  Round-tripping print -> parse is
 bit-exact.
 
-Algorithms here stay at desk scale on purpose: primitive-PRS gcd, cofactor /
-fraction-free Bareiss determinants.  No factorization, no Groebner machinery.
+Algorithms here stay at desk scale on purpose: primitive-PRS gcd, and one
+fraction-free Bareiss determinant kernel on packed integer monomials (rows
+cleared to integers over QQ).  No factorization, no Groebner machinery.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -22,7 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coeff import Field, PrimeField, RationalField, Value
-from .errors import InvalidInputError, NotDivisibleError, RingMismatchError
+from .errors import (InvalidInputError, NotDivisibleError, RingMismatchError,
+                     VerificationError)
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -575,28 +578,18 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 # -- determinants ---------------------------------------------------------------
 
-def _det_cofactor(rows: list[list[Polynomial]], ring: Ring) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ring.zero()
-    for j, top in enumerate(rows[0]):
-        if top.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        sub = _det_cofactor(minor, ring)
-        term = top * sub
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 def determinant(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Cofactor expansion up to 4x4; fraction-free Bareiss elimination (row
-    pivoting, exact divisions) beyond that.
+    One fraction-free Bareiss elimination (row pivoting, exact division by
+    the previous pivot) on packed term dicts {monomial key: int}.  A key
+    packs a monomial into one int: its total degree in the top field, then
+    x0 ... x_{n-1}, each in a field with a guard bit on top.  Integer order
+    is then graded-lex order, a monomial product is one addition, and a
+    monomial quotient that does not exist shows as a negative key or a set
+    guard bit.  Over QQ each row is first cleared to integer coefficients,
+    the elimination runs in Z[x], and the result is divided by the product
+    of the row multipliers; over F_p coefficients stay residues mod p.
     """
     n = len(rows)
     if n == 0:
@@ -608,38 +601,142 @@ def determinant(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for e in row:
             if e.ring != ring:
                 raise RingMismatchError("matrix entries from different rings")
-    if n <= 4:
-        return _det_cofactor([list(r) for r in rows], ring)
-    m = [list(r) for r in rows]
+    fld = ring.field
+    p = fld.p if isinstance(fld, PrimeField) else None
+    nv = ring.nvars
+    # Every Bareiss entry is a minor, of degree at most the sum over rows of
+    # the row's largest entry degree, and a product before its division has
+    # at most twice that: fields that wide plus a guard bit never carry.
+    bound = 2 * sum(max((e.degree() for e in row if e.terms), default=0)
+                    for row in rows)
+    width = bound.bit_length() + 1
+    guard = sum(1 << (i * width + width - 1) for i in range(nv))
+    keys: dict[Monomial, int] = {}
+
+    def pack(mono: Monomial) -> int:
+        key = keys.get(mono)
+        if key is None:
+            key = sum(mono)
+            for e in mono:
+                key = (key << width) | e
+            keys[mono] = key
+        return key
+
+    scale = 1
+    m = []
+    for row in rows:
+        if p is None:
+            lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+            scale *= lcm
+            m.append([{pack(mono): c.numerator * (lcm // c.denominator)
+                       for mono, c in e.terms.items()} for e in row])
+        else:
+            m.append([{pack(mono): c for mono, c in e.terms.items()} for e in row])
+
     sign = 1
-    prev = ring.one()
+    prev = {0: 1}
     for k in range(n - 1):
-        piv = None
-        for r in range(k, n):
-            if not m[r][k].is_zero():
-                piv = r
-                break
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             return ring.zero()
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pk = m[k][k]
+        mk = m[k]
+        pk = mk[k]
         for i in range(k + 1, n):
             mi = m[i]
             mik = mi[k]
-            if mik.is_zero():
-                for j in range(k + 1, n):
-                    if not mi[j].is_zero():
-                        mi[j] = divexact(pk * mi[j], prev)
-            else:
-                mk = m[k]
-                for j in range(k + 1, n):
-                    mi[j] = divexact(pk * mi[j] - mik * mk[j], prev)
-            mi[k] = ring.zero()
+            for j in range(k + 1, n):
+                # mi[j] <- (pk * mi[j] - mik * mk[j]) / prev
+                acc: dict[int, int] = {}
+                get = acc.get
+                for k1, c1 in pk.items():
+                    for k2, c2 in mi[j].items():
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c1 * c2
+                if mik:
+                    for k1, c1 in mik.items():
+                        for k2, c2 in mk[j].items():
+                            key = k1 + k2
+                            acc[key] = get(key, 0) - c1 * c2
+                mi[j] = _exact_quotient(acc, prev, p, guard)
         prev = pk
+
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    mask = (1 << width) - 1
+    out: dict = {}
+    for key in sorted(det, reverse=True):
+        c = det[key]
+        exps = []
+        for _ in range(nv):
+            exps.append(key & mask)
+            key >>= width
+        mono = tuple(reversed(exps))
+        if p is None:
+            out[mono] = Fraction(sign * c, scale)
+        else:
+            out[mono] = c if sign > 0 else p - c
+    return Polynomial(ring, out)
+
+
+def _exact_quotient(num: dict, den: dict, p: Optional[int], guard: int) -> dict:
+    """num / den for `determinant`'s packed term dicts over Z (p None) or
+    F_p, den nonzero.
+
+    `determinant` only divides where the quotient is exact, so a remainder
+    raises VerificationError.  Values of num may be unreduced mod p; the
+    quotient's are reduced and nonzero.
+    """
+    if len(den) == 1:
+        (lead, lc), = den.items()
+        inv = pow(lc, -1, p) if p else None
+        out = {}
+        for key, c in num.items():
+            if p:
+                c = c * inv % p
+            elif lc != 1:
+                c, r = divmod(c, lc)
+                if r:
+                    raise VerificationError("inexact Bareiss division")
+            if c:
+                key -= lead
+                if key < 0 or key & guard:
+                    raise VerificationError("inexact Bareiss division")
+                out[key] = c
+        return out
+    lead = max(den)
+    lc = den[lead]
+    inv = pow(lc, -1, p) if p else None
+    rest = [(key - lead, c) for key, c in den.items() if key != lead]
+    rem = dict(num)
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        key = -heapq.heappop(heap)
+        c = rem.pop(key)
+        if p:
+            c = c * inv % p
+        elif c:
+            c, r = divmod(c, lc)
+            if r:
+                raise VerificationError("inexact Bareiss division")
+        if not c:
+            continue
+        qk = key - lead
+        if qk < 0 or qk & guard:
+            raise VerificationError("inexact Bareiss division")
+        out[qk] = c
+        for off, dc in rest:
+            kk = key + off
+            v = rem.get(kk)
+            if v is None:
+                rem[kk] = -c * dc
+                heapq.heappush(heap, -kk)
+            else:
+                rem[kk] = v - c * dc
+    return out
 
 
 # -- text grammar -------------------------------------------------------------------

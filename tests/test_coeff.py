@@ -1,5 +1,6 @@
 """Field layer: parsing, arithmetic invariants, CRT, rational reconstruction."""
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -152,3 +153,44 @@ def test_internal_primes_stream():
             break
     assert all(is_prime(p) and p < 2 ** 28 for p in ps)
     assert ps == sorted(ps, reverse=True)
+
+
+def _counting_is_prime(monkeypatch):
+    """Fresh prime memos, and a list that grows by one per is_prime call."""
+    from projdyn import coeff
+    calls = []
+    real = coeff.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(coeff, "is_prime", counted)
+    monkeypatch.setattr(coeff, "_PROVEN_PRIMES", set())
+    monkeypatch.setattr(coeff, "_PRIMES_BELOW", {})
+    return calls
+
+
+def test_each_prime_field_modulus_is_proven_once(monkeypatch):
+    calls = _counting_is_prime(monkeypatch)
+    assert GF(DEFAULT_MODULAR_PRIME) == GF(DEFAULT_MODULAR_PRIME)
+    assert calls == [DEFAULT_MODULAR_PRIME]
+    for attempt in (1, 2):
+        with pytest.raises(InvalidInputError):
+            GF(15)
+        assert calls.count(15) == attempt
+
+
+def test_internal_primes_streams_share_one_search(monkeypatch):
+    calls = _counting_is_prime(monkeypatch)
+    a, b = internal_primes(), internal_primes()
+    first = [(next(a), next(b)) for _ in range(8)]
+    assert all(x == y for x, y in first)
+    searched = len(calls)
+    again = list(itertools.islice(internal_primes(), 8))
+    assert again == [x for x, _ in first] and len(calls) == searched
+    assert all(is_prime(p) and p < 2 ** 28 for p in again)
+    assert again == sorted(again, reverse=True)
+    # primes a stream found need no second proof to build their field
+    GF(again[0])
+    assert len(calls) == searched

@@ -6,14 +6,15 @@ from random import Random
 
 import pytest
 
-from projdyn.coeff import GF, QQ, random_element
+from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, random_element
 from projdyn.errors import (InvalidInputError, NotDivisibleError,
-                            RingMismatchError)
-from projdyn.mpoly import (NEG_INF, Polynomial, Ring, content_primitive,
-                           determinant, divexact, embed, equal_up_to_scalar,
-                           format_polynomial, monomials_of_degree,
-                           parse_polynomial, poly_gcd, primitive_part,
-                           squarefree_part, strip_monomial_content)
+                            RingMismatchError, VerificationError)
+from projdyn.mpoly import (NEG_INF, Polynomial, Ring, _exact_quotient,
+                           content_primitive, determinant, divexact, embed,
+                           equal_up_to_scalar, format_polynomial,
+                           monomials_of_degree, parse_polynomial, poly_gcd,
+                           primitive_part, squarefree_part,
+                           strip_monomial_content)
 
 RNG_SEED = 917
 
@@ -269,28 +270,70 @@ def test_determinant_small_known():
     assert determinant(rows) == P("x0^2-x1*x2")
 
 
+def _laplace(mat, ring):
+    """Independent oracle: Laplace expansion along the first row."""
+    k = len(mat)
+    if k == 1:
+        return mat[0][0]
+    total = ring.zero()
+    for j in range(k):
+        if mat[0][j].is_zero():
+            continue
+        minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
+        t = mat[0][j] * _laplace(minor, ring)
+        total = total + (t if j % 2 == 0 else -t)
+    return total
+
+
 def test_determinant_bareiss_matches_cofactor_seeded():
     rng = Random(RNG_SEED)
-    for ring in (R2, Ring(2, GF(11))):
-        for n in (5, 6):
+    for ring in (R2, Ring(2, GF(11)), Ring(2, GF(DEFAULT_MODULAR_PRIME))):
+        for n in range(1, 7):
             rows = [[random_poly(ring, rng, 1, 2) for _ in range(n)]
                     for _ in range(n)]
-            big = determinant(rows)
-            # independent oracle: Laplace expansion along the first row
-            def laplace(mat):
-                k = len(mat)
-                if k == 1:
-                    return mat[0][0]
-                total = ring.zero()
-                for j in range(k):
-                    if mat[0][j].is_zero():
-                        continue
-                    minor = [[row[c] for c in range(k) if c != j]
-                             for row in mat[1:]]
-                    t = mat[0][j] * laplace(minor)
-                    total = total + (t if j % 2 == 0 else -t)
-                return total
-            assert big == laplace(rows)
+            if ring.field == QQ:  # rows are cleared of these denominators
+                assert any(c.denominator > 1 for row in rows for e in row
+                           for c in e.terms.values())
+            assert determinant(rows) == _laplace(rows, ring)
+
+
+def test_determinant_sizes_its_exponent_fields_from_the_input():
+    ring = Ring(1, QQ)
+    big = ring.var(0) ** 20000
+    assert determinant([[big, ring.one()], [ring.one(), big]]) == \
+        parse_polynomial("x0^40000-1", ring)
+    rng = Random(RNG_SEED)
+    for fld in (QQ, GF(101)):
+        ring = Ring(2, fld)
+        rows = [[Polynomial(ring, {(rng.randint(2 ** 15, 2 ** 16), rng.randint(0, 3)):
+                                   fld.coerce(rng.randint(1, 9))})
+                 + ring.const(rng.randint(-3, 3)) for _ in range(5)]
+                for _ in range(5)]
+        det = determinant(rows)
+        assert det.degree() > 5 * 2 ** 15
+        assert det == _laplace(rows, ring)
+
+
+def test_exact_quotient_rejects_what_does_not_divide():
+    # determinant's key layout for two variables in 4-bit fields: total
+    # degree, then x0, then x1, with guard bits 3 and 7
+    def key(e0, e1):
+        return (((e0 + e1) << 4) | e0) << 4 | e1
+
+    guard = 1 << 3 | 1 << 7
+    one, x0, x1 = key(0, 0), key(1, 0), key(0, 1)
+    x0_plus_1 = {x0: 1, one: 1}
+    assert _exact_quotient({key(2, 0): 1, one: -1}, x0_plus_1, None, guard) == \
+        {x0: 1, one: -1}
+    assert _exact_quotient({key(2, 0): 1, one: 10}, x0_plus_1, 11, guard) == \
+        {x0: 1, one: 10}
+    for num, den, p in [({x1: 1}, {x0: 1}, None),              # negative key
+                        ({key(3, 0): 1}, {x1: 1}, 101),        # guard bit
+                        ({one: 3}, {one: 2}, None),            # integer remainder
+                        ({key(2, 0): 1, one: 1}, x0_plus_1, None),
+                        ({key(1, 1): 1, one: 1}, x0_plus_1, 7)]:
+        with pytest.raises(VerificationError):
+            _exact_quotient(num, den, p, guard)
 
 
 def test_determinant_singular_and_permutation():
