@@ -14,6 +14,9 @@ the pairs, one traced run (``--trace 1``, the first seed) per workload and
 side records the per-layer metrics: calls and counts per pass, and self
 times per pass, rescaled like the task times.  It also records each side's
 ``src/`` line count and the machine's ``nproc``.
+
+Each run is spawned through ``spawn_command``, so the ``peak_rss_mib`` it
+reports is its own high-water mark, not this recorder's.
 """
 
 from __future__ import annotations
@@ -53,11 +56,24 @@ def revision(tree: Path):
     return out.stdout.strip()
 
 
+def spawn_command(cmd: list) -> list:
+    """``cmd`` run by a forked child of ``/bin/sh`` instead of exec'd from here.
+
+    Linux carries the exec'ing process's peak RSS into the new program's
+    ``ru_maxrss``, so a run exec'd straight from this process reads at least
+    the recorder's own size.  The shell is small, and the child it forks for
+    ``cmd`` starts a fresh mark.  The trailing ``exit`` keeps the shell from
+    exec'ing ``cmd`` in its own place.
+    """
+    return ["/bin/sh", "-c", '"$@"; exit $?', "sh", *cmd]
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(spawn_command(cmd), cwd=tree, capture_output=True, text=True,
+                          check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
                         .read_text(encoding="utf-8"))

@@ -8,7 +8,9 @@ walked once into a list of cells, plus the forms' coefficient tables and a
 structural elimination schedule.  Rows and columns put the reduced minor's
 indices first, so det M' is the leading principal minor and one elimination
 without pivoting yields both determinants: det M / det M' is the product of
-the trailing pivots.  Every route reads that one system:
+the trailing pivots.  When every form has its pure power, each of the two
+groups is ordered by a static Markowitz count, which cuts the fill-in of
+that elimination.  Every route reads that one system:
 
 - numeric forms go through the point evaluator (`_point_value`): zero when
   a form vanishes, else det M / det M' on field values, by one elimination
@@ -40,6 +42,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
@@ -254,10 +257,18 @@ class MacaulaySystem:
     degree D.  Each monomial mu is assigned to the least i with
     x_i^{d_i} | mu; its row is (mu / x_i^{d_i}) * F_i.  The reduced minor
     uses the rows and columns whose monomial is divisible by x_i^{d_i} for
-    at least two distinct i.  Those come first (graded-lex descending), then
-    the rest (likewise), the same order for rows and columns: det M is
-    unchanged, and the reduced minor M' is the leading minor_size x
-    minor_size block.
+    at least two distinct i.  Those come first, then the rest, the same
+    order for rows and columns: det M is unchanged, and the reduced minor
+    M' is the leading minor_size x minor_size block.
+
+    Within each group the order is graded-lex descending, unless every
+    form contains its pure power x_i^{d_i}.  Then every diagonal entry is
+    structurally nonzero, so any symmetric order has a schedule, and each
+    group is sorted (stably, ties graded-lex) by the static Markowitz count
+    of the initial pattern, (entries in the row - 1) * (entries in the
+    column - 1) (Markowitz, Management Science 1957).  A symmetric
+    permutation within each group leaves det M and det M' unchanged; it
+    cuts the fill-in of the elimination below.
 
     `coeff_tables[i]` maps each block monomial of F_i to its coefficient
     polynomial in the parameters.  The layout is walked once, into `cells`:
@@ -309,19 +320,34 @@ class MacaulaySystem:
         # forms whose pure power divides each monomial (pigeonhole: at least one)
         hits = {mu: [i for i in range(bs) if mu[i] >= degrees[i]]
                 for mu in monomials_of_degree(bs, self.critical_degree)}
+        # row mu: its form, and the (column monomial, block monomial) of each entry
+        rows = {}
+        for mu, h in hits.items():
+            i = h[0]
+            shift = list(mu)
+            shift[i] -= degrees[i]
+            rows[mu] = i, [(tuple(s + e for s, e in zip(shift, mb)), mb)
+                           for mb in self.coeff_tables[i]]
         extraneous = [mu for mu, h in hits.items() if len(h) >= 2]
-        self.columns = extraneous + [mu for mu, h in hits.items() if len(h) < 2]
+        rest = [mu for mu, h in hits.items() if len(h) < 2]
+        if all(tuple(d if j == i else 0 for j in range(bs)) in tab
+               for i, (d, tab) in enumerate(zip(degrees, self.coeff_tables))):
+            # every diagonal entry is structurally nonzero: Markowitz order
+            in_column = Counter(col for _, entries in rows.values() for col, _ in entries)
+
+            def markowitz(mu):
+                return (len(rows[mu][1]) - 1) * (in_column[mu] - 1)
+
+            extraneous.sort(key=markowitz)
+            rest.sort(key=markowitz)
+        self.columns = extraneous + rest
         self.size = len(self.columns)
         self.minor_size = len(extraneous)
         col_index = {m: c for c, m in enumerate(self.columns)}
         self.cells = []
         for row, mu in enumerate(self.columns):
-            i = hits[mu][0]
-            shift = list(mu)
-            shift[i] -= degrees[i]
-            for mb in self.coeff_tables[i]:
-                col = col_index[tuple(s + e for s, e in zip(shift, mb))]
-                self.cells.append((row, col, i, mb))
+            i, entries = rows[mu]
+            self.cells.extend((row, col_index[col], i, mb) for col, mb in entries)
         self.schedule = _elimination_schedule(self.size, self.cells)
 
     def _fill(self, tables, out):

@@ -1,0 +1,45 @@
+import importlib.util
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+HELD_MIB = 64
+
+
+def load_recorder():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def child_peak_mib(cmd):
+    """ru_maxrss, in MiB, that a Python child started by `cmd` reads of itself."""
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    return int(out) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss across exec is Linux's")
+def test_spawned_runs_read_their_own_peak_rss():
+    # a parent holding HELD_MIB hands that mark to a child it execs directly;
+    # through the spawn helper the child reads only its own size
+    held = bytearray(HELD_MIB << 20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >= HELD_MIB << 10
+    child = [sys.executable, "-c",
+             "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"]
+    assert child_peak_mib(child) >= HELD_MIB
+    assert child_peak_mib(load_recorder().spawn_command(child)) < HELD_MIB / 2
+    del held
+
+
+def test_spawn_command_passes_arguments_and_exit_code_through():
+    spawn = load_recorder().spawn_command
+    echo = [sys.executable, "-c", "import sys; print(sys.argv[1:]); sys.exit(3)",
+            "two words", "$HOME", "'"]
+    proc = subprocess.run(spawn(echo), capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout.strip() == repr(["two words", "$HOME", "'"])

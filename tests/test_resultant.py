@@ -1,6 +1,7 @@
 """Resultant layer: Sylvester, Macaulay, strategies, degeneracy handling."""
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -106,6 +107,128 @@ def test_macaulay_layout_sizes():
     assert (sys2.critical_degree, sys2.size, sys2.minor_size) == (7, 36, 12)
     sys3 = MacaulaySystem([random_form(ring, block, d, rng) for d in (1, 2, 4)])
     assert (sys3.critical_degree, sys3.size) == (5, 21)
+
+
+def pure_power(system, i):
+    """Block exponent of x_i^{d_i}."""
+    return tuple(system.degrees[i] if j == i else 0 for j in range(system.block_size))
+
+
+def has_pure_powers(system):
+    """Whether every form F_i has a nonzero x_i^{d_i} term."""
+    return all(pure_power(system, i) in tab for i, tab in enumerate(system.coeff_tables))
+
+
+def graded_lex_columns(system):
+    """The layout's monomials in graded-lex order, the reduced minor's first."""
+    monomials = monomials_of_degree(system.block_size, system.critical_degree)
+    in_minor = [sum(mu[i] >= d for i, d in enumerate(system.degrees)) >= 2
+                for mu in monomials]
+    return ([mu for mu, m in zip(monomials, in_minor) if m]
+            + [mu for mu, m in zip(monomials, in_minor) if not m])
+
+
+def schedule_ops(schedule):
+    """Multiply-subtract operations per point of one elimination along it."""
+    return sum(len(below) * len(right) for below, right in schedule)
+
+
+def graded_lex_schedule(system):
+    """The elimination schedule of the same matrix in graded-lex order."""
+    position = {mu: j for j, mu in enumerate(graded_lex_columns(system))}
+    moved = [position[mu] for mu in system.columns]
+    return resultant._elimination_schedule(
+        system.size, [(moved[r], moved[c], i, mb) for r, c, i, mb in system.cells])
+
+
+def with_pure_powers(forms, block_size):
+    """The forms with x_i^{d_i} added to F_i wherever it is missing."""
+    out = []
+    for i, f in enumerate(forms):
+        ring = f.ring
+        d = f.homogeneous_degree_in_block(tuple(range(block_size)))
+        pure = tuple(d if j == i else 0 for j in range(ring.nvars))
+        out.append(f if pure in f.terms
+                   else f + Polynomial(ring, {pure: ring.field.one()}))
+    return out
+
+
+def test_layout_orders_each_group_by_static_markowitz_count():
+    # with every pure power present, each group (the reduced minor's
+    # monomials, then the rest) is sorted by (entries in the row - 1) *
+    # (entries in the column - 1) of the initial pattern, ties in graded-lex
+    # order; without, the layout stays in graded-lex order.  Either way it
+    # is a permutation within each group, the same for rows and columns.
+    rng = Random(RNG_SEED)
+    ring = Ring(3, GF(10007))
+    block = (0, 1, 2)
+    # systems, and those moved out of graded-lex order, by whether every
+    # pure power is present
+    systems, reordered = Counter(), Counter()
+    for degrees in ELIMINATION_SHAPES:
+        for density in (0.3, 0.7, 1.0):
+            for _ in range(4):
+                forms = [random_form(ring, block, d, rng, density) for d in degrees]
+                if rng.random() < 0.5:
+                    forms = with_pure_powers(forms, 3)
+                system = MacaulaySystem(forms)
+                km = system.minor_size
+                graded = graded_lex_columns(system)
+                assert sorted(system.columns[:km]) == sorted(graded[:km])
+                assert sorted(system.columns[km:]) == sorted(graded[km:])
+                pure = has_pure_powers(system)
+                systems[pure] += 1
+                reordered[pure] += system.columns != graded
+                if not pure:
+                    continue
+                in_row = Counter(r for r, _, _, _ in system.cells)
+                in_column = Counter(c for _, c, _, _ in system.cells)
+                position = {mu: j for j, mu in enumerate(graded)}
+                keys = [((in_row[j] - 1) * (in_column[j] - 1), position[mu])
+                        for j, mu in enumerate(system.columns)]
+                assert keys[:km] == sorted(keys[:km])
+                assert keys[km:] == sorted(keys[km:])
+                # rows and columns share the order: row j, the shifted copy
+                # of F_i, has its pure-power entry on the diagonal
+                cells = set(system.cells)
+                for j, mu in enumerate(system.columns):
+                    i = next(i for i, d in enumerate(system.degrees) if mu[i] >= d)
+                    assert (j, j, i, pure_power(system, i)) in cells
+    assert systems == {True: 42, False: 6}
+    assert reordered == {True: 42, False: 0}
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["QQ", "GF7", "GF62bit"])
+def test_systems_with_every_pure_power_always_get_a_schedule(fld):
+    rng = Random(RNG_SEED)
+    ring = Ring(3, fld)
+    for degrees in ELIMINATION_SHAPES:
+        for density in (0.1, 0.3, 0.6):
+            for _ in range(4):
+                forms = with_pure_powers(
+                    [random_form(ring, (0, 1, 2), d, rng, density) for d in degrees], 3)
+                assert MacaulaySystem(forms).schedule is not None
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        for _ in range(4):
+            forms = with_pure_powers(
+                sparse_parametric_forms(Ring(nvars, fld), block_size, degrees, rng),
+                block_size)
+            assert MacaulaySystem(forms, block_size).schedule is not None
+
+
+def test_sweep_systems_pin_their_scheduled_operations(monkeypatch):
+    # a certificate of the sweep workload (a plane under squaring over the
+    # 62-bit prime): the two graph systems of the pushforward steps, of
+    # orders 10 and 15, and the order-21 certificate system.  Per point,
+    # multiply-subtract operations of the Markowitz order against the
+    # graded-lex one.
+    builds = count_calls(monkeypatch, MacaulaySystem, "__init__")
+    f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
+    improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
+    ops = {(system.size, schedule_ops(system.schedule),
+            schedule_ops(graded_lex_schedule(system))) for system, *_ in builds}
+    assert ops == {(10, 15, 31), (15, 78, 219), (21, 112, 113)}
 
 
 def test_macaulay_pure_power_normalization():
@@ -727,16 +850,20 @@ PLANTED_ZERO_PIVOTS = (0, 31, 63)
 
 
 # each field with the number of its 24 random systems below whose schedule
-# meets a structurally zero pivot
-@pytest.mark.parametrize("fld, expect_unscheduled", [
-    pytest.param(GF(7), 19, id="GF7"), pytest.param(GF(10007), 5, id="GF10007"),
-    pytest.param(GF(DEFAULT_MODULAR_PRIME), 11, id="GF62bit"), pytest.param(QQ, 12, id="QQ")])
-def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unscheduled):
+# meets a structurally zero pivot, and the number whose layout the
+# Markowitz order moved out of graded-lex order
+@pytest.mark.parametrize("fld, expect_unscheduled, expect_reordered", [
+    pytest.param(GF(7), 19, 3, id="GF7"), pytest.param(GF(10007), 5, 13, id="GF10007"),
+    pytest.param(GF(DEFAULT_MODULAR_PRIME), 11, 12, id="GF62bit"),
+    pytest.param(QQ, 12, 8, id="QQ")])
+def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unscheduled,
+                                                            expect_reordered):
     rng = Random(RNG_SEED)
     ring = Ring(3, fld)
     block = (0, 1, 2)
     fallbacks = 0
     unscheduled = 0
+    reordered = 0
     for degrees, shape in ELIMINATION_SHAPES.items():
         for _ in range(6):
             system = MacaulaySystem([random_form(ring, block, d, rng, density=0.7)
@@ -746,6 +873,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             km = system.minor_size
             assert all((sum(mu[i] >= d for i, d in enumerate(degrees)) >= 2) == (c < km)
                        for c, mu in enumerate(system.columns))
+            reordered += system.columns != graded_lex_columns(system)
             # the schedule is withheld exactly when dense elimination without
             # pivoting meets a zero at every point of the structural pattern
             oracle = structural_batch(system, 10007, Random(RNG_SEED))
@@ -810,6 +938,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
     if fld == GF(7):  # the pivoted pair behind a zero pivot was checked too
         assert fallbacks > unscheduled
     assert unscheduled == expect_unscheduled
+    assert reordered == expect_reordered
 
 
 def check_vandermonde(nodes, rhs, solved, p, transposed):
