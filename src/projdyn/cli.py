@@ -31,7 +31,7 @@ from .dynamics import (Endomorphism, ProjectivePoint, _parse_forms, dim_end,
                        has_periodic_critical_point, improper_certificate,
                        jacobian, pushforward, search_improper_witness)
 from .errors import DegeneracyError, ProjdynError, VerificationError
-from .mpoly import format_polynomial
+from .mpoly import _format_coeff, format_polynomial
 from .resultant import macaulay_resultant
 from .sympow import find_pcf_parameter, period_polynomial, symmetric_power
 
@@ -59,16 +59,8 @@ def _scalar(text: str, fld):
         raise _UsageError(f"bad scalar {text!r}")
 
 
-def _scalar_text(c) -> str:
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def _point_text(p: ProjectivePoint) -> str:
-    return "(" + ":".join(_scalar_text(c) for c in p.coords) + ")"
+    return "(" + ":".join(_format_coeff(c) for c in p.coords) + ")"
 
 
 def _parse_point(text: str, fld) -> ProjectivePoint:
@@ -127,7 +119,7 @@ def _cmd_orbit(args, fld):
         lines.append(f"tail={rec.tail} period={rec.period}")
     else:
         lines.append(f"no repetition within {args.bound} steps")
-    result = {"points": [[_scalar_text(c) for c in p.coords] for p in rec.points],
+    result = {"points": [[_format_coeff(c) for c in p.coords] for p in rec.points],
               "tail": rec.tail, "period": rec.period, "terminated": rec.terminated}
     return rec.terminated, lines, result
 
@@ -210,7 +202,7 @@ def _cmd_find_pcf(args, fld):
     c = find_pcf_parameter(args.d, args.s, fld)
     if c is None:
         return False, ["absent"], {"found": False, "parameter": None}
-    text = _scalar_text(c)
+    text = _format_coeff(c)
     return True, [text], {"found": True, "parameter": text}
 
 

@@ -291,22 +291,26 @@ def rational_reconstruct(value: int, modulus: int) -> Optional[Fraction]:
     return Fraction(r1, t1)
 
 
-# start_below -> the primes below it in descending order, as far as any
+# Every prime internal_primes yields lies below this bound, so that products
+# of two residues stay inside int64 for the vectorized resultant kernel.
+_INTERNAL_PRIME_BOUND = 1 << 28
+
+# The primes below _INTERNAL_PRIME_BOUND in descending order, as far as any
 # stream has drawn them; every stream reads and extends the one list.
-_PRIMES_BELOW: dict[int, list[int]] = {}
+_INTERNAL_PRIMES: list[int] = []
 
 
-def internal_primes(start_below: int = 1 << 28):
-    """Deterministic descending stream of primes below start_below.
+def internal_primes():
+    """Deterministic descending stream of the primes below
+    _INTERNAL_PRIME_BOUND, used by the modular-interpolation strategy.
 
-    Used by the modular-interpolation strategy; 28-bit keeps int64 products safe
-    in the vectorized kernel.  Primes found once are not searched for again.
+    Primes found once are not searched for again.
     """
-    found = _PRIMES_BELOW.setdefault(start_below, [])
+    found = _INTERNAL_PRIMES
     i = 0
     while True:
         if i == len(found):
-            c = (found[-1] if found else start_below) - 1
+            c = (found[-1] if found else _INTERNAL_PRIME_BOUND) - 1
             if c % 2 == 0:
                 c -= 1
             while c > 3 and not is_prime(c):

@@ -24,10 +24,11 @@ from .coeff import (DEFAULT_MODULAR_PRIME, GF, PrimeField, RationalField,
                     internal_primes, parse_field)
 from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
                      RingMismatchError, UnsupportedScopeError)
-from .mpoly import (Polynomial, Ring, _block_coefficients, default_aliases,
-                    determinant, divexact, embed, equal_up_to_scalar,
-                    format_polynomial, parse_polynomial, poly_gcd,
-                    primitive_part, squarefree_part, strip_monomial_content)
+from .mpoly import (Polynomial, Ring, _block_coefficients, _primitive_scale,
+                    default_aliases, determinant, divexact, embed,
+                    equal_up_to_scalar, format_polynomial, parse_polynomial,
+                    poly_gcd, primitive_part, squarefree_part,
+                    strip_monomial_content)
 from .resultant import (_apply_linear, _field_inverse, _probe_count,
                         macaulay_resultant, sylvester_resultant)
 
@@ -35,7 +36,7 @@ _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
 _SCAN_LIMIT = 1_000_000      # largest prime field swept exhaustively
 _FACTOR_LIMIT = 10 ** 12     # largest integer factored for rational roots
-_PARSE_VARS = 64             # probe ring width when inferring variable counts
+_PARSE_VARS = 64             # widest ring that parsing may infer
 _PARSE_ALIASES = default_aliases(3)  # x, y, z for x0, x1, x2 in any ring width
 
 
@@ -155,16 +156,6 @@ def _joint_primitive(forms: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
                 break
         scale = fld.inv(lead) if lead is not None else fld.one()
     return tuple(f.scale(scale) for f in forms)
-
-
-def _primitive_scale(values) -> Fraction:
-    """The positive rational that takes rationals to coprime integers
-    (1 when all are zero)."""
-    num, den = 0, 1
-    for c in values:
-        num = math.gcd(num, c.numerator)
-        den = math.lcm(den, c.denominator)
-    return Fraction(den, num) if num else Fraction(1)
 
 
 class Endomorphism:
@@ -306,6 +297,8 @@ def endomorphism_from_strings(texts: Sequence[str], fld,
     """Build a map from polynomial strings; ring size is inferred if omitted.
 
     The x/y/z shorthand is always understood; extra variables are x3, x4, ...
+    An inferred ring holds at most 64 variables; a declared `nvars` lifts
+    that bound.
     """
     return Endomorphism(_parse_forms(texts, fld, len(texts), nvars))
 
@@ -313,28 +306,20 @@ def endomorphism_from_strings(texts: Sequence[str], fld,
 def _parse_forms(texts: Sequence[str], fld, min_width: int,
                  nvars: Optional[int] = None) -> list[Polynomial]:
     """Parse forms into one ring: `nvars` variables, or by default the fewest
-    that hold every variable used and at least `min_width`.  The x/y/z
-    shorthand stands for x0, x1, x2."""
-    probe = Ring(_PARSE_VARS, fld)
-    parsed = [parse_polynomial(t, probe, aliases=_PARSE_ALIASES) for t in texts]
+    that hold every variable used and at least `min_width`.  Texts are read
+    in a ring of `nvars` or _PARSE_VARS variables, whichever is wider, so
+    an inferred ring stops at _PARSE_VARS.  The x/y/z shorthand stands for
+    x0, x1, x2."""
+    ring = Ring(max(nvars or 0, _PARSE_VARS), fld)
+    parsed = [parse_polynomial(t, ring, aliases=_PARSE_ALIASES) for t in texts]
     width = max([min_width] + [v + 1 for p in parsed for v in p.variables()])
     if nvars is None:
         nvars = width
     elif nvars < width:
         raise InvalidInputError("declared variable count is too small")
     ring = Ring(nvars, fld)
-    return [_shrink(p, ring) for p in parsed]
-
-
-def _shrink(p: Polynomial, ring: Ring) -> Polynomial:
-    """Recast into another ring width; only zero-exponent variables may drop."""
-    w = ring.nvars
-    out = {}
-    for m, c in p.terms.items():
-        if any(m[w:]):
-            raise InvalidInputError("form uses a variable outside the ring")
-        out[(m + (0,) * w)[:w]] = c
-    return Polynomial(ring, out)
+    return [Polynomial(ring, {m[:nvars]: c for m, c in p.terms.items()})
+            for p in parsed]
 
 
 # -- jacobians -----------------------------------------------------------------------
@@ -485,7 +470,7 @@ def _evaluate_coeffs(terms: dict, point: Sequence, p: int,
     return total
 
 
-def _exact_quotient(a: list, b: list, p: int) -> list:
+def _quotient_coeffs(a: list, b: list, p: int) -> list:
     """a / b in F_p[t] for a trimmed b that divides a, low degree first."""
     a = list(a)
     top = len(b) - 1
@@ -610,7 +595,7 @@ def _line_trial(phi_q: dict, g_q: dict, fs_q: list, fq: PrimeField, lines: list,
         der = [i * c % p for i, c in enumerate(r)][1:]
         if not any(der):
             return _composed_trial(phi_q, g_q, fs_q, fq, seed)
-        rad = _exact_quotient(r, _gcd_coeffs(r, der, fq), p)
+        rad = _quotient_coeffs(r, _gcd_coeffs(r, der, fq), p)
         images = [_evaluate_coeffs(h, line, p, rad) for h in fs_q]
         if _evaluate_coeffs(g_q, images, p, rad):
             return False

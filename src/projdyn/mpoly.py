@@ -4,10 +4,15 @@ Representation: a term dict mapping exponent tuples to nonzero field values.
 The canonical term order everywhere (printing, leading terms, primitive-part
 sign) is graded lexicographic with x0 > x1 > ... .
 
-Variables are named x0..xN in the text grammar; the single-letter aliases
-x, y, z are accepted on input for rings with at most three variables and are
-normalized to x0, x1, x2 on output.  Round-tripping print -> parse is
-bit-exact.
+Text grammar: `term := sign* factor (('*' | '/') factor)*`, terms joined by
+signs; a factor is an integer or a variable with an optional '^' integer
+exponent, and only integers follow '/'.  Variables are named x0..xN; the
+single-letter aliases x, y, z are accepted on input for rings with at most
+three variables and are normalized to x0, x1, x2 on output.  Round-tripping
+print -> parse is bit-exact.  Texts parsed without a ring width
+(`dynamics.endomorphism_from_strings`) are read in a 64-variable ring and
+kept in the fewest variables, at least one per form, that hold every
+nonzero exponent.
 
 Algorithms here stay at desk scale on purpose: primitive-PRS gcd, and one
 fraction-free Bareiss determinant kernel on packed integer monomials (rows
@@ -362,16 +367,20 @@ def content_primitive(p: Polynomial) -> tuple[Value, Polynomial]:
         _, lc = p.leading()
         inv = fld.inv(lc)
         return lc, p.scale(inv)
-    g = 0
-    l = 1
-    for c in p.terms.values():
-        g = math.gcd(g, abs(c.numerator))
-        l = l * c.denominator // math.gcd(l, c.denominator)
-    content = Fraction(g, l)
-    _, lc = p.leading()
-    if lc < 0:
-        content = -content
-    return content, p.scale(1 / content)
+    scale = _primitive_scale(p.terms.values())
+    if p.leading()[1] < 0:
+        scale = -scale
+    return 1 / scale, p.scale(scale)
+
+
+def _primitive_scale(values) -> Fraction:
+    """The positive rational that takes rationals to coprime integers
+    (1 when all are zero)."""
+    num, den = 0, 1
+    for c in values:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(den, num) if num else Fraction(1)
 
 
 def primitive_part(p: Polynomial) -> Polynomial:
@@ -741,7 +750,10 @@ def _exact_quotient(num: dict, den: dict, p: Optional[int], guard: int) -> dict:
 
 # -- text grammar -------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([a-wyz]|x(?![\d]))|(\^)|(\*)|(/)|(\+)|(-))")
+# The first character outside the grammar, with the whitespace before it.
+_BAD_CHAR = re.compile(r"\s*[^\s\da-z^*/+-]")
+# One token: an integer, x<index>, a one-letter alias, or an operator.
+_TOKEN = re.compile(r"\s*(?:(\d+)|x(\d+)|([a-z])|(.))")
 
 
 def default_aliases(nvars: int) -> dict[str, int]:
@@ -750,124 +762,88 @@ def default_aliases(nvars: int) -> dict[str, int]:
 
 def parse_polynomial(text: str, ring: Ring,
                      aliases: Optional[dict[str, int]] = None) -> Polynomial:
-    """Parse the +/- term grammar: optional rational coefficient, '*'-joined
-    power products, '^' exponents, '/'-division by integer atoms."""
+    """Parse the text grammar (module docstring) in one pass.
+
+    A character outside the grammar anywhere is reported first; then each
+    term is checked and coerced into the field as it ends, in text order.
+    """
     if aliases is None:
         aliases = default_aliases(ring.nvars)
-    fld = ring.field
     s = text.strip()
     if not s:
         raise InvalidInputError("empty polynomial text")
-    pos = 0
-    tokens: list[tuple[str, str]] = []
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
-            raise InvalidInputError(f"bad character at {pos} in {text!r}")
-        pos = m.end()
-        num, xvar, alias, caret, star, slash, plus, minus = m.groups()
-        if num is not None:
-            tokens.append(("num", num))
-        elif xvar is not None:
-            tokens.append(("var", xvar))
-        elif alias is not None:
-            tokens.append(("alias", alias))
-        elif caret:
-            tokens.append(("^", "^"))
-        elif star:
-            tokens.append(("*", "*"))
-        elif slash:
-            tokens.append(("/", "/"))
-        elif plus:
-            tokens.append(("+", "+"))
-        else:
-            tokens.append(("-", "-"))
-
-    def var_index(tok) -> int:
-        kind, val = tok
-        if kind == "var":
-            idx = int(val[1:])
-        else:
-            if val not in aliases:
-                raise InvalidInputError(f"unknown variable {val!r}")
-            idx = aliases[val]
-        if idx >= ring.nvars:
-            raise InvalidInputError(f"variable index {idx} out of range (nvars={ring.nvars})")
-        return idx
-
-    total = ring.zero()
-    i = 0
-    nt = len(tokens)
-    while i < nt:
-        sign = 1
-        while i < nt and tokens[i][0] in "+-":
-            if tokens[i][0] == "-":
-                sign = -sign
-            i += 1
-        if i >= nt:
+    bad = _BAD_CHAR.search(s)
+    if bad:
+        raise InvalidInputError(f"bad character at {bad.start()} in {text!r}")
+    fld = ring.field
+    nvars = ring.nvars
+    terms: dict = {}
+    tokens = _TOKEN.finditer(s)
+    tok = next(tokens, None)
+    while tok:
+        num, den = 1, 1
+        while tok and tok[4] in ("+", "-"):
+            if tok[4] == "-":
+                num = -num
+            tok = next(tokens, None)
+        if not tok:
             raise InvalidInputError(f"dangling sign in {text!r}")
-        coeff = Fraction(sign)
-        mono = [0] * ring.nvars
-        expect_atom = True
-        divide_next = False
-        saw_atom = False
-        while i < nt:
-            kind, val = tokens[i]
-            if kind in "+-" and not expect_atom:
-                break
-            if kind == "num":
-                if not expect_atom:
-                    raise InvalidInputError(f"unexpected number in {text!r}")
-                n = int(val)
-                if divide_next:
-                    if n == 0:
-                        raise InvalidInputError("division by zero in polynomial text")
-                    coeff /= n
+        mono = [0] * nvars
+        divide = None  # None before the term's first factor
+        while True:
+            digits, index, alias, op = tok.groups() if tok else (None,) * 4
+            if op in ("*", "/"):
+                raise InvalidInputError(f"misplaced {op!r} in {text!r}")
+            if digits is not None:
+                n = int(digits)
+                if not divide:
+                    num *= n
+                elif n:
+                    den *= n
                 else:
-                    coeff *= n
-                i += 1
-                saw_atom = True
-                expect_atom = False
-                divide_next = False
-            elif kind in ("var", "alias"):
-                if not expect_atom:
-                    raise InvalidInputError(f"missing '*' before variable in {text!r}")
-                if divide_next:
+                    raise InvalidInputError("division by zero in polynomial text")
+                tok = next(tokens, None)
+            elif index is not None or alias is not None:
+                if divide:
                     raise InvalidInputError("division by a variable is not in the grammar")
-                idx = var_index(tokens[i])
-                i += 1
-                e = 1
-                if i < nt and tokens[i][0] == "^":
-                    i += 1
-                    if i >= nt or tokens[i][0] != "num":
+                idx = int(index) if index is not None else aliases.get(alias)
+                if idx is None:
+                    raise InvalidInputError(f"unknown variable {alias!r}")
+                if idx >= nvars:
+                    raise InvalidInputError(f"variable index {idx} out of range (nvars={nvars})")
+                tok = next(tokens, None)
+                if tok and tok[4] == "^":
+                    tok = next(tokens, None)
+                    if not tok or tok[1] is None:
                         raise InvalidInputError(f"'^' needs an integer exponent in {text!r}")
-                    e = int(tokens[i][1])
-                    i += 1
-                mono[idx] += e
-                saw_atom = True
-                expect_atom = False
-                divide_next = False
-            elif kind == "*":
-                if expect_atom:
-                    raise InvalidInputError(f"misplaced '*' in {text!r}")
-                expect_atom = True
-                i += 1
-            elif kind == "/":
-                if expect_atom:
-                    raise InvalidInputError(f"misplaced '/' in {text!r}")
-                expect_atom = True
-                divide_next = True
-                i += 1
+                    mono[idx] += int(tok[1])
+                    tok = next(tokens, None)
+                else:
+                    mono[idx] += 1
+            elif divide is None:  # '^' cannot start a term
+                raise InvalidInputError(f"empty term in {text!r}")
             else:
+                raise InvalidInputError(f"dangling operator in {text!r}")
+            # a factor ended: '*' or '/' continues the term, a sign or '^' ends it
+            if not tok:
                 break
-        if not saw_atom:
-            raise InvalidInputError(f"empty term in {text!r}")
-        if expect_atom:
-            raise InvalidInputError(f"dangling operator in {text!r}")
-        c = fld.coerce(coeff)
-        if not fld.is_zero(c):
-            total = total + Polynomial(ring, {tuple(mono): c})
-    return total
+            if tok[1] is not None:
+                raise InvalidInputError(f"unexpected number in {text!r}")
+            if tok[4] is None:
+                raise InvalidInputError(f"missing '*' before variable in {text!r}")
+            if tok[4] not in ("*", "/"):
+                break
+            divide = tok[4] == "/"
+            tok = next(tokens, None)
+        c = fld.coerce(num if den == 1 else Fraction(num, den))
+        key = tuple(mono)
+        if key in terms:
+            c = fld.add(terms[key], c)
+        if fld.is_zero(c):
+            terms.pop(key, None)
+        else:
+            terms[key] = c
+    return Polynomial(ring, terms)
 
 
 def _format_coeff(c: Value) -> str:

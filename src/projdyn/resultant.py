@@ -49,8 +49,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coeff import (GF, PrimeField, RationalField, crt_combine,
-                    internal_primes, rational_reconstruct)
+from .coeff import (_INTERNAL_PRIME_BOUND, GF, PrimeField, RationalField,
+                    crt_combine, internal_primes, rational_reconstruct)
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
 from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
                     divexact, monomials_of_degree)
@@ -61,7 +61,8 @@ _MAX_PRIMES = 24      # CRT budget for rational interpolation
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
 _LOCKSTEP_POINTS = 8  # up to this many points Python ints beat numpy's per-step
                       # cost (measured crossover: 8-12 points, orders 3-36)
-_NUMPY_SAFE = 1 << 28  # primes below this keep int64 products overflow-free
+_NUMPY_SAFE = _INTERNAL_PRIME_BOUND  # int64 products stay overflow-free
+                                     # below this; every CRT prime lies below
 _PROBE_BITS = 32       # an accepted candidate is wrong with probability <= 2^-32
 _MAX_SPARSE_PROBES = 4  # sparse stages run only where this many probes suffice
 

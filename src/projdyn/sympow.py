@@ -27,7 +27,7 @@ from .dynamics import (Endomorphism, ProjectivePoint, binary_form_roots,
                        critical_points, has_periodic_critical_point, jacobian)
 from .errors import (InvalidInputError, NotDivisibleError, RingMismatchError,
                      UnsupportedScopeError, VerificationError)
-from .mpoly import Polynomial, Ring, divexact, embed
+from .mpoly import Polynomial, Ring, _primitive_scale, divexact, embed
 from .resultant import discriminant_binary, sylvester_resultant
 
 _SAMPLE_SPREAD = 40   # affine coordinates are drawn from [-spread, spread]
@@ -108,12 +108,7 @@ class SymForm:
         if not vals or all(fld.is_zero(v) for v in vals):
             raise InvalidInputError("a form needs a nonzero coefficient")
         if isinstance(fld, RationalField):
-            num = 0
-            den = 1
-            for v in vals:
-                num = math.gcd(num, v.numerator)
-                den = den * v.denominator // math.gcd(den, v.denominator)
-            scale = fld.coerce(den) / num  # clears denominators, reduces content
+            scale = _primitive_scale(vals)
             vals = [v * scale for v in vals]
             first = next(v for v in vals if v)
             if first < 0:

@@ -167,7 +167,7 @@ def _counting_is_prime(monkeypatch):
 
     monkeypatch.setattr(coeff, "is_prime", counted)
     monkeypatch.setattr(coeff, "_PROVEN_PRIMES", set())
-    monkeypatch.setattr(coeff, "_PRIMES_BELOW", {})
+    monkeypatch.setattr(coeff, "_INTERNAL_PRIMES", [])
     return calls
 
 

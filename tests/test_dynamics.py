@@ -14,7 +14,7 @@ from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
                               _extended_ring, _gcd_coeffs, _homogeneous_blocks,
-                              _line_coeffs, _probably_squarefree,
+                              _line_coeffs, _parse_forms, _probably_squarefree,
                               _pushforward_chain, _strip_param_content,
                               critical_points, dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
@@ -142,6 +142,16 @@ def test_json_round_trip():
 def test_from_strings_rejects_small_ring():
     with pytest.raises(InvalidInputError):
         endomorphism_from_strings(["x0^2", "x1^2", "x2^2"], QQ, nvars=2)
+    with pytest.raises(InvalidInputError):  # an inferred ring stops at x63
+        endomorphism_from_strings(["x0^2", "x1^2*x64"], QQ)
+
+
+def test_from_strings_ring_width():
+    f = endomorphism_from_strings(["x0^2", "x1^2*x70"], QQ, nvars=100)
+    assert f.ring.nvars == 100 and f.forms[1].variables() == [1, 70]
+    # an inferred ring ignores variables met only to the power 0 or times 0
+    forms = _parse_forms(["z^0+x0", "0*x5+x0"], QQ, 2)
+    assert forms == [parse_polynomial("x0+1", R2), parse_polynomial("x0", R2)]
 
 
 # -- jacobians ----------------------------------------------------------------------

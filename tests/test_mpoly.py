@@ -74,14 +74,61 @@ def test_round_trip_bit_exact_seeded():
 
 def test_parse_rejects_garbage():
     for bad in ["", "x0*", "x0/", "*x0", "2**x0", "x0^", "x0^x1", "q0",
-                "x0/x1", "x9", "x0 x1"]:
+                "x0/x1", "x9", "x0 x1", "3x0", "x 0", "2^3", "x0^2^3",
+                "x0*-x1", "1/0", "X0"]:
         with pytest.raises(InvalidInputError):
             P(bad)
+
+
+def test_parse_coerces_each_term_as_it_ends():
+    # 1/7 has no value mod 7, even though the two terms would cancel
+    with pytest.raises(ZeroDivisionError):
+        P("x0/7-x0/7", Ring(3, GF(7)))
+    assert P("x0*7/7", Ring(3, GF(7))) == P("x0", Ring(3, GF(7)))
 
 
 def test_parse_merges_repeated_monomials():
     assert P("x0+x0") == P("2*x0")
     assert P("x0-x0").is_zero()
+
+
+def test_parse_seeded_texts_against_polynomial_arithmetic():
+    # well-formed texts written alongside the polynomial they denote
+    rng = Random(RNG_SEED)
+    names = {"x0": 0, "x1": 1, "x2": 2, "x": 0, "y": 1, "z": 2}
+    spaced = ["{}", " {}", "{} ", " {} "]
+    for ring in (R3, Ring(3, GF(7))):
+        gens = ring.gens()
+        for _ in range(150):
+            text, expect = "", ring.zero()
+            terms = []
+            for k in range(rng.randint(1, 5)):
+                if terms and rng.random() < 0.3:  # a monomial seen before
+                    body, value = rng.choice(terms)
+                else:
+                    body, value = "", ring.one()
+                    for j in range(rng.randint(1, 4)):
+                        if j and rng.random() < 0.3:
+                            n = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12])
+                            body += rng.choice(spaced).format("/") + str(n)
+                            value = value.scale(Fraction(1, n))
+                            continue
+                        if j:
+                            body += rng.choice(spaced).format("*")
+                        if rng.random() < 0.3:
+                            n = rng.randint(0, 14)
+                            body, value = body + str(n), value.scale(n)
+                        else:
+                            name = rng.choice(list(names))
+                            e = rng.randint(0, 3)
+                            body += name + (f"^{e}" if e != 1 or rng.random() < 0.3 else "")
+                            value = value * gens[names[name]] ** e
+                    terms.append((body, value))
+                signs = rng.choice(["+", "-", "--", " + ", " - ", "-+-"] if k else
+                                   ["", "", "-", "+", "- ", "+-"])
+                text += rng.choice(spaced).format(signs) + body
+                expect = expect + value if signs.count("-") % 2 == 0 else expect - value
+            assert P(text, ring) == expect, text
 
 
 # -- arithmetic ----------------------------------------------------------------
