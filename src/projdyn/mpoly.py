@@ -6,7 +6,9 @@ sign) is graded lexicographic with x0 > x1 > ... .
 
 Text grammar: `term := sign* factor (('*' | '/') factor)*`, terms joined by
 signs; a factor is an integer or a variable with an optional '^' integer
-exponent, and only integers follow '/'.  Variables are named x0..xN; the
+exponent, and only integers follow '/'.  Integers, indices and exponents
+are ASCII digits 0-9 (other decimal digits are rejected as characters
+outside the grammar).  Variables are named x0..xN; the
 single-letter aliases x, y, z are accepted on input for rings with at most
 three variables and are normalized to x0, x1, x2 on output.  Round-tripping
 print -> parse is bit-exact.  Texts parsed without a ring width
@@ -751,9 +753,9 @@ def _exact_quotient(num: dict, den: dict, p: Optional[int], guard: int) -> dict:
 # -- text grammar -------------------------------------------------------------------
 
 # The first character outside the grammar, with the whitespace before it.
-_BAD_CHAR = re.compile(r"\s*[^\s\da-z^*/+-]")
+_BAD_CHAR = re.compile(r"\s*[^\s0-9a-z^*/+-]")
 # One token: an integer, x<index>, a one-letter alias, or an operator.
-_TOKEN = re.compile(r"\s*(?:(\d+)|x(\d+)|([a-z])|(.))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|x([0-9]+)|([a-z])|(.))")
 
 
 def default_aliases(nvars: int) -> dict[str, int]:

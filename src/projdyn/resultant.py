@@ -5,7 +5,10 @@ Sylvester matrices for binary forms, and the Macaulay construction
 
 Each Macaulay resultant builds one `MacaulaySystem`: the matrix layout,
 walked once into a list of cells, plus the forms' coefficient tables and a
-structural elimination schedule.  Rows and columns put the reduced minor's
+structural elimination schedule (built on one bitset per row).  Over a
+prime field the system also compiles its coefficients, once, into a
+program of int terms and the cells they fill; every F_p point value reads
+it.  Rows and columns put the reduced minor's
 indices first, so det M' is the leading principal minor and one elimination
 without pivoting yields both determinants: det M / det M' is the product of
 the trailing pivots.  When every form has its pure power, each of the two
@@ -20,10 +23,11 @@ that elimination.  Every route reads that one system:
   sparsely, by Zippel's variable-by-variable stages, where a few random
   probes bound the chance of a wrong image by 2^-32; elsewhere (a field
   small against the resultant's degree) on the dense tensor grid, which is
-  exact.  The points of a batch are eliminated along the schedule
-  together: in lockstep on Python ints, with one modular inverse per pivot
-  step for the whole batch (Montgomery's trick), or, for large batches
-  below 2^28, as one int64 numpy batch.  Points where that meets a zero
+  exact.  The points of a batch are valued from the program and
+  eliminated along the schedule together: in lockstep on Python ints, in
+  one inlined loop with one modular inverse per pivot step for the whole
+  batch (Montgomery's trick), or, for large batches below 2^28, as one
+  int64 numpy batch.  Points where that meets a zero
   pivot go to the point evaluator.  Vandermonde systems are solved by one
   matrix product with a table of quotients.  Over QQ each prime gets one
   reduced copy of the system; the images are combined by CRT + rational
@@ -44,6 +48,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from random import Random
 from typing import Optional, Sequence
 
@@ -59,8 +64,9 @@ _RETRIES = 5          # attempts before giving up: coordinate changes, node
                       # draws, sparse images
 _MAX_PRIMES = 24      # CRT budget for rational interpolation
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
-_LOCKSTEP_POINTS = 8  # up to this many points Python ints beat numpy's per-step
-                      # cost (measured crossover: 8-12 points, orders 3-36)
+_LOCKSTEP_POINTS = 8  # batches up to this size run on Python ints; they beat
+                      # numpy's per-step cost (measured crossover: 14-28
+                      # points, orders 3-36), so the bound is conservative
 _NUMPY_SAFE = _INTERNAL_PRIME_BOUND  # int64 products stay overflow-free
                                      # below this; every CRT prime lies below
 _PROBE_BITS = 32       # an accepted candidate is wrong with probability <= 2^-32
@@ -235,18 +241,24 @@ def _elimination_schedule(size: int, cells) -> Optional[list]:
     row i.  Step i fills those rows at those columns, so the pattern grows
     as the steps run and the schedule covers every fill-in.  None when a
     diagonal entry is still structurally zero at its step: that pivot is 0
-    at every point."""
-    pattern = [set() for _ in range(size)]
+    at every point.  Each row's pattern is an int, bit c for column c."""
+    pattern = [0] * size
     for r, c, _, _ in cells:
-        pattern[r].add(c)
+        pattern[r] |= 1 << c
     schedule = []
     for i in range(size):
-        if i not in pattern[i]:
+        bit = 1 << i
+        if not pattern[i] & bit:
             return None
-        below = [r for r in range(i + 1, size) if i in pattern[r]]
-        right = sorted(c for c in pattern[i] if c > i)
+        fill = pattern[i] & -(bit << 1)  # the row's columns right of i
+        below = [r for r in range(i + 1, size) if pattern[r] & bit]
         for r in below:
-            pattern[r].update(right)
+            pattern[r] |= fill
+        right = []
+        while fill:
+            low = fill & -fill
+            right.append(low.bit_length() - 1)
+            fill ^= low
         schedule.append((below, right))
     return schedule
 
@@ -273,9 +285,20 @@ class MacaulaySystem:
 
     `coeff_tables[i]` maps each block monomial of F_i to its coefficient
     polynomial in the parameters.  The layout is walked once, into `cells`:
-    one (row, column, form, block monomial) per entry of the matrix.  Every
-    matrix this system hands out (symbolic, field values, a numpy batch) is
-    filled from that list.
+    one (row, column, form, block monomial) per entry of the matrix.  The
+    symbolic matrices and those of given field values are filled from it.
+
+    Over a prime field (None over QQ), `program` is the same layout
+    compiled once into ints, (terms, varying, base, cells):
+    - `terms[j]`: coefficient j, numbered form by form in table order, as
+      its terms (c, ((param, exponent), ...)), params counted from 0;
+    - `varying`: the terms of the coefficients that involve a parameter;
+    - `base`: the k x k matrix of the other coefficients' values, 0
+      elsewhere;
+    - `cells`: (row, column, n) for each entry of varying[n].
+    The matrices of a batch of parameter points (`_value_matrices`), the
+    int64 numpy batch and `value_tables` all read it: powers of each
+    parameter once per point, then inline arithmetic mod p.
 
     `schedule[i]` is the structural pattern of unpivoted elimination at
     diagonal step i, closed under fill-in: the rows below i with a nonzero
@@ -284,7 +307,8 @@ class MacaulaySystem:
     minor_size pivots and det M / det M' as the product of the others.
     It is None when a pivot is structurally zero (a form lacks its pure
     power and no fill-in reaches that diagonal entry); every value then
-    comes from the pivoted determinants.
+    comes from the pivoted determinants.  It is built on one int per row,
+    bit c set where column c is structurally nonzero.
     """
 
     def __init__(self, forms: Sequence[Polynomial], block_size: Optional[int] = None):
@@ -314,8 +338,7 @@ class MacaulaySystem:
         self.critical_degree = macaulay_critical_degree(degrees)
         self.coeff_tables = [_block_coefficients(f, bs) for f in forms]
         # highest exponent of each parameter over all coefficients
-        self.param_degrees = [max(c.degree_in(v) for tab in self.coeff_tables
-                                  for c in tab.values())
+        self.param_degrees = [max(m[v] for f in forms for m in f.terms)
                               for v in range(bs, ring.nvars)]
 
         # forms whose pure power divides each monomial (pigeonhole: at least one)
@@ -327,8 +350,7 @@ class MacaulaySystem:
             i = h[0]
             shift = list(mu)
             shift[i] -= degrees[i]
-            rows[mu] = i, [(tuple(s + e for s, e in zip(shift, mb)), mb)
-                           for mb in self.coeff_tables[i]]
+            rows[mu] = i, [(tuple(map(add, shift, mb)), mb) for mb in self.coeff_tables[i]]
         extraneous = [mu for mu, h in hits.items() if len(h) >= 2]
         rest = [mu for mu, h in hits.items() if len(h) < 2]
         if all(tuple(d if j == i else 0 for j in range(bs)) in tab
@@ -348,20 +370,45 @@ class MacaulaySystem:
         self.cells = []
         for row, mu in enumerate(self.columns):
             i, entries = rows[mu]
-            self.cells.extend((row, col_index[col], i, mb) for col, mb in entries)
+            self.cells.extend([(row, col_index[col], i, mb) for col, mb in entries])
         self.schedule = _elimination_schedule(self.size, self.cells)
+        self.program = self._compile() if isinstance(ring.field, PrimeField) else None
 
-    def _fill(self, tables, out):
-        """Write tables[form][block monomial] into out[row][column] at every
-        entry of the matrix.  `out` is a nested list or a (k, k, batch)
-        numpy array."""
+    def _compile(self):
+        """The coefficient program over a prime field (see the class
+        docstring)."""
+        bs, k = self.block_size, self.size
+        terms, varying = [], []
+        # per form: block monomial -> its index in `varying`, or the value
+        # of a parameter-free coefficient
+        position, fixed = [], []
+        for tab in self.coeff_tables:
+            position.append({})
+            fixed.append({})
+            for mb, c in tab.items():
+                coeff = [(v, tuple([(j, e) for j, e in enumerate(m[bs:]) if e]))
+                         for m, v in c.terms.items()]
+                terms.append(coeff)
+                if any(factors for _, factors in coeff):
+                    position[-1][mb] = len(varying)
+                    varying.append(coeff)
+                else:
+                    fixed[-1][mb] = sum(v for v, _ in coeff)
+        base = [[0] * k for _ in range(k)]
+        cells = []
         for r, c, i, mb in self.cells:
-            out[r][c] = tables[i][mb]
-        return out
+            if mb in fixed[i]:
+                base[r][c] = fixed[i][mb]
+            else:
+                cells.append((r, c, position[i][mb]))
+        return terms, varying, base, cells
 
     def _matrix_of(self, tables, zero):
         """Nested-list matrix of table values, `zero` elsewhere."""
-        return self._fill(tables, [[zero] * self.size for _ in range(self.size)])
+        out = [[zero] * self.size for _ in range(self.size)]
+        for r, c, i, mb in self.cells:
+            out[r][c] = tables[i][mb]
+        return out
 
     def matrix(self):
         return self._matrix_of(self.coeff_tables, self.ring.zero())
@@ -371,37 +418,58 @@ class MacaulaySystem:
         return [row[:km] for row in self.matrix()[:km]]
 
     def value_tables(self, point=None):
-        """Coefficient tables as field values, parameters set to `point`.
-
-        The point is coerced once and each parameter's powers are built
-        once, as far as the coefficients reach.
-        """
+        """Coefficient tables as field values, parameters set to `point`
+        (None for numeric forms); over F_p read from the program."""
         if point is None:
             return [{mb: c.constant_value() for mb, c in tab.items()}
                     for tab in self.coeff_tables]
         fld = self.ring.field
-        bs = self.block_size
+        if self.program is None:
+            full = [fld.zero()] * self.block_size + list(point)
+            return [{mb: c.evaluate(full) for mb, c in tab.items()}
+                    for tab in self.coeff_tables]
+        values = iter(self._coefficient_values(self.program[0],
+                                               [fld.coerce(x) for x in point]))
+        return [{mb: next(values) for mb in tab} for tab in self.coeff_tables]
+
+    def _coefficient_values(self, coefficients, point) -> list[int]:
+        """Coefficients of the program (lists of int terms) at a point of
+        ints: each parameter's powers built once, as far as the coefficients
+        reach, and inline arithmetic mod p."""
+        p = self.ring.field.p
         powers = []
         for x, top in zip(point, self.param_degrees):
-            x = fld.coerce(x)
-            row = [fld.one()]
+            row = [1]
             for _ in range(top):
-                row.append(fld.mul(row[-1], x))
+                row.append(row[-1] * x % p)
             powers.append(row)
+        out = []
+        for terms in coefficients:
+            total = 0
+            for c, factors in terms:
+                for v, e in factors:
+                    c = c * powers[v][e] % p
+                total += c
+            out.append(total % p)
+        return out
 
-        def value(c: Polynomial):
-            total = fld.zero()
-            for m, coeff in c.terms.items():
-                for row, e in zip(powers, m[bs:]):
-                    if e:
-                        coeff = fld.mul(coeff, row[e])
-                total = fld.add(total, coeff)
-            return total
-
-        return [{mb: value(c) for mb, c in tab.items()} for tab in self.coeff_tables]
+    def _value_matrices(self, points) -> list[list[list[int]]]:
+        """The matrix of each parameter point (ints) over F_p: a copy of the
+        program's parameter-free matrix, with the other coefficients' values
+        written straight into their entries."""
+        _, varying, base, cells = self.program
+        mats = []
+        for point in points:
+            values = self._coefficient_values(varying, point)
+            m = [row[:] for row in base]
+            for r, c, j in cells:
+                m[r][c] = values[j]
+            mats.append(m)
+        return mats
 
     def _reduced(self, fld: PrimeField) -> "MacaulaySystem":
-        """The same layout with every coefficient reduced into `fld`.
+        """The same layout with every coefficient reduced into `fld`, and
+        its program.
 
         A form may vanish there (its resultant image is then zero, which is
         correct); _BadPrime when a denominator vanishes.
@@ -410,6 +478,7 @@ class MacaulaySystem:
         out.ring = Ring(self.ring.nvars, fld)
         out.coeff_tables = [{mb: _reduce_form_mod(c, out.ring) for mb, c in tab.items()}
                             for tab in self.coeff_tables]
+        out.program = out._compile()
         return out
 
 
@@ -448,36 +517,69 @@ def _inverses_mod(values: list[int], p: int) -> list[int]:
     return prefix
 
 
-def _scheduled_ratios(system: MacaulaySystem, batch) -> list:
-    """det M / det M' for each entry of `batch`, a list of value tables (one
-    per point): the product of the pivots after the reduced minor's, from
-    one unpivoted elimination along the schedule.  The points step through
-    the schedule in lockstep, so each diagonal step inverts the pivots of
-    the whole batch at once.  The arithmetic is inlined, on ints mod p or
-    on Fractions over QQ.  None for a point where a pivot is zero, and for
-    every point of a system without a schedule."""
-    n = len(batch)
+def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
+    """det M / det M' for each matrix of field values in `mats` (one per
+    point, overwritten): the product of the pivots after the reduced
+    minor's, from one unpivoted elimination along the schedule.  None for a
+    point where a pivot is zero, and for every point of a system without a
+    schedule.
+
+    Over F_p the points step through the schedule in lockstep on ints, so
+    each diagonal step inverts the pivots of the whole batch at once
+    (Montgomery's trick, as in _inverses_mod, fused with reading the
+    pivots).  An entry is reduced only where it is read (pivot, pivot row,
+    factor); it takes at most one update per step, so stays below k * p^2
+    in size.  Over QQ each point runs on its own, on Fractions."""
+    n = len(mats)
     if system.schedule is None:
         return [None] * n
     fld = system.ring.field
     km = system.minor_size
-    mats = [system._matrix_of(tables, fld.zero()) for tables in batch]
-    ratios = [fld.one()] * n
+    if not isinstance(fld, PrimeField):
+        ratios = []
+        for m in mats:
+            ratio = fld.one()
+            for i, (below, right) in enumerate(system.schedule):
+                top = m[i]
+                if not top[i]:
+                    ratio = None
+                    break
+                if i >= km:
+                    ratio *= top[i]
+                for r in below if right else ():
+                    row = m[r]
+                    f = row[i] / top[i]
+                    for c in right:
+                        row[c] -= f * top[c]
+            ratios.append(ratio)
+        return ratios
+
+    p = fld.p
+    ratios = [1] * n
     live = [True] * n
-
-    if isinstance(fld, PrimeField):
-        p = fld.p
-
-        def residue(x):
-            return x % p
-
-        def invert(pivots):
-            return _inverses_mod(pivots, p)
-
-        def eliminate(m, i, inv, below, right):
-            # an entry is reduced only where it is read (pivot, pivot row,
-            # factor); it takes at most one update per step, so stays
-            # below k * p^2 in size
+    for i, (below, right) in enumerate(system.schedule):
+        pivots = []
+        prefix = []  # prefix[j]: the product of pivots[:j]
+        acc = 1
+        for j, m in enumerate(mats):
+            v = m[i][i] % p
+            if not v:
+                live[j] = False
+                v = 1  # a dead point takes pivot 1, so the batch stays invertible
+            elif i >= km:
+                ratios[j] = ratios[j] * v % p
+            pivots.append(v)
+            prefix.append(acc)
+            acc = acc * v % p
+        if not (below and right):
+            continue
+        acc = pow(acc, -1, p)  # the inverse of the product of pivots[:j + 1]
+        for j in range(n - 1, -1, -1):
+            inv = acc * prefix[j] % p
+            acc = acc * pivots[j] % p
+            if not live[j]:
+                continue
+            m = mats[j]
             top = m[i]
             for c in right:
                 top[c] %= p
@@ -486,34 +588,6 @@ def _scheduled_ratios(system: MacaulaySystem, batch) -> list:
                 f = row[i] * inv % p
                 for c in right:
                     row[c] -= f * top[c]
-    else:
-        def residue(x):
-            return x
-
-        def invert(pivots):
-            return [1 / v for v in pivots]
-
-        def eliminate(m, i, inv, below, right):
-            top = m[i]
-            for r in below:
-                row = m[r]
-                f = row[i] * inv
-                for c in right:
-                    row[c] -= f * top[c]
-
-    for i, (below, right) in enumerate(system.schedule):
-        pivots = [residue(m[i][i]) for m in mats]
-        if 0 in pivots:
-            # a dead point takes pivot 1, so the batch stays invertible
-            for j, v in enumerate(pivots):
-                if not v:
-                    live[j] = False
-                    pivots[j] = fld.one()
-        if i >= km:
-            ratios = [residue(r * v) for r, v in zip(ratios, pivots)]
-        if below and right:
-            for m, inv in zip(mats, invert(pivots)):
-                eliminate(m, i, inv, below, right)
     return [r if ok else None for r, ok in zip(ratios, live)]
 
 
@@ -523,10 +597,10 @@ def _value_ratio(system: MacaulaySystem, tables):
     The scheduled elimination on a batch of one; at a zero pivot, the
     pivoted determinants of M' and M.
     """
-    ratio, = _scheduled_ratios(system, [tables])
+    fld = system.ring.field
+    ratio, = _scheduled_ratios(system, [system._matrix_of(tables, fld.zero())])
     if ratio is not None:
         return ratio
-    fld = system.ring.field
     full = system._matrix_of(tables, fld.zero())
     km = system.minor_size
     det_minor = _field_det([row[:km] for row in full[:km]], fld)
@@ -786,14 +860,12 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
     """int64 batch pass over the points: resultant values mod p, plus the
     indices of the points where unpivoted elimination hit a zero pivot."""
     p = system.ring.field.p
-    bs = system.block_size
-    k = system.size
     full = np.array([plan.point_values(pt) for pt in points],
                     dtype=np.int64).reshape(len(points), len(plan.params))
-
-    # form index -> block monomial -> coefficient terms mod p
-    term_tables = [{mb: list(cpoly.terms.items()) for mb, cpoly in tab.items()}
-                   for tab in system.coeff_tables]
+    k = system.size
+    _, varying, base, cells = system.program
+    base = np.array(base, dtype=np.int64)
+    fixed = np.nonzero(base)
     values: list[int] = []
     bad: list[int] = []
     for start in range(0, len(points), _CHUNK_POINTS):
@@ -805,21 +877,20 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
             for _ in range(top):
                 row.append(row[-1] * chunk[:, column] % p)
             powers.append(row)
-
-        def eval_terms(terms):
-            out = np.zeros(count, dtype=np.int64)
-            for m, c in terms:
+        coefficients = np.zeros((len(varying), count), dtype=np.int64)
+        for out, terms in zip(coefficients, varying):
+            for c, factors in terms:
                 t = np.full(count, c, dtype=np.int64)
-                for row, e in zip(powers, m[bs:]):
-                    if e:
-                        t = t * row[e] % p
-                out = (out + t) % p
-            return out
-
-        val_tabs = [{mb: eval_terms(terms) for mb, terms in rt.items()}
-                    for rt in term_tables]
-
-        batch = system._fill(val_tabs, np.zeros((k, k, count), dtype=np.int64))
+                for v, e in factors:
+                    t = t * powers[v][e] % p
+                out += t
+                out %= p
+        # only structural entries are written, without a (cells, count)
+        # temporary, so zero pages stay unmapped until fill-in reaches them
+        batch = np.zeros((k, k, count), dtype=np.int64)
+        batch[fixed] = base[fixed][:, None]
+        for r, c, j in cells:
+            batch[r, c] = coefficients[j]
         ratios, ok = _batched_ratio_mod(batch, system.schedule, system.minor_size, p)
         values.extend(np.where(ok, ratios, 0).tolist())
         bad.extend(start + int(j) for j in np.nonzero(~ok)[0])
@@ -847,7 +918,7 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
         values, todo = _batched_values_mod(system, plan, points)
     else:
         values = _scheduled_ratios(
-            system, [system.value_tables(plan.point_values(pt)) for pt in points])
+            system, system._value_matrices([plan.point_values(pt) for pt in points]))
         todo = [i for i, v in enumerate(values) if v is None]
     for i in todo:
         values[i] = _point_value(system, plan.point_values(points[i]), rng)

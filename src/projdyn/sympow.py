@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .coeff import PrimeField, RationalField, is_prime
 from .dynamics import (Endomorphism, ProjectivePoint, binary_form_roots,

@@ -139,6 +139,9 @@ class TestExitCodes:
             ("period-poly", "--d", "2", "--s", "3", "--field", "Fp:4"),
             ("dims", "--n", "2"),
             ("no-such-command",),
+            # decimal digits outside ASCII: a coefficient, a variable index
+            ("iterate", "--map", "[\u0663*x0^2, x1^2]"),
+            ("iterate", "--map", "[x0^2, x1^2, x\u0662^2]"),
         ]
         for argv in bad:
             code, _, err = invoke(*argv)

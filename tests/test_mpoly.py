@@ -80,6 +80,15 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
+def test_parse_takes_ascii_digits_only():
+    # other decimal digits (Arabic-Indic, fullwidth) are characters outside
+    # the grammar, as a coefficient, an index or an exponent
+    for bad in ["\u0663*x0", "x\u0663", "x0^\u0663", "\uff13*x0", "x0+x\uff11"]:
+        with pytest.raises(InvalidInputError, match="bad character"):
+            P(bad)
+    assert P("3*x0+x1^2") == P("x0+x0+x0+x1*x1")
+
+
 def test_parse_coerces_each_term_as_it_ends():
     # 1/7 has no value mod 7, even though the two terms would cancel
     with pytest.raises(ZeroDivisionError):

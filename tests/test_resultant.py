@@ -133,12 +133,16 @@ def schedule_ops(schedule):
     return sum(len(below) * len(right) for below, right in schedule)
 
 
-def graded_lex_schedule(system):
-    """The elimination schedule of the same matrix in graded-lex order."""
+def graded_lex_cells(system):
+    """The cells of the same matrix in graded-lex order."""
     position = {mu: j for j, mu in enumerate(graded_lex_columns(system))}
     moved = [position[mu] for mu in system.columns]
-    return resultant._elimination_schedule(
-        system.size, [(moved[r], moved[c], i, mb) for r, c, i, mb in system.cells])
+    return [(moved[r], moved[c], i, mb) for r, c, i, mb in system.cells]
+
+
+def graded_lex_schedule(system):
+    """The elimination schedule of the same matrix in graded-lex order."""
+    return resultant._elimination_schedule(system.size, graded_lex_cells(system))
 
 
 def with_pure_powers(forms, block_size):
@@ -229,6 +233,59 @@ def test_sweep_systems_pin_their_scheduled_operations(monkeypatch):
     ops = {(system.size, schedule_ops(system.schedule),
             schedule_ops(graded_lex_schedule(system))) for system, *_ in builds}
     assert ops == {(10, 15, 31), (15, 78, 219), (21, 112, 113)}
+
+
+def set_schedule(size, cells):
+    """The elimination schedule built on Python sets, one per row: the
+    reference for the bitset build."""
+    pattern = [set() for _ in range(size)]
+    for r, c, _, _ in cells:
+        pattern[r].add(c)
+    schedule = []
+    for i in range(size):
+        if i not in pattern[i]:
+            return None
+        below = [r for r in range(i + 1, size) if i in pattern[r]]
+        right = sorted(c for c in pattern[i] if c > i)
+        for r in below:
+            pattern[r].update(right)
+        schedule.append((below, right))
+    return schedule
+
+
+def test_bitset_schedule_matches_set_reference():
+    # Macaulay layouts of every ELIMINATION_SHAPES entry (Markowitz and
+    # graded-lex order, with and without pure powers), sparse parametric
+    # systems, and seeded random sparse patterns of orders 1-40
+    rng = Random(RNG_SEED)
+    unscheduled = Counter()
+    ring = Ring(3, GF(10007))
+    for degrees in ELIMINATION_SHAPES:
+        for density in (0.2, 0.5, 0.8, 1.0):
+            for _ in range(3):
+                forms = [random_form(ring, (0, 1, 2), d, rng, density) for d in degrees]
+                if rng.random() < 0.5:
+                    forms = with_pure_powers(forms, 3)
+                system = MacaulaySystem(forms)
+                assert system.schedule == set_schedule(system.size, system.cells)
+                assert graded_lex_schedule(system) == set_schedule(
+                    system.size, graded_lex_cells(system))
+                unscheduled["macaulay"] += system.schedule is None
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        for _ in range(6):
+            system = MacaulaySystem(
+                sparse_parametric_forms(Ring(nvars, QQ), block_size, degrees, rng), block_size)
+            assert system.schedule == set_schedule(system.size, system.cells)
+            unscheduled["sparse"] += system.schedule is None
+    for _ in range(300):
+        size = rng.randint(1, 40)
+        density = rng.choice((0.05, 0.15, 0.4))
+        cells = [(r, c, 0, ()) for r in range(size) for c in range(size)
+                 if (r == c and rng.random() < 0.97) or rng.random() < density]
+        rng.shuffle(cells)
+        assert resultant._elimination_schedule(size, cells) == set_schedule(size, cells)
+        unscheduled["random"] += set_schedule(size, cells) is None
+    assert unscheduled == {"macaulay": 12, "sparse": 10, "random": 76}
 
 
 def test_macaulay_pure_power_normalization():
@@ -534,6 +591,44 @@ def test_value_tables_equal_coefficientwise_evaluation(fld):
         assert system.value_tables(point) == [
             {mb: c.evaluate([0, 0] + point) for mb, c in tab.items()}
             for tab in system.coeff_tables]
+
+
+@pytest.mark.parametrize("fld", [GF(7), GF(10007), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["GF7", "GF10007", "GF62bit"])
+def test_compiled_program_matches_coefficientwise_evaluation(fld):
+    # the matrices of a batch valued from the compiled program, and
+    # value_tables, against Polynomial.evaluate coefficient by coefficient
+    # (filled by _matrix_of), for systems built over F_p and for reduced
+    # copies of systems over QQ (where some coefficients vanish mod 7);
+    # F_0 is multiplied by the first parameter, so it vanishes as a whole
+    # wherever that parameter is 0
+    rng = Random(RNG_SEED)
+    systems = points_checked = vanished = 0
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        params = nvars - block_size
+        pad = [0] * block_size
+        for source in (fld, QQ) * 3:
+            ring = Ring(nvars, source)
+            forms = sparse_parametric_forms(ring, block_size, degrees, rng)
+            forms[0] = forms[0] * ring.var(block_size)
+            system = MacaulaySystem(forms, block_size)
+            if source == QQ:
+                system = system._reduced(fld)
+            points = [(0,) * params, (0,) + tuple(fld.random(rng) for _ in range(params - 1))]
+            points += [tuple(fld.random(rng) if rng.random() < 0.7 else 0
+                             for _ in range(params)) for _ in range(8)]
+            expected = [[{mb: c.evaluate(pad + list(point)) for mb, c in tab.items()}
+                         for tab in system.coeff_tables] for point in points]
+            assert system._value_matrices(points) == [
+                system._matrix_of(tables, 0) for tables in expected]
+            assert [system.value_tables(point) for point in points] == expected
+            systems += 1
+            points_checked += len(points)
+            vanished += sum(not any(tables[0].values()) for tables in expected)
+    assert (systems, points_checked) == (18, 180)
+    # F_0 vanishes at the first two points of every system, and wherever
+    # else the first parameter was drawn 0
+    assert vanished > 2 * systems
 
 
 def record_interpolations(monkeypatch):
@@ -882,7 +977,8 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             unscheduled += flagged
             tables = system.value_tables()
             expected = pivoted_ratio(system, tables)
-            got, = resultant._scheduled_ratios(system, [tables])
+            got, = resultant._scheduled_ratios(
+                system, [system._matrix_of(tables, fld.zero())])
             if got is None:
                 fallbacks += 1
                 if expected is None:
@@ -901,13 +997,15 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             points = [[{mb: col[j] for mb, col in tab.items()} for tab in columns]
                       for j in range(64)]
             if flagged:
-                ratios = resultant._scheduled_ratios(system, points)
+                ratios = resultant._scheduled_ratios(
+                    system, [system._matrix_of(t, fld.zero()) for t in points])
                 assert ratios == [None] * 64
             else:
                 form, mb = next((i, mb) for r, c, i, mb in system.cells if r == c == 0)
                 for j in PLANTED_ZERO_PIVOTS:
                     points[j][form][mb] = fld.zero()
-                ratios = resultant._scheduled_ratios(system, points)
+                ratios = resultant._scheduled_ratios(
+                    system, [system._matrix_of(t, fld.zero()) for t in points])
                 assert all(ratios[j] is None for j in PLANTED_ZERO_PIVOTS)
                 for ratio, at_j in zip(ratios, points):
                     expected = pivoted_ratio(system, at_j)
@@ -926,7 +1024,9 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             batch_tables = [{mb: np.array([pt[i][mb] for pt in points], dtype=np.int64)
                              for mb in tab} for i, tab in enumerate(tables)]
             k = system.size
-            batch = system._fill(batch_tables, np.zeros((k, k, 64), dtype=np.int64))
+            batch = np.zeros((k, k, 64), dtype=np.int64)
+            for r, c, i, mb in system.cells:
+                batch[r, c] = batch_tables[i][mb]
             dense = dense_unpivoted_failures(batch, p)
             if flagged:
                 assert dense == 64
