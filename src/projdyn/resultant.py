@@ -65,7 +65,7 @@ _RETRIES = 5          # attempts before giving up: coordinate changes, node
 _MAX_PRIMES = 24      # CRT budget for rational interpolation
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
 _LOCKSTEP_POINTS = 8  # batches up to this size run on Python ints; they beat
-                      # numpy's per-step cost (measured crossover: 14-28
+                      # numpy's per-step cost (measured crossover: 12-32
                       # points, orders 3-36), so the bound is conservative
 _NUMPY_SAFE = _INTERNAL_PRIME_BOUND  # int64 products stay overflow-free
                                      # below this; every CRT prime lies below
