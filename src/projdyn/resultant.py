@@ -504,8 +504,9 @@ def _coordinate_ladder(system: MacaulaySystem, forms: Sequence[Polynomial],
 
 def _inverses_mod(values: list[int], p: int) -> list[int]:
     """Inverses of nonzero residues mod p by Montgomery's simultaneous
-    inversion (Math. Comp. 48, 1987): one pow and 3(n-1) products.  Both
-    scheduled eliminations invert each step's pivots with it."""
+    inversion (Math. Comp. 48, 1987): one pow and 3(n-1) products.  The
+    int64 batch inverts each step's pivots with it; the lockstep loop of
+    _scheduled_ratios runs the same trick inline."""
     prefix = []  # prefix[j]: the product of values[:j]
     acc = 1
     for v in values:
