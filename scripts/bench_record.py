@@ -10,10 +10,13 @@ to the next.  Per run the file keeps the last-line JSON of ``bench/run.py``
 and the run's context, samples and counters from ``.bench_out``.  Per
 workload and side it keeps the median and quartiles of each end-to-end
 metric, and with a parent, how many pairs the change won on each.  After
-the pairs, one traced run (``--trace 1``, the first seed) per workload and
-side records the per-layer metrics: calls and counts per pass, and self
-times per pass, rescaled like the task times.  It also records each side's
-``src/`` line count and the machine's ``nproc``.
+the pairs, traced runs (``--trace 1``) at the first ``TRACED_SEEDS`` seeds,
+alternating the same way, record the per-layer metrics: calls and counts
+per pass, and self times per pass, rescaled like the task times.  Each
+side keeps its traced runs and, under ``traced``, the median of each
+per-layer metric over them, so one run's speed phase does not read as a
+change in a layer.  The file also records each side's ``src/`` line count
+and the machine's ``nproc``.
 
 Each run is spawned through ``spawn_command``, so the ``peak_rss_mib`` it
 reports is its own high-water mark, not this recorder's.
@@ -30,6 +33,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+TRACED_SEEDS = 3
 
 
 def parse_args(argv=None):
@@ -85,6 +89,24 @@ def value(run: dict, metric: str) -> float:
     return run["result"]["metrics"][metric]["value"]
 
 
+def alternating(sides: list, seeds: list):
+    """(side, seed) in run order: the sides swap which runs first from one
+    seed to the next."""
+    for i, seed in enumerate(seeds):
+        for side in (sides if i % 2 == 0 else sides[::-1]):
+            yield side, seed
+
+
+def median_metrics(runs: list) -> dict:
+    """The runs' seeds and, per metric of the first run, the median value
+    over the runs, in the shape of one run's result."""
+    metrics = runs[0]["result"]["metrics"]
+    return {"seeds": [r["seed"] for r in runs],
+            "result": {"metrics": {m: {"value": statistics.median(value(r, m) for r in runs),
+                                       "unit": entry["unit"]}
+                                   for m, entry in metrics.items()}}}
+
+
 def summary(runs: list, metrics: list) -> dict:
     out = {}
     for m in metrics:
@@ -112,16 +134,16 @@ def main(argv=None) -> int:
     for w in spec["workloads"]:
         name = w["name"]
         runs = {side: [] for side in trees}
-        for i, seed in enumerate(args.seeds):
-            order = list(trees) if i % 2 == 0 else list(reversed(trees))
-            for side in order:
-                runs[side].append(run_once(trees[side], name, seed, args.seconds))
-                print(name, seed, side, value(runs[side][-1], "run_s"), file=sys.stderr)
-        entry = {side: {"summary": summary(rs, metrics), "runs": rs}
-                 for side, rs in runs.items()}
-        for side, tree in trees.items():
-            entry[side]["traced"] = run_once(tree, name, args.seeds[0], args.seconds,
-                                             trace=1)
+        for side, seed in alternating(list(trees), args.seeds):
+            runs[side].append(run_once(trees[side], name, seed, args.seconds))
+            print(name, seed, side, value(runs[side][-1], "run_s"), file=sys.stderr)
+        traced = {side: [] for side in trees}
+        for side, seed in alternating(list(trees), args.seeds[:TRACED_SEEDS]):
+            traced[side].append(run_once(trees[side], name, seed, args.seconds, trace=1))
+        entry = {side: {"summary": summary(runs[side], metrics), "runs": runs[side],
+                        "traced": median_metrics(traced[side]),
+                        "traced_runs": traced[side]}
+                 for side in trees}
         if "parent" in runs:
             wins = {m: 0 for m in metrics}
             for c, p in zip(runs["change"], runs["parent"]):

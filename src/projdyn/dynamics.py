@@ -24,6 +24,7 @@ from .coeff import (DEFAULT_MODULAR_PRIME, GF, PrimeField, RationalField,
                     internal_primes, parse_field)
 from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
                      RingMismatchError, UnsupportedScopeError)
+from . import upoly
 from .mpoly import (Polynomial, Ring, _block_coefficients, _primitive_scale,
                     default_aliases, determinant, divexact, embed,
                     equal_up_to_scalar, format_polynomial, parse_polynomial,
@@ -413,10 +414,10 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
         r = _evaluate_coeffs(terms, line, lf.p)
         if len(r) <= degree:
             continue  # unlucky line or bad prime
-        der = [lf.mul(i, c) for i, c in enumerate(r)][1:]
-        if not any(der):
+        der = upoly.derivative(r, lf.p)
+        if not der:
             continue
-        return len(_gcd_coeffs(r, der, lf)) == 1
+        return len(upoly.gcd(r, der, lf.p)) == 1
     return False
 
 
@@ -425,62 +426,21 @@ def _evaluate_coeffs(terms: dict, point: Sequence, p: int,
     """The sum of c * prod_i point[i]^m_i over terms = {m: c}, where the
     point's entries are polynomials in t over F_p, low degree first; reduced
     mod `modulus` when one is given.  Trimmed, so [] for zero."""
-    if modulus is not None:
-        inv = pow(modulus[-1], -1, p)
-        tail = [-c * inv % p for c in modulus[:-1]]  # t^m = sum tail[i] t^i
-        m = len(tail)
-
-    def mul(x, y):
-        if len(x) == 1:
-            out = [x[0] * v for v in y]
-        else:
-            out = [0] * (len(x) + len(y) - 1)
-            for i, u in enumerate(x):
-                if u:
-                    for j, v in enumerate(y):
-                        out[i + j] += u * v
-        if modulus is not None:
-            for k in range(len(out) - 1, m - 1, -1):
-                q = out[k] % p
-                if q:
-                    for i in range(m):
-                        out[k - m + i] += q * tail[i]
-            del out[m:]
-        return [v % p for v in out]
-
+    m = None if modulus is None else upoly.monic(modulus, p)
     powers = []  # powers[i][e]: point[i]^e
     for x, top in zip(point, map(max, zip(*terms))):
         row = [[1]]
         for _ in range(top):
-            row.append(mul(row[-1], x))
+            row.append(upoly.mulmod(row[-1], x, m, p))
         powers.append(row)
-    total = []
+    parts = []
     for mono, c in terms.items():
         part = None
         for row, e in zip(powers, mono):
             if e:
-                part = row[e] if part is None else mul(part, row[e])
-        part = [1] if part is None else part
-        total += [0] * (len(part) - len(total))
-        for k, v in enumerate(part):
-            total[k] += c * v
-    total = [v % p for v in total]
-    while total and not total[-1]:
-        total.pop()
-    return total
-
-
-def _quotient_coeffs(a: list, b: list, p: int) -> list:
-    """a / b in F_p[t] for a trimmed b that divides a, low degree first."""
-    a = list(a)
-    top = len(b) - 1
-    inv = pow(b[top], -1, p)
-    quo = [0] * (len(a) - top)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + top] * inv % p
-        for i in range(top):
-            a[k + i] -= c * b[i]
-    return quo
+                part = row[e] if part is None else upoly.mulmod(part, row[e], m, p)
+        parts.append((c, [1] if part is None else part))
+    return upoly.lincomb(parts, p)
 
 
 def _specialized(g: Polynomial, n1: int, values: list, fq: PrimeField) -> dict:
@@ -592,10 +552,10 @@ def _line_trial(phi_q: dict, g_q: dict, fs_q: list, fq: PrimeField, lines: list,
     p = fq.p
     for line in lines:
         r = _evaluate_coeffs(phi_q, line, p)
-        der = [i * c % p for i, c in enumerate(r)][1:]
-        if not any(der):
+        der = upoly.derivative(r, p)
+        if not der:
             return _composed_trial(phi_q, g_q, fs_q, fq, seed)
-        rad = _quotient_coeffs(r, _gcd_coeffs(r, der, fq), p)
+        rad = upoly.quo(r, upoly.gcd(r, der, p), p)
         images = [_evaluate_coeffs(h, line, p, rad) for h in fs_q]
         if _evaluate_coeffs(g_q, images, p, rad):
             return False
@@ -886,10 +846,7 @@ def _rational_projective_roots(form: Polynomial) -> list[ProjectivePoint]:
         low += 1
     if low > 0:
         roots.append(ProjectivePoint((0, 1), fld))
-    high = deg
-    while high >= low and coeffs[high] == 0:
-        high -= 1
-    poly = coeffs[low:high + 1]
+    poly = upoly.trim(coeffs[low:])
     if len(poly) > 1:
         for a in _divisors(poly[0]):
             for b in _divisors(poly[-1]):
@@ -897,7 +854,7 @@ def _rational_projective_roots(form: Polynomial) -> list[ProjectivePoint]:
                     continue
                 for num in (a, -a):
                     z = Fraction(num, b)
-                    if sum(Fraction(cf) * z ** i for i, cf in enumerate(poly)) == 0:
+                    if upoly.evaluate(poly, z) == 0:
                         pt = ProjectivePoint((z, 1), fld)
                         if pt not in roots:
                             roots.append(pt)
@@ -968,9 +925,12 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchRe
     gcd(j, t*b - a mod j) has positive degree.  The point (1:0) is a zero of
     J when J's top coefficient vanishes; it is pushed as the number pair
     (1, 0), and Phi_s(1, 0) = G_s(1, 0) is the pair's second entry after s
-    steps.  Rescaling a pair by a nonzero constant changes no zero, so
-    f^s's scalars do not matter.  All periods up to N cost
-    O(N * d * deg(j)^2) field operations, where f^N has degree d^N.
+    steps.  Both pairs are trimmed `upoly` coefficient lists, the residues
+    mod j and the number pair as constants, advanced by one step, so a
+    vanishing entry is the empty list.  Rescaling a pair by a nonzero
+    constant changes no zero, so f^s's scalars do not matter.  All periods
+    up to N cost O(N * d * deg(j)^2) field operations, where f^N has degree
+    d^N.
 
     Over QQ the forms and J are primitive, so their coefficients are
     integers, and every period is first screened at one prime p that does
@@ -1029,64 +989,38 @@ def _critical_orbit(fc: list, gc: list, jc: list, fld):
 
     fc, gc and jc are the `_line_coeffs` of F, G and a nonzero J over fld;
     see `has_periodic_critical_point` for the iteration.  Residues mod j are
-    lists of length deg(j), low degree first.
+    trimmed `upoly` lists of length at most deg(j).
     """
-    add, mul, is_zero = fld.add, fld.mul, fld.is_zero
-    zero, one = fld.zero(), fld.one()
-    j = list(jc)
-    while is_zero(j[-1]):
-        j.pop()
+    p = fld.characteristic
+    j = upoly.trim(list(jc))
     at_infinity = len(j) < len(jc)  # J(1, 0) = 0
-    m = len(j) - 1
-    inv = fld.inv(j[-1])
-    tail = [fld.neg(mul(c, inv)) for c in j[:-1]]  # t^m = sum tail[i] t^i
-
-    def reduce(c):
-        c += [zero] * (m - len(c))
-        for k in range(len(c) - 1, m - 1, -1):
-            q = c[k]
-            if not is_zero(q):
-                for i in range(m):
-                    c[k - m + i] = add(c[k - m + i], mul(q, tail[i]))
-        return c[:m]
-
-    def mulmod(x, y):
-        out = [zero] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if not is_zero(xi):
-                for k, yk in enumerate(y):
-                    out[i + k] = add(out[i + k], mul(xi, yk))
-        return reduce(out)
-
-    d = len(fc) - 1
-    unit = reduce([one])
-    a, b = reduce([zero, one]), unit
-    u, v = one, zero
+    m = upoly.monic(j, p)
+    a, b = upoly.mulmod([1], [0, 1], m, p), upoly.mulmod([1], [1], m, p)
+    u, v = [1], []
     while True:
-        pa, pb = [unit, a], [unit, b]
-        for _ in range(d - 1):
-            pa.append(mulmod(pa[-1], a))
-            pb.append(mulmod(pb[-1], b))
-        monomials = ([pb[d]] + [mulmod(pa[i], pb[d - i]) for i in range(1, d)]
-                     + [pa[d]])
-        columns = list(zip(*monomials))
-        a, b = ([_dot(cs, col, fld) for col in columns] for cs in (fc, gc))
-        values = [mul(fld.pw(u, i), fld.pw(v, d - i)) for i in range(d + 1)]
-        u, v = (_dot(cs, values, fld) for cs in (fc, gc))
-        if isinstance(fld, RationalField):
+        a, b = _orbit_step(fc, gc, a, b, m, p)
+        u, v = _orbit_step(fc, gc, u, v, None, p)
+        if p is None:
             scale = _primitive_scale(a + b)
             a, b = [c * scale for c in a], [c * scale for c in b]
-            scale = _primitive_scale((u, v))
-            u, v = u * scale, v * scale
-        r = reduce([fld.sub(x, y) for x, y in zip([zero] + b, a + [zero])])
-        yield (at_infinity and is_zero(v)) or len(_gcd_coeffs(j, r, fld)) > 1
+            scale = _primitive_scale(u + v)
+            u, v = [c * scale for c in u], [c * scale for c in v]
+        r = upoly.lincomb(((1, upoly.mulmod([0, 1], b, m, p)), (-1, a)), p)
+        yield (at_infinity and not v) or len(upoly.gcd(j, r, p)) > 1
 
 
-def _dot(coeffs: list, values: list, fld):
-    out = fld.zero()
-    for c, x in zip(coeffs, values):
-        out = fld.add(out, fld.mul(c, x))
-    return out
+def _orbit_step(fc: list, gc: list, a: list, b: list, m: Optional[list],
+                p: Optional[int]) -> tuple:
+    """(F(a, b), G(a, b)) for polynomials a and b in t, mod the monic m
+    when one is given."""
+    d = len(fc) - 1
+    pa, pb = [[1], a], [[1], b]
+    for _ in range(d - 1):
+        pa.append(upoly.mulmod(pa[-1], a, m, p))
+        pb.append(upoly.mulmod(pb[-1], b, m, p))
+    monomials = [upoly.mulmod(pa[i], pb[d - i], m, p) for i in range(d + 1)]
+    return (upoly.lincomb(zip(fc, monomials), p),
+            upoly.lincomb(zip(gc, monomials), p))
 
 
 def _line_coeffs(form: Polynomial) -> list:
@@ -1098,25 +1032,21 @@ def _line_coeffs(form: Polynomial) -> list:
     return coeffs
 
 
-def _gcd_coeffs(a: list, b: list, fld) -> list:
-    """A gcd of two polynomials in t given low degree first, by Euclid over
-    the field; trimmed, so [] for gcd(0, 0) and length 1 for a unit."""
-    def trim(c):
-        while c and fld.is_zero(c[-1]):
-            c.pop()
-        return c
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = fld.inv(b[-1])
-        while len(a) >= len(b):
-            q = fld.mul(a.pop(), inv)
-            shift = len(a) + 1 - len(b)
-            for i in range(len(b) - 1):
-                a[shift + i] = fld.sub(a[shift + i], fld.mul(q, b[i]))
-            trim(a)
-        a, b = b, a
-    return a
+def _binary_form(ring: Ring, coeffs: Sequence, pair=(0, 1)) -> Polynomial:
+    """The inverse of `_line_coeffs`: the sum of c_i * x_a^i * x_b^(deg-i)
+    over coeffs = [c_0, ..., c_deg], coerced into ring's field, with
+    (a, b) = pair."""
+    fld = ring.field
+    deg = len(coeffs) - 1
+    terms = {}
+    for i, c in enumerate(coeffs):
+        c = fld.coerce(c)
+        if not fld.is_zero(c):
+            mono = [0] * ring.nvars
+            mono[pair[0]] += i
+            mono[pair[1]] += deg - i
+            terms[tuple(mono)] = c
+    return Polynomial(ring, terms)
 
 
 # -- dimension counts ------------------------------------------------------------------

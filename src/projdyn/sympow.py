@@ -9,7 +9,8 @@ pairing, and verifies the structure of the critical locus of s_n(f) on
 sampled inputs.  It also houses the period polynomials of z^(-d) + c and two
 constructions used to separate period loci: maps whose critical points are
 all periodic of one exact prime period, and bicritical maps whose critical
-orbits wander.
+orbits wander.  Products and values of coefficient vectors (Vieta products,
+products of forms, period polynomials) are `upoly` list arithmetic.
 
 Chart conventions match `dynamics`: the affine coordinate is z = x0/x1, so
 infinity is (1:0), and a root (a:b) of a form contributes the linear factor
@@ -23,8 +24,10 @@ from random import Random
 from typing import Optional, Sequence
 
 from .coeff import PrimeField, RationalField, is_prime
-from .dynamics import (Endomorphism, ProjectivePoint, binary_form_roots,
-                       critical_points, has_periodic_critical_point, jacobian)
+from . import upoly
+from .dynamics import (Endomorphism, ProjectivePoint, _binary_form,
+                       binary_form_roots, critical_points,
+                       has_periodic_critical_point, jacobian)
 from .errors import (InvalidInputError, NotDivisibleError, RingMismatchError,
                      UnsupportedScopeError, VerificationError)
 from .mpoly import Polynomial, Ring, _primitive_scale, divexact, embed
@@ -129,13 +132,10 @@ class SymForm:
 
     def evaluate(self, p):
         """Value of the form at a point of the line (well defined up to scale)."""
-        a, b = _as_point(p, self.field).coords
-        fld = self.field
-        n = self.degree
-        acc = fld.zero()
-        for k, c in enumerate(self.coefficients):
-            acc = fld.add(acc, fld.mul(c, fld.mul(fld.pw(a, n - k), fld.pw(b, k))))
-        return acc
+        a, b = _as_point(p, self.field).coords  # (a : 1) or (1 : 0)
+        if not b:
+            return self.coefficients[0]
+        return upoly.evaluate(self.coefficients[::-1], a, self.field.characteristic)
 
     def vanishes_at(self, p) -> bool:
         return self.field.is_zero(self.evaluate(p))
@@ -147,27 +147,15 @@ class SymForm:
     def as_polynomial(self, ring: Ring, pair=(0, 1)) -> Polynomial:
         if ring.field != self.field:
             raise RingMismatchError("ring field does not match the form")
-        i, j = pair
-        n = self.degree
-        out = ring.zero()
-        for k, c in enumerate(self.coefficients):
-            mono = [0] * ring.nvars
-            mono[i] += n - k
-            mono[j] += k
-            out = out + Polynomial(ring, {tuple(mono): self.field.one()}).scale(c)
-        return out
+        return _binary_form(ring, self.coefficients[::-1], pair)
 
     def __mul__(self, other: "SymForm") -> "SymForm":
         if not isinstance(other, SymForm):
             return NotImplemented
         if self.field != other.field:
             raise RingMismatchError("forms live over different fields")
-        fld = self.field
-        out = [fld.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = fld.add(out[i + j], fld.mul(a, b))
-        return SymForm(fld, out)
+        return SymForm(self.field, upoly.mulmod(
+            self.coefficients, other.coefficients, p=self.field.characteristic))
 
     def __eq__(self, other):
         return (isinstance(other, SymForm) and self.field == other.field
@@ -187,14 +175,10 @@ def vieta(points, fld=None) -> SymForm:
     """
     pts = points if isinstance(points, PointTuple) else PointTuple(points, fld)
     field = pts.field
-    conv = [field.one()]
+    conv = [1]
     for p in pts:
         a, b = p.coords
-        nxt = [field.zero()] * (len(conv) + 1)
-        for i, c in enumerate(conv):
-            nxt[i] = field.add(nxt[i], field.mul(c, b))
-            nxt[i + 1] = field.sub(nxt[i + 1], field.mul(c, a))
-        conv = nxt
+        conv = upoly.mulmod(conv, [b, -a], p=field.characteristic)
     return SymForm(field, conv)
 
 
@@ -503,22 +487,6 @@ def periodic_critical_form(f: Endomorphism, p, q, s: int, m: int,
 
 # -- period polynomials of z^(-d) + c --------------------------------------------------
 
-def _ipoly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _ipoly_pow(a: list[int], e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = _ipoly_mul(out, a)
-    return out
-
-
 @dataclass(frozen=True)
 class PeriodPolynomial:
     """Numerator of the s-th forward value of 0 under z^(-d) + c.
@@ -535,11 +503,7 @@ class PeriodPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, fld, c):
-        cv = fld.coerce(c)
-        acc = fld.zero()
-        for g in reversed(self.coefficients):
-            acc = fld.add(fld.mul(acc, cv), fld.coerce(g))
-        return acc
+        return upoly.evaluate(self.coefficients, fld.coerce(c), fld.characteristic)
 
     def to_list(self) -> list[int]:
         return list(self.coefficients)
@@ -556,20 +520,13 @@ def period_polynomial(d: int, s: int) -> PeriodPolynomial:
         raise InvalidInputError("the degree must be >= 2")
     if s < 2:
         raise InvalidInputError("the period must be >= 2")
-    num, den = [0], [1]
+    num, den = [], [1]
     for _ in range(s):
-        num_d = _ipoly_pow(num, d)
-        den_d = _ipoly_pow(den, d)
-        lifted = [0] + num_d  # multiply by c
-        width = max(len(den_d), len(lifted))
-        num = [(den_d[i] if i < len(den_d) else 0)
-               + (lifted[i] if i < len(lifted) else 0) for i in range(width)]
-        den = num_d
-    while num and num[-1] == 0:
-        num.pop()
-    content = 0
-    for g in num:
-        content = math.gcd(content, g)
+        num_d, den_d = [1], [1]
+        for _ in range(d):
+            num_d, den_d = upoly.mulmod(num_d, num), upoly.mulmod(den_d, den)
+        num, den = upoly.lincomb(((1, den_d), (1, [0] + num_d))), num_d  # c*N^d
+    content = math.gcd(*num)
     coeffs = [g // content for g in num]
     expected = (d ** (s - 1) - 1) // (d - 1)
     if len(coeffs) - 1 != expected:
@@ -597,16 +554,7 @@ def find_pcf_parameter(d: int, p: int, fld):
     """
     if not is_prime(p):
         raise InvalidInputError("the period must be prime")
-    poly = period_polynomial(d, p)
-    ring = Ring(2, fld)
-    form = ring.zero()
-    for i, g in enumerate(poly.coefficients):
-        if g:
-            mono = [0] * ring.nvars
-            mono[0] = i
-            mono[1] = poly.degree - i
-            form = form + Polynomial(ring, {tuple(mono): fld.one()}).scale(
-                fld.coerce(g))
+    form = _binary_form(Ring(2, fld), period_polynomial(d, p).coefficients)
     origin = ProjectivePoint((0, 1), fld)
     for root in binary_form_roots(form):
         if fld.is_zero(root.coords[1]):

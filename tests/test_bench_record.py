@@ -43,3 +43,21 @@ def test_spawn_command_passes_arguments_and_exit_code_through():
     proc = subprocess.run(spawn(echo), capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stdout.strip() == repr(["two words", "$HOME", "'"])
+
+
+def fake_run(seed, **metrics):
+    return {"seed": seed, "result": {"metrics": {
+        m: {"value": v, "unit": "s"} for m, v in metrics.items()}}}
+
+
+def test_traced_runs_alternate_and_merge_by_median():
+    recorder = load_recorder()
+    order = list(recorder.alternating(["parent", "change"], [7, 8, 9]))
+    assert order == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                     ("parent", 9), ("change", 9)]
+    runs = [fake_run(7, a=0.3, b=5), fake_run(8, a=0.1, b=5), fake_run(9, a=0.2, b=6)]
+    merged = recorder.median_metrics(runs)
+    assert merged == {"seeds": [7, 8, 9], "result": {"metrics": {
+        "a": {"value": 0.2, "unit": "s"}, "b": {"value": 5, "unit": "s"}}}}
+    # one run is its own median, so a single traced run reads as before
+    assert recorder.median_metrics(runs[:1])["result"] == runs[0]["result"]

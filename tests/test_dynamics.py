@@ -9,11 +9,11 @@ from random import Random
 
 import pytest
 
-from projdyn import dynamics
+from projdyn import dynamics, upoly
 from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
-                              _extended_ring, _gcd_coeffs, _homogeneous_blocks,
+                              _extended_ring, _homogeneous_blocks,
                               _line_coeffs, _parse_forms, _probably_squarefree,
                               _pushforward_chain, _strip_param_content,
                               critical_points, dim_end, dim_forms,
@@ -848,7 +848,7 @@ def test_shared_zero_only_at_infinity():
     for fld in (QQ, GF(7)):
         f = endomorphism_from_strings(["x^2+y^2", "y^2"], fld)
         jc, phic = _line_coeffs(jacobian(f).poly), _line_coeffs(fixed_form(f, 1))
-        assert len(_gcd_coeffs(jc, phic, fld)) == 1
+        assert len(upoly.gcd(jc, phic, fld.characteristic)) == 1
         assert next(_critical_orbit(*map(_line_coeffs, f.forms), jc, fld))
         assert _resultant_oracle(jacobian(f).poly, fixed_form(f, 1)).is_zero()
         assert has_periodic_critical_point(f, 3).period == 1
@@ -859,7 +859,7 @@ def test_shared_zero_test_with_a_prime_in_a_denominator():
     answers = []
     for other in ("x^2-30021*y^2", "x^2-3*y^2"):
         q = P("x") * P(other)
-        answers.append(len(_gcd_coeffs(_line_coeffs(p), _line_coeffs(q), QQ)) > 1)
+        answers.append(len(upoly.gcd(_line_coeffs(p), _line_coeffs(q))) > 1)
         assert answers[-1] == _resultant_oracle(p, q).is_zero()
     assert answers == [True, False]
 
@@ -963,7 +963,7 @@ def test_gcd_degree_matches_sympy(fld):
         g = rand(rng.randint(0, 2))
         a, b = mul(g, rand(rng.randint(0, 4))), mul(g, rand(rng.randint(1, 4)))
         expect = to_sympy(a).gcd(to_sympy(b)).degree()
-        assert len(_gcd_coeffs(a, b, fld)) - 1 == expect, (a, b)
+        assert len(upoly.gcd(a, b, fld.characteristic)) - 1 == expect, (a, b)
 
 
 # -- dimension counts ---------------------------------------------------------------------

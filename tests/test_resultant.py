@@ -847,6 +847,68 @@ def test_parametric_field_too_small_for_grid():
     assert err.value.code == "interpolation-underdetermined"
 
 
+
+# -- closed form: one form against n linear forms -----------------------------------
+
+def common_zero(rows, ring):
+    """v with v_i = (-1)^i * det(rows without column i), by Leibniz on the
+    polynomial entries: the point where the n linear forms with these
+    coefficient rows meet."""
+    out = []
+    for i in range(len(rows) + 1):
+        minor = [row[:i] + row[i + 1:] for row in rows]
+        det = ring.zero()
+        for perm in itertools.permutations(range(len(minor))):
+            term = ring.one()
+            for k, j in enumerate(perm):
+                term = term * minor[k][j]
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            det = det + term if inversions % 2 == 0 else det - term
+        out.append(det if i % 2 == 0 else -det)
+    return out
+
+
+def closed_form_system(fld, n, d, rng, parametric):
+    """F0 of degree d and n linear forms in x0..xn; with `parametric`, every
+    coefficient is affine in the one parameter x(n+1).  Returns the forms and
+    F0 at the common zero of the linear forms."""
+    ring = Ring(n + 2 if parametric else n + 1, fld)
+    block = range(n + 1)
+
+    def coefficient():
+        c = ring.const(fld.coerce(rng.randint(-9, 9)) if fld == QQ else fld.random(rng))
+        return c + ring.var(n + 1).scale(rng.randint(-3, 3)) if parametric else c
+
+    rows = [[coefficient() for _ in block] for _ in range(n)]
+    linear = [sum((c * ring.var(j) for j, c in enumerate(row)), ring.zero())
+              for row in rows]
+    f0 = random_form(ring, block, d, rng)
+    if parametric:
+        f0 = f0 + ring.var(n + 1) * random_form(ring, block, d, rng, density=0.5)
+    params = [ring.var(n + 1)] if parametric else []
+    return [f0, *linear], f0.substitute(common_zero(rows, ring) + params)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+def test_resultant_with_linear_forms_is_the_first_form_at_their_common_zero(fld):
+    # Res(F0, L1, ..., Ln) = F0(v), v_i = (-1)^i det(L without column i), with
+    # this sign, at n = 1, 2, 3 and deg F0 = 1, 2, 3; numeric systems, then
+    # one parameter in F0 and the L_i under each strategy
+    rng = Random(RNG_SEED + 10)
+    nonzero = 0
+    for n, d in itertools.product((1, 2, 3), (1, 2, 3)):
+        forms, expect = closed_form_system(fld, n, d, rng, parametric=False)
+        assert macaulay_resultant(forms) == expect, (n, d)
+        nonzero += not expect.is_zero()
+    for n, d in itertools.product((1, 2, 3), (1, 2, 3)):
+        forms, expect = closed_form_system(fld, n, d, rng, parametric=True)
+        assert not expect.is_zero() and expect.degree_in(n + 1) > 0
+        for strategy in ("ratio", "modular", "auto"):
+            got = macaulay_resultant(forms, block_size=n + 1, strategy=strategy)
+            assert got == expect, (n, d, strategy)
+    assert nonzero == 9
+
+
 # -- field linear algebra -----------------------------------------------------------
 
 def leibniz_det(rows, fld):
