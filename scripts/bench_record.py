@@ -100,11 +100,10 @@ def alternating(sides: list, seeds: list):
 def median_metrics(runs: list) -> dict:
     """The runs' seeds and, per metric of the first run, the median value
     over the runs, in the shape of one run's result."""
-    metrics = runs[0]["result"]["metrics"]
-    return {"seeds": [r["seed"] for r in runs],
-            "result": {"metrics": {m: {"value": statistics.median(value(r, m) for r in runs),
-                                       "unit": entry["unit"]}
-                                   for m, entry in metrics.items()}}}
+    metrics = {m: {"value": statistics.median(value(r, m) for r in runs),
+                   "unit": entry["unit"]}
+               for m, entry in runs[0]["result"]["metrics"].items()}
+    return {"seeds": [r["seed"] for r in runs], "result": {"metrics": metrics}}
 
 
 def summary(runs: list, metrics: list) -> dict:
