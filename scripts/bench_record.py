@@ -15,8 +15,11 @@ alternating the same way, record the per-layer metrics: calls and counts
 per pass, and self times per pass, rescaled like the task times.  Each
 side keeps its traced runs and, under ``traced``, the median of each
 per-layer metric over them, so one run's speed phase does not read as a
-change in a layer.  The file also records each side's ``src/`` line count
-and the machine's ``nproc``.
+change in a layer.  With a parent, ``traced_ratios`` pairs the two sides'
+traced runs by seed and keeps, per metric, each pair's change/parent ratio
+and the median of those ratios: a layer's change measured within pairs that
+ran one after the other, not between two medians.  The file also records
+each side's ``src/`` line count and the machine's ``nproc``.
 
 Each run is spawned through ``spawn_command``, so the ``peak_rss_mib`` it
 reports is its own high-water mark, not this recorder's.
@@ -106,6 +109,25 @@ def median_metrics(runs: list) -> dict:
     return {"seeds": [r["seed"] for r in runs], "result": {"metrics": metrics}}
 
 
+def paired_ratios(parent: list, change: list) -> dict:
+    """Per metric, the change/parent ratio of each pair of runs with one
+    seed, in seed order, and the median of the ratios.  A ratio is 1.0 where
+    both runs read 0 and None where only the parent does; the median is
+    over the other ratios (None when there are none)."""
+    by_seed = {r["seed"]: r for r in parent}
+    pairs = [(by_seed[c["seed"]], c) for c in change if c["seed"] in by_seed]
+    metrics = {}
+    for m in change[0]["result"]["metrics"]:
+        ratios = []
+        for p, c in pairs:
+            pv, cv = value(p, m), value(c, m)
+            ratios.append(cv / pv if pv else None if cv else 1.0)
+        defined = [r for r in ratios if r is not None]
+        metrics[m] = {"ratios": ratios,
+                      "median": statistics.median(defined) if defined else None}
+    return {"seeds": [c["seed"] for _, c in pairs], "metrics": metrics}
+
+
 def summary(runs: list, metrics: list) -> dict:
     out = {}
     for m in metrics:
@@ -150,6 +172,7 @@ def main(argv=None) -> int:
                     cv, pv = value(c, m), value(p, m)
                     wins[m] += cv < pv if lower[m] else cv > pv
             entry["change_wins"] = wins
+            entry["traced_ratios"] = paired_ratios(traced["parent"], traced["change"])
         report["workloads"][name] = entry
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0

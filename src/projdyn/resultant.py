@@ -29,7 +29,8 @@ that elimination.  Every route reads that one system:
   batch (Montgomery's trick), or, for large batches below 2^28, as one
   int64 numpy batch.  Points where that meets a zero
   pivot go to the point evaluator.  Vandermonde systems are solved by one
-  matrix product with a table of quotients.  Over QQ each prime gets one
+  matrix product with a table of quotients: on int64 arrays below 2^28,
+  on Python ints above.  Over QQ each prime gets one
   reduced copy of the system; the images are combined by CRT + rational
   reconstruction, and the first candidate that reconstructs is checked at
   a fresh prime.
@@ -48,12 +49,13 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import upoly
 from .coeff import (_INTERNAL_PRIME_BOUND, GF, PrimeField, RationalField,
                     crt_combine, internal_primes, rational_reconstruct)
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
@@ -505,8 +507,9 @@ def _coordinate_ladder(system: MacaulaySystem, forms: Sequence[Polynomial],
 def _inverses_mod(values: list[int], p: int) -> list[int]:
     """Inverses of nonzero residues mod p by Montgomery's simultaneous
     inversion (Math. Comp. 48, 1987): one pow and 3(n-1) products.  The
-    int64 batch inverts each step's pivots with it; the lockstep loop of
-    _scheduled_ratios runs the same trick inline."""
+    int64 batch inverts each step's pivots with it, and the Python-int
+    Vandermonde solve its M'(v); the lockstep loop of _scheduled_ratios
+    runs the same trick inline."""
     prefix = []  # prefix[j]: the product of values[:j]
     acc = 1
     for v in values:
@@ -714,59 +717,77 @@ def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
     from its values at geometric points.  With M the product of (z - v)
     over the nodes, the interpolant that is 1 at v and 0 at the other
     nodes is (M / (z - v)) / M'(v).  The t x t table of the quotients
-    M / (z - v), row s for nodes[s], is built once: t steps of synthetic
-    division over all nodes together, then M'(v) by Horner.  The transposed
-    solve is the table times rhs, the plain one its transpose times rhs,
-    each one product mod p, with the 1 / M'(v) applied to the t rows of
-    the result or of rhs.  Entries of `rhs` are ints, or int arrays of one
-    shape (one system per position); the result has the same form.
+    M / (z - v), row s for nodes[s], is built once, by t steps of
+    synthetic division over all nodes together, then M'(v) by Horner.  The
+    transposed solve is the table times rhs, the plain one its transpose
+    times rhs, each one product mod p, with the 1 / M'(v) applied to the t
+    rows of the result or of rhs.  Below _NUMPY_SAFE that runs on int64
+    arrays, the product by `_matmul_mod`.  Above it, where int64 products
+    could overflow, on Python ints: M by `upoly.mulmod`, the M'(v)
+    inverted together by `_inverses_mod` (one pow), and each entry of the
+    product one `sum(map(mul, ...))`.  Entries of `rhs` are ints, or rows
+    of ints of one length (one system per position); the result has the
+    same form, in lists of plain ints.
     """
     t = len(nodes)
-    z = _vector([v % p for v in nodes], p)
-    master = _vector([1] + [0] * t, p)  # coefficients of M, constant term first
-    for m, v in enumerate(z):
-        master[1:m + 2] = (master[:m + 1] - v * master[1:m + 2]) % p
-        master[0] = -v * master[0] % p
-    table = _vector([[0] * t] * t, p)  # row s: M / (z - nodes[s]), from the top
-    acc = _vector([1] * t, p)
+    z = [v % p for v in nodes]
+    if p < _NUMPY_SAFE:
+        z = np.array(z, dtype=np.int64)
+        master = np.array([1] + [0] * t, dtype=np.int64)  # M, constant term first
+        for m, v in enumerate(z):
+            master[1:m + 2] = (master[:m + 1] - v * master[1:m + 2]) % p
+            master[0] = -v * master[0] % p
+        table = np.zeros((t, t), dtype=np.int64)  # row s: M / (z - nodes[s])
+        acc = np.ones(t, dtype=np.int64)
+        for i in range(t - 1, -1, -1):
+            table[:, i] = acc
+            acc = (master[i] + z * acc) % p
+        deriv = np.zeros(t, dtype=np.int64)  # M'(v) = (M / (z - v))(v)
+        for i in range(t - 1, -1, -1):
+            deriv = (deriv * z + table[:, i]) % p
+        if np.count_nonzero(deriv) < t:
+            raise DegeneracyError("interpolation-singular", "repeated interpolation node")
+        scale = np.array([pow(int(d), -1, p) for d in deriv], dtype=np.int64)[:, None]
+        values = np.array(rhs, dtype=np.int64)
+        flat = values.reshape(t, -1) % p
+        if transposed:
+            solved = scale * _matmul_mod(table, flat, p) % p
+        else:
+            solved = _matmul_mod(table.T, scale * flat % p, p)
+        return solved.reshape(values.shape).tolist()
+    master = [1]
+    for v in z:
+        master = upoly.mulmod([-v, 1], master, p=p)
+    table = [None] * t  # column s of table[i]: the z^i coefficient of M / (z - nodes[s])
+    acc, deriv = [1] * t, [0] * t
     for i in range(t - 1, -1, -1):
-        table[:, i] = acc
-        acc = (master[i] + z * acc) % p
-    deriv = _vector([0] * t, p)  # M'(v) = (M / (z - v))(v)
-    for i in range(t - 1, -1, -1):
-        deriv = (deriv * z + table[:, i]) % p
-    if np.count_nonzero(deriv) < t:
+        table[i] = acc
+        deriv = [(d * v + a) % p for d, v, a in zip(deriv, z, acc)]
+        m = master[i]
+        acc = [(m + v * a) % p for v, a in zip(z, acc)]
+    if not all(deriv):
         raise DegeneracyError("interpolation-singular", "repeated interpolation node")
-    scale = _vector([pow(int(d), -1, p) for d in deriv], p)[:, None]
-    values = _vector(rhs, p)
-    flat = values.reshape(t, -1) % p
+    scale = _inverses_mod(deriv, p)
+    scalar = isinstance(rhs[0], int)
+    columns = [rhs] if scalar else list(zip(*rhs))
     if transposed:
-        solved = scale * _matmul_mod(table, flat, p) % p
+        solved = [[sum(map(mul, row, col)) * s % p for col in columns]
+                  for row, s in zip(zip(*table), scale)]
     else:
-        solved = _matmul_mod(table.T, scale * flat % p, p)
-    solved = solved.reshape(values.shape)
-    if solved.ndim == 1:
-        return [int(c) for c in solved]
-    return list(solved)
+        columns = [list(map(mul, col, scale)) for col in columns]
+        solved = [[sum(map(mul, row, col)) % p for col in columns] for row in table]
+    return [row[0] for row in solved] if scalar else solved
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a . b mod p.  int64 operands (p < _NUMPY_SAFE, products below 2^56)
-    are summed 64 inner terms at a time, so no sum reaches 2^63; object
-    operands hold Python ints and need no chunks.  Each dtype takes the
-    form whose first call does not grow the process by 128 KiB: np.dot
-    for object, the matmul ufunc for int64."""
-    if a.dtype == object:
-        return np.dot(a, b) % p
+    """a . b mod p on int64 operands (p < _NUMPY_SAFE, products below
+    2^56), summed 64 inner terms at a time, so no sum reaches 2^63.  The
+    matmul ufunc, not np.dot: its first call does not grow the process by
+    128 KiB."""
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for j in range(0, a.shape[1], 64):
         out = (out + a[:, j:j + 64] @ b[j:j + 64]) % p
     return out
-
-
-def _vector(values, p: int) -> np.ndarray:
-    """Field values as an array that numpy arithmetic keeps exact mod p."""
-    return np.array(values, dtype=np.int64 if p < _NUMPY_SAFE else object)
 
 
 def _probe_count(degree_bound: int, p: int) -> Optional[int]:
@@ -948,12 +969,16 @@ def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
     p = system.ring.field.p
     lengths = [b + 1 for b in plan.axis_bounds]
     points = list(itertools.product(*(range(1, l + 1) for l in lengths)))
-    table = _vector(_values_mod(system, plan, points, rng), p).reshape(lengths)
-    for axis, l in enumerate(lengths):
-        solved = _vandermonde_solve(range(1, l + 1), list(np.moveaxis(table, axis, 0)), p)
-        table = np.moveaxis(np.stack(solved), 0, axis)
-    return _by_monomial(plan, ((tuple(int(x) for x in idx), int(table[tuple(idx)]))
-                               for idx in np.argwhere(table != 0)))
+    table = _values_mod(system, plan, points, rng)  # flat, in the order of points
+    for l in lengths:
+        # solve along the first axis, then move it last: after every axis
+        # the table is back in the order of points
+        n = len(table) // l
+        solved = _vandermonde_solve(range(1, l + 1),
+                                    [table[i * n:(i + 1) * n] for i in range(l)], p)
+        table = [c for col in zip(*solved) for c in col]
+    exponents = itertools.product(*(range(l) for l in lengths))
+    return _by_monomial(plan, ((e, c) for e, c in zip(exponents, table) if c))
 
 
 def _geometric_nodes(support: list[tuple], p: int, rng: Random):
@@ -999,16 +1024,17 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
         heads = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
         tail = tuple(anchors[k + 1:])
         points = [head + (v,) + tail for v in fresh for head in heads]
-        values = _vector(_values_mod(system, plan, points, rng), p)
+        values = _values_mod(system, plan, points, rng)
         # one transposed system per fresh node, solved together: row j of
         # by_node holds the coefficients on the support at nodes[j]
-        slices = _vandermonde_solve(geometric, list(values.reshape(len(fresh), -1).T),
+        t = len(heads)
+        slices = _vandermonde_solve(geometric, [values[i::t] for i in range(t)],
                                     p, transposed=True)
-        by_node = np.stack(slices, axis=1)
+        by_node = list(zip(*slices))
         if k:
-            by_node = np.vstack([_vector(coeffs, p), by_node])
-        by_exponent = _vandermonde_solve(nodes, list(by_node), p)
-        found = [(s + (e,), int(c)) for e, row in enumerate(by_exponent)
+            by_node = [coeffs] + by_node
+        by_exponent = _vandermonde_solve(nodes, by_node, p)
+        found = [(s + (e,), c) for e, row in enumerate(by_exponent)
                  for s, c in zip(support, row) if c]
         support = [s for s, _ in found]
         coeffs = [c for _, c in found]

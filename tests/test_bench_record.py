@@ -61,3 +61,21 @@ def test_traced_runs_alternate_and_merge_by_median():
         "a": {"value": 0.2, "unit": "s"}, "b": {"value": 5, "unit": "s"}}}}
     # one run is its own median, so a single traced run reads as before
     assert recorder.median_metrics(runs[:1])["result"] == runs[0]["result"]
+
+
+def test_traced_pairs_keep_change_over_parent_ratios_per_seed():
+    recorder = load_recorder()
+    # the sides' runs arrive in alternating order, and the seeds pair them
+    parent = [fake_run(7, a=0.2, b=5, z=0), fake_run(8, a=0.4, b=5, z=0),
+              fake_run(9, a=0.1, b=4, z=0)]
+    change = [fake_run(7, a=0.1, b=5, z=0), fake_run(9, a=0.1, b=2, z=3),
+              fake_run(8, a=0.1, b=5, z=0)]
+    paired = recorder.paired_ratios(parent, change)
+    assert paired["seeds"] == [7, 9, 8]
+    assert paired["metrics"] == {
+        "a": {"ratios": [0.5, 1.0, 0.25], "median": 0.5},
+        "b": {"ratios": [1.0, 0.5, 1.0], "median": 1.0},
+        # 0 on both sides is no change; a count the parent never made has no ratio
+        "z": {"ratios": [1.0, None, 1.0], "median": 1.0}}
+    # a seed traced on one side only pairs with nothing
+    assert recorder.paired_ratios(parent[:1], change)["seeds"] == [7]

@@ -529,6 +529,37 @@ def test_sparse_parametric_modular_matches_ratio(fld, monkeypatch):
     assert bool(batched) == (fld != GF(DEFAULT_MODULAR_PRIME))
 
 
+@pytest.mark.parametrize("p", [DEFAULT_MODULAR_PRIME, 2 ** 89 - 1], ids=["GF62bit", "GF89bit"])
+def test_python_int_vandermonde_route_matches_ratio(p, monkeypatch):
+    # above _NUMPY_SAFE every Vandermonde system of Zippel's stages is solved
+    # on Python ints; two parameter axes make stage 1 solve its transposed
+    # systems on supports of more than one monomial
+    assert p >= _NUMPY_SAFE
+    real = resultant._vandermonde_solve
+    solves = []  # (t, transposed) per call
+
+    def recorded(nodes, rhs, q, transposed=False):
+        solves.append((len(nodes), transposed))
+        return real(nodes, rhs, q, transposed)
+
+    monkeypatch.setattr(resultant, "_vandermonde_solve", recorded)
+    monkeypatch.setattr(resultant, "np", None)  # no numpy array on this route
+    rng = Random(RNG_SEED)
+    ring = Ring(4, GF(p))
+    for degrees in ((2, 2), (2, 3), (1, 3)):
+        # every coefficient affine in the parameters x2, x3
+        forms = [Polynomial(ring, {mb + par: ring.field.coerce(rng.randint(1, 9))
+                                   for mb in monomials_of_degree(2, d)
+                                   for par in ((0, 0), (1, 0), (0, 1))
+                                   if rng.random() < 0.6})
+                 for d in degrees]
+        modular = macaulay_resultant(forms, 2, strategy="modular")
+        assert modular == macaulay_resultant(forms, 2, strategy="ratio")
+        assert all(modular.degree_in(v) > 1 for v in (2, 3))
+    assert max(t for t, transposed in solves if transposed) > 1
+    assert len(solves) == 12  # two stages of two solves per system
+
+
 def outcome(call):
     """The value of call(), or the type of the DegeneracyError it raised."""
     try:
@@ -1114,47 +1145,65 @@ def check_vandermonde(nodes, rhs, solved, p, transposed):
         assert total % p == rhs[i] % p
 
 
+def sample_nodes(rng, p, l):
+    """l distinct residues mod p, seeded (random.sample's range stops at 2^63)."""
+    if p < 1 << 63:
+        return rng.sample(range(p), l)
+    return list({rng.randrange(p): None for _ in range(l)})
+
+
+def plain_rows(rows):
+    return all(type(row) is list and all(type(c) is int for c in row) for row in rows)
+
+
 # 101 is smaller than the largest t; the first internal prime is the
-# largest that takes the int64 product
-@pytest.mark.parametrize("p", [101, 10007, next(internal_primes()), DEFAULT_MODULAR_PRIME])
+# largest that takes the int64 product; DEFAULT_MODULAR_PRIME and 2^89 - 1
+# (past int64 itself) take the Python-int route
+@pytest.mark.parametrize("p", [101, 10007, next(internal_primes()), DEFAULT_MODULAR_PRIME,
+                               2 ** 89 - 1])
 def test_vandermonde_solve_matches_field_inverse(p):
     fld = GF(p)
     rng = Random(p)
     for l in (1, 5, 12):
-        for nodes in (list(range(1, l + 1)), rng.sample(range(p), l)):
+        for nodes in (list(range(1, l + 1)), sample_nodes(rng, p, l)):
             vander = [[pow(v, j, p) for j in range(l)] for v in nodes]
             transposed = [list(col) for col in zip(*vander)]
             rhs = [fld.random(rng) for _ in range(l)]
             for matrix, flag in ((vander, False), (transposed, True)):
                 expected = [row[0] for row in mat_mul(_field_inverse(matrix, fld),
                                                       [[r] for r in rhs], fld)]
-                assert _vandermonde_solve(nodes, rhs, p, transposed=flag) == expected
-                # int arrays solve one system per position, as the scalars do
+                solved = _vandermonde_solve(nodes, rhs, p, transposed=flag)
+                assert solved == expected and plain_rows([solved])
+                # rows solve one system per position, as the scalars do
                 other = [fld.random(rng) for _ in range(l)]
-                batch = [resultant._vector([a, b], p) for a, b in zip(rhs, other)]
+                batch = [[a, b] for a, b in zip(rhs, other)]
                 solved = _vandermonde_solve(nodes, batch, p, transposed=flag)
-                assert [int(c[0]) for c in solved] == expected
-                assert [int(c[1]) for c in solved] \
+                assert plain_rows(solved)
+                assert [c[0] for c in solved] == expected
+                assert [c[1] for c in solved] \
                     == _vandermonde_solve(nodes, other, p, transposed=flag)
     # around the int64 product's 64-term chunks, checked by multiplying back
     for l in (63, 64, 65, 130):
         if l > p:
             continue
-        nodes = rng.sample(range(p), l)
+        nodes = sample_nodes(rng, p, l)
         rhs = [fld.random(rng) for _ in range(l)]
         other = [fld.random(rng) for _ in range(l)]
-        batch = [resultant._vector([a, b], p) for a, b in zip(rhs, other)]
+        batch = [[a, b] for a, b in zip(rhs, other)]
         for flag in (False, True):
             solved = _vandermonde_solve(nodes, rhs, p, transposed=flag)
-            assert all(type(c) is int for c in solved)
+            assert plain_rows([solved])
             check_vandermonde(nodes, rhs, solved, p, flag)
             columns = _vandermonde_solve(nodes, batch, p, transposed=flag)
-            assert [int(c[0]) for c in columns] == solved
-            check_vandermonde(nodes, other, [int(c[1]) for c in columns], p, flag)
-    # every entry p - 1: 130 products would pass 2^63 near _NUMPY_SAFE
-    worst = resultant._vector([[p - 1] * 130] * 2, p)
-    assert resultant._matmul_mod(worst, worst.T, p).tolist() \
-        == [[130 * (p - 1) ** 2 % p] * 2] * 2
+            assert plain_rows(columns)
+            assert [c[0] for c in columns] == solved
+            check_vandermonde(nodes, other, [c[1] for c in columns], p, flag)
+    # every entry p - 1: 130 products would pass 2^63 near _NUMPY_SAFE, for
+    # the int64 product that only the primes below it take
+    if p < _NUMPY_SAFE:
+        worst = np.array([[p - 1] * 130] * 2, dtype=np.int64)
+        assert resultant._matmul_mod(worst, worst.T, p).tolist() \
+            == [[130 * (p - 1) ** 2 % p] * 2] * 2
     with pytest.raises(DegeneracyError) as err:
         _vandermonde_solve([1, 1 + p], [0, 0], p)
     assert err.value.code == "interpolation-singular"
