@@ -30,7 +30,7 @@ from .mpoly import (Polynomial, Ring, _block_coefficients, _primitive_scale,
                     equal_up_to_scalar, format_polynomial, parse_polynomial,
                     poly_gcd, primitive_part, squarefree_part,
                     strip_monomial_content)
-from .resultant import (_apply_linear, _field_inverse, _probe_count,
+from .resultant import (_apply_linear, _field_ratio, _probe_count,
                         macaulay_resultant, sylvester_resultant)
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
@@ -260,15 +260,18 @@ class Endomorphism:
         a = [[fld.coerce(x) for x in row] for row in matrix]
         if len(a) != n1 or any(len(r) != n1 for r in a):
             raise InvalidInputError("conjugation matrix has the wrong shape")
-        inv = _field_inverse(a, fld)
-        if inv is None:
+        if fld.is_zero(_field_ratio([row[:] for row in a], fld)):
             raise InvalidInputError("conjugation matrix is singular")
         moved = [_apply_linear(f, a, n1) for f in self.forms]
+        # the adjugate, det(A) A^(-1), from cofactors: the forms come out
+        # scaled by det(A), which Endomorphism normalizes away
         out = []
         for j in range(n1):
             g = self.ring.zero()
             for k in range(n1):
-                g = g + moved[k].scale(inv[j][k])
+                cofactor = _field_ratio([row[:j] + row[j + 1:]
+                                         for r, row in enumerate(a) if r != k], fld)
+                g = g + moved[k].scale(fld.neg(cofactor) if (j + k) % 2 else cofactor)
             out.append(g)
         return Endomorphism(out)
 

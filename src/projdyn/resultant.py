@@ -17,7 +17,8 @@ that elimination.  Every route reads that one system:
 
 - numeric forms go through the point evaluator (`_point_value`): zero when
   a form vanishes, else det M / det M' on field values, by one elimination
-  along the schedule (the pivoted determinant pair when a pivot is zero);
+  (`_field_ratio`) along the schedule, dense with a pivot search inside
+  the current block from a zero pivot on;
 - parametric systems take fraction-free symbolic elimination ("ratio") or
   interpolation of modular images ("modular").  An image is interpolated
   sparsely, by Zippel's variable-by-variable stages, where a few random
@@ -77,63 +78,64 @@ _MAX_SPARSE_PROBES = 4  # sparse stages run only where this many probes suffice
 
 # -- small linear algebra over field values ----------------------------------------
 
-def _field_det(rows, fld):
-    """Determinant of a matrix of field values, elimination with pivot search."""
-    k = len(rows)
-    if k == 0:
-        return fld.one()
-    m = [list(r) for r in rows]
-    det = fld.one()
-    for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if not fld.is_zero(m[r][i]):
-                piv = r
-                break
-        if piv is None:
-            return fld.zero()
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = fld.neg(det)
-        det = fld.mul(det, m[i][i])
-        inv = fld.inv(m[i][i])
-        for r in range(i + 1, k):
-            if fld.is_zero(m[r][i]):
-                continue
-            f = fld.mul(m[r][i], inv)
-            m[r][i] = fld.zero()
-            for c in range(i + 1, k):
-                m[r][c] = fld.sub(m[r][c], fld.mul(f, m[i][c]))
-    return det
+def _field_ratio(m, fld, minor_size: int = 0, schedule=None):
+    """det M / det M' for a square matrix M of field values (overwritten),
+    M' its leading minor_size x minor_size block: det M when minor_size is
+    0.  DegeneracyError when M' is singular.
 
-
-def _field_inverse(rows, fld):
-    """Inverse of a matrix of field values by Gauss-Jordan; None if singular."""
-    k = len(rows)
-    m = [list(r) + [fld.one() if c == i else fld.zero() for c in range(k)]
-         for i, r in enumerate(rows)]
+    One elimination.  It follows `schedule` (see _elimination_schedule)
+    while the pivots are nonzero; from the first zero pivot on, and from
+    the start without a schedule, it runs dense, searching each step's
+    pivot inside that step's block: the rows of M' for the first
+    minor_size steps, then the rest.  So the first minor_size pivots give
+    det M' and the others the ratio; a row swap inside M' changes the sign
+    of both determinants and leaves the ratio, a swap after it negates the
+    ratio.  Over F_p an entry is reduced only where it is read (pivot,
+    pivot row, factor), as in _scheduled_ratios.
+    """
+    p = fld.characteristic
+    ratio = fld.one()
+    steps = schedule or ()
+    k = len(m)
     for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if not fld.is_zero(m[r][i]):
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[i], m[piv] = m[piv], m[i]
         top = m[i]
+        if p:
+            top[i] %= p
+        if i < len(steps) and top[i]:
+            below, right = steps[i]
+        else:
+            steps = ()
+            for r in range(i, minor_size if i < minor_size else k):
+                if p:
+                    m[r][i] %= p
+                if m[r][i]:
+                    break
+            else:
+                if i < minor_size:
+                    raise DegeneracyError("macaulay-minor-singular",
+                                          "reduced minor vanished on this input")
+                return fld.zero()
+            if r != i:
+                m[i], m[r] = m[r], top
+                top = m[i]
+                if i >= minor_size:
+                    ratio = -ratio
+            below = right = range(i + 1, k)
+        if i >= minor_size:
+            ratio = ratio * top[i] % p if p else ratio * top[i]
+        if not (below and right):
+            continue
         inv = fld.inv(top[i])
-        # the other rows change only where the pivot row is nonzero
-        cols = [c for c in range(i, 2 * k) if not fld.is_zero(top[c])]
-        for c in cols:
-            top[c] = fld.mul(top[c], inv)
-        for r in range(k):
+        if p:
+            for c in right:
+                top[c] %= p
+        for r in below:
             row = m[r]
-            if r != i and not fld.is_zero(row[i]):
-                f = row[i]
-                for c in cols:
-                    row[c] = fld.sub(row[c], fld.mul(f, top[c]))
-    return [row[k:] for row in m]
+            f = row[i] * inv % p if p else row[i] * inv
+            if f:
+                for c in right:
+                    row[c] -= f * top[c]
+    return ratio % p if p else ratio
 
 
 def _random_gl(size: int, fld, rng: Random):
@@ -144,7 +146,7 @@ def _random_gl(size: int, fld, rng: Random):
                  for _ in range(size)]
         else:
             a = [[fld.random(rng) for _ in range(size)] for _ in range(size)]
-        d = _field_det(a, fld)
+        d = _field_ratio([row[:] for row in a], fld)
         if not fld.is_zero(d):
             return a, d
     raise DegeneracyError("coordinate-change-exhausted",
@@ -309,8 +311,8 @@ class MacaulaySystem:
     minor_size pivots and det M / det M' as the product of the others.
     It is None when a pivot is structurally zero (a form lacks its pure
     power and no fill-in reaches that diagonal entry); every value then
-    comes from the pivoted determinants.  It is built on one int per row,
-    bit c set where column c is structurally nonzero.
+    comes from `_field_ratio`'s dense elimination.  It is built on one
+    int per row, bit c set where column c is structurally nonzero.
     """
 
     def __init__(self, forms: Sequence[Polynomial], block_size: Optional[int] = None):
@@ -421,15 +423,12 @@ class MacaulaySystem:
 
     def value_tables(self, point=None):
         """Coefficient tables as field values, parameters set to `point`
-        (None for numeric forms); over F_p read from the program."""
+        (None for numeric forms).  Points come only from `_values_mod`, so
+        only over F_p, where they are read from the program."""
         if point is None:
             return [{mb: c.constant_value() for mb, c in tab.items()}
                     for tab in self.coeff_tables]
         fld = self.ring.field
-        if self.program is None:
-            full = [fld.zero()] * self.block_size + list(point)
-            return [{mb: c.evaluate(full) for mb, c in tab.items()}
-                    for tab in self.coeff_tables]
         values = iter(self._coefficient_values(self.program[0],
                                                [fld.coerce(x) for x in point]))
         return [{mb: next(values) for mb in tab} for tab in self.coeff_tables]
@@ -522,43 +521,22 @@ def _inverses_mod(values: list[int], p: int) -> list[int]:
 
 
 def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
-    """det M / det M' for each matrix of field values in `mats` (one per
-    point, overwritten): the product of the pivots after the reduced
-    minor's, from one unpivoted elimination along the schedule.  None for a
-    point where a pivot is zero, and for every point of a system without a
-    schedule.
+    """det M / det M' mod p for each matrix of ints in `mats` (one per
+    point, overwritten), for a system over F_p: the product of the pivots
+    after the reduced minor's, from one unpivoted elimination along the
+    schedule.  None for a point where a pivot is zero, and for every point
+    of a system without a schedule; the point evaluator takes those.
 
-    Over F_p the points step through the schedule in lockstep on ints, so
-    each diagonal step inverts the pivots of the whole batch at once
-    (Montgomery's trick, as in _inverses_mod, fused with reading the
-    pivots).  An entry is reduced only where it is read (pivot, pivot row,
-    factor); it takes at most one update per step, so stays below k * p^2
-    in size.  Over QQ each point runs on its own, on Fractions."""
+    The points step through the schedule in lockstep, so each diagonal
+    step inverts the pivots of the whole batch at once (Montgomery's
+    trick, as in _inverses_mod, fused with reading the pivots).  An entry
+    is reduced only where it is read (pivot, pivot row, factor); it takes
+    at most one update per step, so stays below k * p^2 in size."""
     n = len(mats)
     if system.schedule is None:
         return [None] * n
-    fld = system.ring.field
     km = system.minor_size
-    if not isinstance(fld, PrimeField):
-        ratios = []
-        for m in mats:
-            ratio = fld.one()
-            for i, (below, right) in enumerate(system.schedule):
-                top = m[i]
-                if not top[i]:
-                    ratio = None
-                    break
-                if i >= km:
-                    ratio *= top[i]
-                for r in below if right else ():
-                    row = m[r]
-                    f = row[i] / top[i]
-                    for c in right:
-                        row[c] -= f * top[c]
-            ratios.append(ratio)
-        return ratios
-
-    p = fld.p
+    p = system.ring.field.p
     ratios = [1] * n
     live = [True] * n
     for i, (below, right) in enumerate(system.schedule):
@@ -596,29 +574,19 @@ def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
 
 
 def _value_ratio(system: MacaulaySystem, tables):
-    """det M / det M' on field values; DegeneracyError if the minor vanishes.
-
-    The scheduled elimination on a batch of one; at a zero pivot, the
-    pivoted determinants of M' and M.
-    """
+    """det M / det M' on field values; DegeneracyError if the minor vanishes."""
     fld = system.ring.field
-    ratio, = _scheduled_ratios(system, [system._matrix_of(tables, fld.zero())])
-    if ratio is not None:
-        return ratio
-    full = system._matrix_of(tables, fld.zero())
-    km = system.minor_size
-    det_minor = _field_det([row[:km] for row in full[:km]], fld)
-    if fld.is_zero(det_minor):
-        raise DegeneracyError("macaulay-minor-singular",
-                              "reduced minor vanished on this input")
-    return fld.div(_field_det(full, fld), det_minor)
+    return _field_ratio(system._matrix_of(tables, fld.zero()), fld,
+                        system.minor_size, system.schedule)
 
 
 def _point_value(system: MacaulaySystem, point, rng: Random):
     """Resultant value with the parameters at `point` (None for numeric forms).
 
-    Zero when a form vanishes there; otherwise the determinant ratio, with
-    the coordinate-change ladder when the reduced minor vanishes.
+    Zero when a form vanishes there; otherwise det M / det M' by one
+    elimination (`_field_ratio`: along the schedule, dense from a zero
+    pivot on), with the coordinate-change ladder when the reduced minor
+    vanishes.
     """
     fld = system.ring.field
     tables = system.value_tables(point)
@@ -687,7 +655,7 @@ def _batched_ratio_mod(a: np.ndarray, schedule, minor_size: int, p: int):
     (the batch is overwritten).
 
     Returns (ratios, ok); entries with ok=False hit a zero pivot and must be
-    recomputed with a pivoting algorithm.
+    recomputed by the point evaluator.
     """
     n = a.shape[2]
     ratio = np.ones(n, dtype=np.int64)
@@ -931,8 +899,9 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
     (`_scheduled_ratios`).  Points where that meets a zero pivot (every
     point where a form vanishes does: its rows are zero), and every point
     of a system without a schedule, go through the point evaluator: zero
-    for a vanishing form, else pivoted elimination, then the
-    coordinate-change ladder if the reduced minor genuinely vanishes there.
+    for a vanishing form, else one elimination that goes dense from the
+    zero pivot on, then the coordinate-change ladder if the reduced minor
+    genuinely vanishes there.
     """
     if system.schedule is None:
         values, todo = [0] * len(points), range(len(points))
@@ -999,7 +968,8 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
     """Zippel's variable-by-variable interpolation (EUROSAM 1979).
 
     Axes not yet reached are held at `anchors`.  Stage 0 interpolates the
-    first axis densely at its anchor and b_0 further values.  After stage k
+    first axis densely at its anchor and b_0 further values, straight from
+    the values (its support is the empty monomial).  After stage k
     the coefficients of the resultant in axes 0..k are known, on a support
     of t monomials.  Stage k+1 takes its axis at the anchor (the previous
     stage itself) and at b further values.  At each, the resultant has its
@@ -1025,14 +995,16 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
         tail = tuple(anchors[k + 1:])
         points = [head + (v,) + tail for v in fresh for head in heads]
         values = _values_mod(system, plan, points, rng)
-        # one transposed system per fresh node, solved together: row j of
-        # by_node holds the coefficients on the support at nodes[j]
-        t = len(heads)
-        slices = _vandermonde_solve(geometric, [values[i::t] for i in range(t)],
-                                    p, transposed=True)
-        by_node = list(zip(*slices))
+        # row j of by_node holds the coefficients on the support at nodes[j]
         if k:
-            by_node = [coeffs] + by_node
+            # one transposed system per fresh node, solved together
+            t = len(heads)
+            slices = _vandermonde_solve(geometric, [values[i::t] for i in range(t)],
+                                        p, transposed=True)
+            by_node = [coeffs] + list(zip(*slices))
+        else:
+            # the support is [()], one point per node: the values themselves
+            by_node = [(v,) for v in values]
         by_exponent = _vandermonde_solve(nodes, by_node, p)
         found = [(s + (e,), c) for e, row in enumerate(by_exponent)
                  for s, c in zip(support, row) if c]

@@ -131,6 +131,43 @@ def test_conjugate_over_a_prime_field():
         f.conjugate([[1, 2], [3, -1]])  # determinant -7
 
 
+@pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+def test_conjugate_moves_the_map_by_the_matrix(fld):
+    # seeded quadratic maps of P^2 and 3 x 3 matrices A: at random points x,
+    # A . g(x) is proportional to f(A . x) for g = A^(-1) o f o A, and a
+    # singular A is refused
+    rng = Random(2031)
+    ring = Ring(3, fld)
+
+    def times(a, x):
+        return [fld.coerce(sum(r * c for r, c in zip(row, x))) for row in a]
+
+    conjugated = 0
+    for _ in range(12):
+        f = Endomorphism([random_block_form(ring, 3, 2, rng, 0.7) for _ in range(3)])
+        a = [[fld.coerce(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+        det = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+               - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+               + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+        if fld.is_zero(fld.coerce(det)):
+            with pytest.raises(InvalidInputError, match="conjugation matrix is singular"):
+                f.conjugate(a)
+            continue
+        g = f.conjugate(a)
+        conjugated += 1
+        for _ in range(5):
+            x = [fld.coerce(rng.randint(-20, 20)) for _ in range(3)]
+            u = times(a, [h.evaluate(x) for h in g.forms])
+            v = [h.evaluate(times(a, x)) for h in f.forms]
+            assert all(fld.is_zero(fld.coerce(ui * vj - uj * vi))
+                       for ui, vi in zip(u, v) for uj, vj in zip(u, v))
+            assert any(u) == any(v)
+    assert conjugated >= 6
+    singular = [a[0], a[1], [fld.add(x, y) for x, y in zip(a[0], a[1])]]
+    with pytest.raises(InvalidInputError, match="conjugation matrix is singular"):
+        f.conjugate(singular)
+
+
 def test_json_round_trip():
     f = endomorphism_from_strings(["x0^2+3*x2*x1^2", "x1^2"], QQ, nvars=3)
     g = Endomorphism.from_json(f.to_json())
