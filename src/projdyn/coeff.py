@@ -4,8 +4,8 @@ Field objects carry the operations; values themselves stay plain
 (`fractions.Fraction` over QQ, `int` in [0, p) over F_p) so inner loops do not
 pay for a wrapper class.  Text form of a field is ``QQ`` or ``Fp:<prime>``.
 
-Also home to the CRT / rational-reconstruction kernel used by the modular
-resultant strategy.
+Also home to the symmetric CRT kernel and the stream of primes used by the
+modular resultant strategy.
 """
 
 from __future__ import annotations
@@ -258,37 +258,6 @@ def crt_combine(residues: Iterable[tuple[int, int]]) -> tuple[int, int]:
     if 2 * x > m:
         x -= m
     return x, m
-
-
-def rational_reconstruct(value: int, modulus: int) -> Optional[Fraction]:
-    """Recover a/b with |a|, b <= sqrt(modulus/2) from a residue, or None.
-
-    Half-extended Euclid; the returned fraction satisfies a = b*value (mod m),
-    gcd(b, m) = 1.
-    """
-    if modulus <= 1:
-        raise InvalidInputError(f"modulus must exceed 1, got {modulus}")
-    v = value % modulus
-    bound_sq = modulus  # compare 2*r*r against modulus: |r| <= sqrt(m/2)
-    r0, r1 = modulus, v
-    t0, t1 = 0, 1
-    while 2 * r1 * r1 >= bound_sq:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    # r1 == 0 when v == 0 (the loop never ran), or when 2 * gcd(v, m)^2 >= m,
-    # so the remainders ran past their gcd to 0; only v == 0 has a value
-    if r1 == 0:
-        return Fraction(0) if v == 0 else None
-    if 2 * t1 * t1 >= bound_sq:
-        return None
-    if math.gcd(t1, modulus) != 1:
-        return None
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if math.gcd(abs(r1), t1) != 1:
-        return None
-    return Fraction(r1, t1)
 
 
 # Every prime internal_primes yields lies below this bound, so that products

@@ -31,10 +31,10 @@ that elimination.  Every route reads that one system:
   int64 numpy batch.  Points where that meets a zero
   pivot go to the point evaluator.  Vandermonde systems are solved by one
   matrix product with a table of quotients: on int64 arrays below 2^28,
-  on Python ints above.  Over QQ each prime gets one
-  reduced copy of the system; the images are combined by CRT + rational
-  reconstruction, and the first candidate that reconstructs is checked at
-  a fresh prime.
+  on Python ints above.  Over QQ the forms' denominators are cleared once,
+  into an integral copy of the system, and each prime gets one reduced copy
+  of that; the images are combined by symmetric CRT, and each candidate is
+  checked at a fresh prime.
 
 When the reduced minor vanishes, the ratio route and the point evaluator
 share one ladder of seeded linear coordinate changes.
@@ -58,14 +58,14 @@ import numpy as np
 
 from . import upoly
 from .coeff import (_INTERNAL_PRIME_BOUND, GF, PrimeField, RationalField,
-                    crt_combine, internal_primes, rational_reconstruct)
+                    crt_combine, internal_primes)
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
 from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
                     divexact, monomials_of_degree)
 
 _RETRIES = 5          # attempts before giving up: coordinate changes, node
                       # draws, sparse images
-_MAX_PRIMES = 24      # CRT budget for rational interpolation
+_MAX_PRIMES = 24      # CRT budget for interpolation over QQ
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
 _LOCKSTEP_POINTS = 8  # batches up to this size run on Python ints; they beat
                       # numpy's per-step cost (measured crossover: 12-32
@@ -473,7 +473,8 @@ class MacaulaySystem:
         its program.
 
         A form may vanish there (its resultant image is then zero, which is
-        correct); _BadPrime when a denominator vanishes.
+        correct); _BadPrime when a denominator vanishes, which cannot happen
+        on the integral copy (`_integral`) that interpolation reduces.
         """
         out = copy.copy(self)
         out.ring = Ring(self.ring.nvars, fld)
@@ -481,6 +482,20 @@ class MacaulaySystem:
                             for tab in self.coeff_tables]
         out.program = out._compile()
         return out
+
+    def _integral(self) -> tuple["MacaulaySystem", int]:
+        """Over QQ: the same layout with the coefficients of each form F_i
+        multiplied by L_i, the lcm of their denominators, and the factor
+        prod L_i^e_i by which that multiplies the resultant (of degree e_i
+        in F_i's coefficients, see resultant_degrees)."""
+        out = copy.copy(self)
+        out.coeff_tables = []
+        scale = 1
+        for tab, e in zip(self.coeff_tables, resultant_degrees(self.degrees)):
+            lcm = math.lcm(*(v.denominator for c in tab.values() for v in c.terms.values()))
+            out.coeff_tables.append({mb: c.scale(lcm) for mb, c in tab.items()})
+            scale *= lcm ** e
+        return out, scale
 
 
 # -- determinant ratio and the coordinate-change ladder -----------------------------
@@ -1092,53 +1107,42 @@ def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
 def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
                             seed: int) -> Polynomial:
     """Interpolation on the plan's axes: in the field itself over F_p; over
-    QQ on one reduced copy of the system per prime, combined by CRT and
-    rational reconstruction.  Over QQ the images after the first try the
-    support seen so far; the first candidate whose coefficients all
-    reconstruct is accepted once it passes the probe at a fresh prime, and
-    when it fails, the next prime joins the CRT."""
+    QQ on the integral copy of the system (`_integral`), whose resultant
+    has integer coefficients, reduced once per prime.
+
+    Over QQ the images after the first try the support seen so far.  After
+    every image each coefficient is taken as its symmetric residue modulo
+    the product of the primes so far (`crt_combine`), and that candidate is
+    probed at the next fresh prime; when it fails, that prime gives the next
+    image.  A passing candidate is divided by the factor of `_integral`.
+    Primes dividing that factor are skipped: mod such a prime a cleared
+    form keeps only its terms of largest denominator, and the evaluator's
+    coordinate-change ladder can fail on what is left.
+
+    The stop is a probe, not a proof: a bound B on the coefficients, past
+    which prod p > 2B would make it one, is not computed yet, and
+    _MAX_PRIMES images are the budget instead.
+    """
     ring = system.ring
     if isinstance(ring.field, PrimeField):
         return Polynomial(ring, _image_coeffs(system, plan, seed))
 
-    copies: dict[int, MacaulaySystem] = {}
-
-    def reduced(q: int) -> MacaulaySystem:
-        if q not in copies:
-            copies[q] = system._reduced(GF(q))
-        return copies[q]
-
+    integral, scale = system._integral()
+    primes = (p for p in internal_primes() if scale % p)
+    fresh = integral._reduced(GF(next(primes)))
     residue_maps: dict[int, dict[tuple, int]] = {}
     support: set[tuple] = set()  # exponents on the axes, over every image
-    for p in internal_primes():
-        if len(residue_maps) >= _MAX_PRIMES:
-            raise DegeneracyError("interpolation-unstable",
-                                  "rational reconstruction did not stabilize")
-        try:
-            image = _image_coeffs(reduced(p), plan, seed, sorted(support))
-        except _BadPrime:
-            continue
-        residue_maps[p] = image
+    while len(residue_maps) < _MAX_PRIMES:
+        image = _image_coeffs(fresh, plan, seed, sorted(support))
+        residue_maps[fresh.ring.field.p] = image
         support.update(tuple(m[v] for v in plan.axes) for m in image)
-        recon = {}
-        for m in set().union(*residue_maps.values()):
-            v, modulus = crt_combine((rm.get(m, 0), q) for q, rm in residue_maps.items())
-            f = rational_reconstruct(v % modulus, modulus)
-            if f is None:
-                break
-            recon[m] = f
-        else:
-            candidate = Polynomial(ring, {m: c for m, c in recon.items() if c != 0})
-            for q in internal_primes():
-                if q in residue_maps:
-                    continue
-                try:
-                    if _verify_candidate(candidate, reduced(q), plan, seed):
-                        return candidate
-                except _BadPrime:
-                    continue
-                break
-    raise DegeneracyError("interpolation-unstable", "prime supply exhausted")
+        combined = {m: crt_combine((rm.get(m, 0), q) for q, rm in residue_maps.items())[0]
+                    for m in set().union(*residue_maps.values())}
+        candidate = Polynomial(ring, {m: c for m, c in combined.items() if c})
+        fresh = integral._reduced(GF(next(primes)))
+        if _verify_candidate(candidate, fresh, plan, seed):
+            return candidate.scale(Fraction(1, scale))
+    raise DegeneracyError("interpolation-unstable", "CRT did not stabilize")
 
 
 # -- public entry points -------------------------------------------------------------

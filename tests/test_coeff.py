@@ -1,7 +1,6 @@
-"""Field layer: parsing, arithmetic invariants, CRT, rational reconstruction."""
+"""Field layer: parsing, arithmetic invariants, CRT, internal primes."""
 
 import itertools
-import math
 from fractions import Fraction
 from random import Random
 
@@ -9,7 +8,7 @@ import pytest
 
 from projdyn.coeff import (DEFAULT_MODULAR_PRIME, GF, QQ, crt_combine,
                            internal_primes, is_prime, parse_field,
-                           random_element, rational_reconstruct)
+                           random_element)
 from projdyn.errors import InvalidInputError
 
 RNG_SEED = 20240816
@@ -102,35 +101,6 @@ def test_crt_rejects_duplicates_and_noncoprime():
         crt_combine([(1, 3), (2, 3)])
     with pytest.raises(InvalidInputError):
         crt_combine([(1, 6), (2, 9)])
-
-
-def test_rational_reconstruct_examples():
-    assert rational_reconstruct(51, 101) == Fraction(1, 2)
-    assert rational_reconstruct(50, 101) == Fraction(-1, 2)
-    assert rational_reconstruct(0, 101) == 0
-
-
-def test_rational_reconstruct_round_trip_seeded():
-    rng = Random(RNG_SEED)
-    m = DEFAULT_MODULAR_PRIME
-    bound = int(math.isqrt(m // 2))
-    for _ in range(200):
-        num = rng.randint(-(bound - 1), bound - 1)
-        den = rng.randint(1, bound - 1)
-        g = math.gcd(abs(num), den)
-        num //= g
-        den //= g
-        if math.gcd(den, m) != 1:
-            continue
-        residue = num * pow(den, -1, m) % m
-        assert rational_reconstruct(residue, m) == Fraction(num, den)
-
-
-def test_rational_reconstruct_failure_and_bad_modulus():
-    # residue engineered to have no small representation mod a small modulus
-    assert rational_reconstruct(37, 101) is None
-    with pytest.raises(InvalidInputError):
-        rational_reconstruct(3, 1)
 
 
 def test_random_element_documented_bounds_and_determinism():

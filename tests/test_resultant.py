@@ -454,7 +454,7 @@ def test_one_macaulay_system_per_call(monkeypatch):
 
     # over QQ: one system, then one reduced copy for each prime: the
     # image's prime, where the sparse image is probed, then a fresh prime
-    # that probes the reconstructed candidate
+    # that probes the CRT candidate
     builds.clear()
     copies = count_calls(monkeypatch, MacaulaySystem, "_reduced")
     images = count_calls(monkeypatch, resultant, "_image_coeffs")
@@ -599,18 +599,74 @@ def test_auto_interpolates_wherever_the_prime_field_holds_the_grid(fld, monkeypa
     assert routed == expected.get(fld, {True: 0, False: 12})
 
 
-def test_auto_resolves_tall_qq_cubics_through_the_ratio_route_first():
-    # binary cubics with 60-bit coefficients and one parameter: the
-    # modular route raises interpolation-unstable here, because its CRT
-    # primes stop short of the height, so the QQ ratio-first cutoff
-    # (order <= 14) is what resolves them
+def tall_cubics():
+    """Binary cubics with 60-bit coefficients and one parameter."""
     ring = Ring(3, QQ)
     c = [QQ.coerce((3 * 7 ** k + 1) % 2 ** 60 + 2 ** 59) for k in range(9)]
     p = Polynomial(ring, {(3, 0, 0): c[1], (2, 1, 1): c[2], (1, 2, 0): c[3],
                           (0, 3, 0): c[4]})
     q = Polynomial(ring, {(3, 0, 0): c[5], (2, 1, 0): c[6], (1, 2, 1): c[7],
                           (0, 3, 0): c[8]})
+    return p, q
+
+
+def test_auto_resolves_tall_qq_cubics_through_the_ratio_route_first():
+    # order 6, so "auto" over QQ tries the ratio route first (order <= 14)
+    # and answers from it; the modular route reaches the same value
+    # (test_tall_qq_resultants_interpolate_as_integers)
+    p, q = tall_cubics()
     assert macaulay_resultant([p, q], 2) == sylvester_resultant(p, q)
+
+
+def test_tall_qq_resultants_interpolate_as_integers():
+    # symmetric CRT needs prod p > 2B for coefficients of size B, so these
+    # heights fit in the prime budget: two binary octics with 40-bit
+    # coefficients and one parameter (x2 on each one's x0^7*x1 term; order
+    # 16, above the ratio-first cutoff), and the cubics
+    ring = Ring(3, QQ)
+    c = [QQ.coerce((3 * 7 ** k + 1) % 2 ** 40 + 2 ** 39) for k in range(19)]
+    octics = [Polynomial(ring, {(8 - j, j, int(j == 1)): v for j, v in enumerate(cs)})
+              for cs in (c[1:10], c[10:19])]
+    assert MacaulaySystem(octics, 2).size == 16
+    expected = sylvester_resultant(*octics)
+    assert expected.degree_in(2) == 8
+    assert macaulay_resultant(octics, 2) == expected
+    assert macaulay_resultant(octics, 2, strategy="ratio") == expected
+    cubics = tall_cubics()
+    assert (macaulay_resultant(cubics, 2, strategy="modular")
+            == macaulay_resultant(cubics, 2, strategy="ratio")
+            == sylvester_resultant(*cubics))
+
+
+def test_qq_forms_with_denominators_interpolate_as_integers(monkeypatch):
+    # each form's denominators are cleared once, into an integral copy of
+    # the system, and the resultant is divided back: seeded parametric
+    # systems with denominators, one of them the first internal prime,
+    # which the images skip
+    images = count_calls(monkeypatch, resultant, "_image_coeffs")
+    p0, p1 = itertools.islice(internal_primes(), 2)
+    rng = Random(RNG_SEED)
+    nonintegral = 0
+    for block_size, degrees, nvars in SPARSE_SHAPES:
+        ring = Ring(nvars, QQ)
+        for trial in range(3):
+            forms = [f.scale(Fraction(1, rng.choice((2, 3, 10, 49))))
+                     for f in sparse_parametric_forms(ring, block_size, degrees, rng)]
+            if trial == 0:
+                # p0 joins the denominator of one coefficient of F_0
+                m = next(iter(forms[0].terms))
+                forms[0] = (forms[0].scale(rng.choice((2, 3, 10, 49)))
+                            + Polynomial(ring, {m: Fraction(rng.randint(1, 9), p0)}))
+            images.clear()
+            modular = macaulay_resultant(forms, block_size, strategy="modular")
+            assert modular == macaulay_resultant(forms, block_size, strategy="ratio")
+            denominators = {c.denominator for c in modular.terms.values()}
+            nonintegral += max(denominators, default=1) > 1
+            if trial == 0:
+                assert any(d % p0 == 0 for d in denominators)
+                assert images[0][0].ring.field.p == p1
+    # the other three resultants are zero
+    assert nonintegral == 6
 
 
 @pytest.mark.parametrize("fld", [GF(DEFAULT_MODULAR_PRIME)], ids=["GF62bit"])
@@ -723,6 +779,21 @@ def test_direct_second_iterate_interpolates_sparsely(monkeypatch):
         # one image prime, where the image is probed, then one probe prime
         assert r["images"] == [p1]
         assert r["probes"] == [p1, p2]
+
+
+def test_symbolic_certificate_takes_one_image_per_resultant(monkeypatch):
+    # criterion 08's certificate of the symbolic plane under squaring: three
+    # QQ resultants of orders 10, 15 and 21 (the last is the certificate, of
+    # degree 56), each with integer coefficients below half the first prime,
+    # so one image each
+    runs = record_interpolations(monkeypatch)
+    ring = Ring(6, QQ)
+    f = Endomorphism([ring.var(i) ** 2 for i in range(3)])
+    cert = improper_certificate(f, P("x3*x0+x4*x1+x5*x2", ring), (0, 1, 2),
+                                strategy="modular")
+    assert cert.degree() == 56
+    p1 = next(internal_primes())
+    assert [(r["size"], r["images"]) for r in runs] == [(10, [p1]), (15, [p1]), (21, [p1])]
 
 
 def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
