@@ -30,8 +30,8 @@ from .mpoly import (Polynomial, Ring, _block_coefficients, _primitive_scale,
                     equal_up_to_scalar, format_polynomial, parse_polynomial,
                     poly_gcd, primitive_part, squarefree_part,
                     strip_monomial_content)
-from .resultant import (_apply_linear, _field_ratio, _probe_count,
-                        macaulay_resultant, sylvester_resultant)
+from .resultant import (_field_ratio, _probe_count, macaulay_resultant,
+                        sylvester_resultant)
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
@@ -262,7 +262,10 @@ class Endomorphism:
             raise InvalidInputError("conjugation matrix has the wrong shape")
         if fld.is_zero(_field_ratio([row[:] for row in a], fld)):
             raise InvalidInputError("conjugation matrix is singular")
-        moved = [_apply_linear(f, a, n1) for f in self.forms]
+        ring = self.ring
+        images = [sum((ring.var(k).scale(a[j][k]) for k in range(n1)), ring.zero())
+                  for j in range(n1)] + ring.gens()[n1:]
+        moved = [f.substitute(images) for f in self.forms]
         # the adjugate, det(A) A^(-1), from cofactors: the forms come out
         # scaled by det(A), which Endomorphism normalizes away
         out = []

@@ -15,10 +15,10 @@ the trailing pivots.  When every form has its pure power, each of the two
 groups is ordered by a static Markowitz count, which cuts the fill-in of
 that elimination.  Every route reads that one system:
 
-- numeric forms go through the point evaluator (`_point_value`): zero when
-  a form vanishes, else det M / det M' on field values, by one elimination
-  (`_field_ratio`) along the schedule, dense with a pivot search inside
-  the current block from a zero pivot on;
+- numeric forms go through the point evaluator (`_point_value`): det M /
+  det M' on field values, by one elimination (`_field_ratio`) along the
+  schedule, dense with a pivot search inside the current block from a
+  zero pivot on;
 - parametric systems take fraction-free symbolic elimination ("ratio") or
   interpolation of modular images ("modular").  An image is interpolated
   sparsely, by Zippel's variable-by-variable stages, where a few random
@@ -37,7 +37,10 @@ that elimination.  Every route reads that one system:
   checked at a fresh prime.
 
 When the reduced minor vanishes, the ratio route and the point evaluator
-share one ladder of seeded linear coordinate changes.
+take Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
+1990): row mu carries its form's pure power x_i^{d_i} on the diagonal, so
+F_i - s x_i^{d_i} give M - sI and M' - sI, C(s) = det(M - sI) /
+det(M' - sI) is a polynomial, and C(0) is the resultant, whatever the input.
 
 Ring convention: the first `block_size` variables of the ring are the
 projective block being eliminated; remaining variables are parameters, and
@@ -57,14 +60,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import upoly
-from .coeff import (_INTERNAL_PRIME_BOUND, GF, PrimeField, RationalField,
-                    crt_combine, internal_primes)
+from .coeff import (_INTERNAL_PRIME_BOUND, GF, PrimeField, crt_combine,
+                    internal_primes)
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
 from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
-                    divexact, monomials_of_degree)
+                    divexact, embed, monomials_of_degree)
 
-_RETRIES = 5          # attempts before giving up: coordinate changes, node
-                      # draws, sparse images
+_RETRIES = 5          # attempts before giving up: node draws, sparse images
 _MAX_PRIMES = 24      # CRT budget for interpolation over QQ
 _CHUNK_POINTS = 4096  # grid points per batched numpy pass
 _LOCKSTEP_POINTS = 8  # batches up to this size run on Python ints; they beat
@@ -138,34 +140,75 @@ def _field_ratio(m, fld, minor_size: int = 0, schedule=None):
     return ratio % p if p else ratio
 
 
-def _random_gl(size: int, fld, rng: Random):
-    """Invertible size x size matrix of field values, with its determinant."""
-    for _ in range(64):
-        if isinstance(fld, RationalField):
-            a = [[Fraction(rng.randint(-5, 5)) for _ in range(size)]
-                 for _ in range(size)]
-        else:
-            a = [[fld.random(rng) for _ in range(size)] for _ in range(size)]
-        d = _field_ratio([row[:] for row in a], fld)
-        if not fld.is_zero(d):
-            return a, d
-    raise DegeneracyError("coordinate-change-exhausted",
-                          "could not sample an invertible change of coordinates")
+def _charpoly_low(m, fld, terms=None) -> list:
+    """The coefficients of det(sI - M), constant term first, for a square
+    matrix M of reduced field values (overwritten): all k + 1 of them, or
+    the first `terms`.
+
+    M is reduced to upper Hessenberg form H by similarity, then
+    p_j = det(sI - H_j), H_j the leading j x j block, by the recurrence
+    p_j = (s - h_jj) p_{j-1} - sum_{i<j} h_ij h_{j,j-1} ... h_{i+1,i} p_{i-1}
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9),
+    every p_j cut to `terms` coefficients.  The sum stops at the first zero
+    subdiagonal entry, where H splits into blocks; the reduction skips zero
+    multipliers and the zero entries of the pivot row.
+    """
+    p = fld.characteristic
+    k = len(m)
+    n = k + 1 if terms is None else terms
+    for j in range(k - 2):
+        r = next((r for r in range(j + 1, k) if m[r][j]), None)
+        if r is None:
+            continue
+        if r != j + 1:
+            m[j + 1], m[r] = m[r], m[j + 1]
+            for row in m:
+                row[j + 1], row[r] = row[r], row[j + 1]
+        top = m[j + 1]
+        inv = fld.inv(top[j])
+        # the column operations below change column j + 1 of every row
+        right = [c for c in range(j, k) if top[c] or c == j + 1]
+        for r in range(j + 2, k):
+            row = m[r]
+            if not row[j]:
+                continue
+            u = row[j] * inv % p if p else row[j] * inv
+            # row r -= u * row j+1, then column j+1 += u * column r
+            for c in right:
+                row[c] = (row[c] - u * top[c]) % p if p else row[c] - u * top[c]
+            for other in m:
+                if other[r]:
+                    x = other[j + 1] + u * other[r]
+                    other[j + 1] = x % p if p else x
+    polys = [[fld.one()] + [fld.zero()] * (n - 1)]
+    for j in range(k):
+        prev = polys[-1]
+        h = m[j][j]
+        new = [-h * prev[0]] + [a - h * b for a, b in zip(prev, prev[1:])]
+        t = fld.one()
+        for i in range(j - 1, -1, -1):
+            t = t * m[i + 1][i] % p if p else t * m[i + 1][i]
+            if not t:
+                break
+            c = m[i][j] * t % p if p else m[i][j] * t
+            if c:
+                new = [a - c * b for a, b in zip(new, polys[i])]
+        polys.append([a % p for a in new] if p else new)
+    return polys[-1]
 
 
-def _apply_linear(f: Polynomial, a, block_size: int) -> Polynomial:
-    """Substitute x_j -> sum_k a[j][k] x_k on the block, fixing parameters."""
-    ring = f.ring
-    images = []
-    for j in range(ring.nvars):
-        if j < block_size:
-            img = ring.zero()
-            for k in range(block_size):
-                img = img + ring.var(k).scale(a[j][k])
-            images.append(img)
-        else:
-            images.append(ring.var(j))
-    return f.substitute(images)
+def _canny_ratio(m, minor_size: int, fld):
+    """det M / det M' for a matrix M of reduced field values (overwritten)
+    in the Macaulay layout, M' its leading minor_size x minor_size block,
+    also where M' is singular: C(0) for C(s) = det(M - sI) / det(M' - sI)
+    (see the module docstring).  With a the order of s in det(sI - M'),
+    that is (-1)^(k - minor_size) [s^a] det(sI - M) / [s^a] det(sI - M');
+    only the first a + 1 coefficients of det(sI - M) are computed.
+    """
+    minor = _charpoly_low([row[:minor_size] for row in m[:minor_size]], fld)
+    a = next(i for i, c in enumerate(minor) if c)  # the s^minor_size one is 1
+    ratio = fld.div(_charpoly_low(m, fld, a + 1)[a], minor[a])
+    return fld.neg(ratio) if (len(m) - minor_size) % 2 else ratio
 
 
 # -- Sylvester matrices for binary forms --------------------------------------------
@@ -293,16 +336,15 @@ class MacaulaySystem:
     symbolic matrices and those of given field values are filled from it.
 
     Over a prime field (None over QQ), `program` is the same layout
-    compiled once into ints, (terms, varying, base, cells):
-    - `terms[j]`: coefficient j, numbered form by form in table order, as
-      its terms (c, ((param, exponent), ...)), params counted from 0;
-    - `varying`: the terms of the coefficients that involve a parameter;
+    compiled once into ints, (varying, base, cells):
+    - `varying`: the coefficients that involve a parameter, each as its
+      terms (c, ((param, exponent), ...)), params counted from 0;
     - `base`: the k x k matrix of the other coefficients' values, 0
       elsewhere;
     - `cells`: (row, column, n) for each entry of varying[n].
-    The matrices of a batch of parameter points (`_value_matrices`), the
-    int64 numpy batch and `value_tables` all read it: powers of each
-    parameter once per point, then inline arithmetic mod p.
+    The matrices of parameter points (`_value_matrices`) and the int64
+    numpy batch both read it: powers of each parameter once per point,
+    then inline arithmetic mod p.
 
     `schedule[i]` is the structural pattern of unpivoted elimination at
     diagonal step i, closed under fill-in: the rows below i with a nonzero
@@ -382,7 +424,7 @@ class MacaulaySystem:
         """The coefficient program over a prime field (see the class
         docstring)."""
         bs, k = self.block_size, self.size
-        terms, varying = [], []
+        varying = []
         # per form: block monomial -> its index in `varying`, or the value
         # of a parameter-free coefficient
         position, fixed = [], []
@@ -392,7 +434,6 @@ class MacaulaySystem:
             for mb, c in tab.items():
                 coeff = [(v, tuple([(j, e) for j, e in enumerate(m[bs:]) if e]))
                          for m, v in c.terms.items()]
-                terms.append(coeff)
                 if any(factors for _, factors in coeff):
                     position[-1][mb] = len(varying)
                     varying.append(coeff)
@@ -405,7 +446,7 @@ class MacaulaySystem:
                 base[r][c] = fixed[i][mb]
             else:
                 cells.append((r, c, position[i][mb]))
-        return terms, varying, base, cells
+        return varying, base, cells
 
     def _matrix_of(self, tables, zero):
         """Nested-list matrix of table values, `zero` elsewhere."""
@@ -421,17 +462,10 @@ class MacaulaySystem:
         km = self.minor_size
         return [row[:km] for row in self.matrix()[:km]]
 
-    def value_tables(self, point=None):
-        """Coefficient tables as field values, parameters set to `point`
-        (None for numeric forms).  Points come only from `_values_mod`, so
-        only over F_p, where they are read from the program."""
-        if point is None:
-            return [{mb: c.constant_value() for mb, c in tab.items()}
-                    for tab in self.coeff_tables]
-        fld = self.ring.field
-        values = iter(self._coefficient_values(self.program[0],
-                                               [fld.coerce(x) for x in point]))
-        return [{mb: next(values) for mb in tab} for tab in self.coeff_tables]
+    def value_tables(self):
+        """Coefficient tables of numeric forms as field values."""
+        return [{mb: c.constant_value() for mb, c in tab.items()}
+                for tab in self.coeff_tables]
 
     def _coefficient_values(self, coefficients, point) -> list[int]:
         """Coefficients of the program (lists of int terms) at a point of
@@ -458,7 +492,7 @@ class MacaulaySystem:
         """The matrix of each parameter point (ints) over F_p: a copy of the
         program's parameter-free matrix, with the other coefficients' values
         written straight into their entries."""
-        _, varying, base, cells = self.program
+        varying, base, cells = self.program
         mats = []
         for point in points:
             values = self._coefficient_values(varying, point)
@@ -473,8 +507,9 @@ class MacaulaySystem:
         its program.
 
         A form may vanish there (its resultant image is then zero, which is
-        correct); _BadPrime when a denominator vanishes, which cannot happen
-        on the integral copy (`_integral`) that interpolation reduces.
+        correct); ZeroDivisionError when a denominator vanishes, which
+        cannot happen on the integral copy (`_integral`) that interpolation
+        reduces.
         """
         out = copy.copy(self)
         out.ring = Ring(self.ring.nvars, fld)
@@ -498,25 +533,7 @@ class MacaulaySystem:
         return out, scale
 
 
-# -- determinant ratio and the coordinate-change ladder -----------------------------
-
-def _coordinate_ladder(system: MacaulaySystem, forms: Sequence[Polynomial],
-                       rng: Random, solve, detail: str):
-    """Run `solve` on up to _RETRIES seeded linear changes of the block
-    coordinates of `forms` (the system's forms, possibly specialized) until
-    one does not degenerate.  Returns its value and det(A)^(d_0...d_n), the
-    factor by which the change multiplied the resultant."""
-    fld = system.ring.field
-    bs = system.block_size
-    for _ in range(_RETRIES):
-        a, det_a = _random_gl(bs, fld, rng)
-        try:
-            value = solve(MacaulaySystem([_apply_linear(f, a, bs) for f in forms], bs))
-        except DegeneracyError:
-            continue
-        return value, fld.pw(det_a, math.prod(system.degrees))
-    raise DegeneracyError("macaulay-degenerate", detail)
-
+# -- determinant ratios of field values ----------------------------------------------
 
 def _inverses_mod(values: list[int], p: int) -> list[int]:
     """Inverses of nonzero residues mod p by Montgomery's simultaneous
@@ -588,79 +605,64 @@ def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
     return [r if ok else None for r, ok in zip(ratios, live)]
 
 
-def _value_ratio(system: MacaulaySystem, tables):
-    """det M / det M' on field values; DegeneracyError if the minor vanishes."""
-    fld = system.ring.field
-    return _field_ratio(system._matrix_of(tables, fld.zero()), fld,
-                        system.minor_size, system.schedule)
+def _point_value(system: MacaulaySystem, point):
+    """Resultant value with the parameters at `point` (None for numeric
+    forms; otherwise a point of ints over F_p).
 
-
-def _point_value(system: MacaulaySystem, point, rng: Random):
-    """Resultant value with the parameters at `point` (None for numeric forms).
-
-    Zero when a form vanishes there; otherwise det M / det M' by one
-    elimination (`_field_ratio`: along the schedule, dense from a zero
-    pivot on), with the coordinate-change ladder when the reduced minor
-    vanishes.
+    det M / det M' on one matrix of field values, by one elimination
+    (`_field_ratio`: along the schedule, dense from a zero pivot on); where
+    M' is singular there, by Canny's generalized characteristic polynomial
+    (`_canny_ratio`).  A form that vanishes zeroes its rows, and the value
+    is then 0.
     """
     fld = system.ring.field
-    tables = system.value_tables(point)
-    if any(all(fld.is_zero(v) for v in tab.values()) for tab in tables):
-        return fld.zero()
+    m = (system._matrix_of(system.value_tables(), fld.zero()) if point is None
+         else system._value_matrices([point])[0])
     try:
-        return _value_ratio(system, tables)
+        return _field_ratio([row[:] for row in m], fld, system.minor_size, system.schedule)
     except DegeneracyError:
-        pass
-    block = Ring(system.block_size, fld)
-    forms = [Polynomial(block, {mb: v for mb, v in tab.items() if not fld.is_zero(v)})
-             for tab in tables]
-    value, scale = _coordinate_ladder(
-        system, forms, rng, lambda s: _value_ratio(s, s.value_tables()),
-        "reduced minor vanished for every coordinate change tried")
-    return fld.div(value, scale)
+        return _canny_ratio(m, system.minor_size, fld)
 
 
-def _ratio_resultant(system: MacaulaySystem, forms: Sequence[Polynomial],
-                     rng: Random) -> Polynomial:
-    """Symbolic det M / det M' via fraction-free elimination and exact division."""
-    ring = system.ring
+def _ratio_resultant(system: MacaulaySystem, forms: Sequence[Polynomial]) -> Polynomial:
+    """Symbolic det M / det M' via fraction-free elimination and exact division.
 
-    def solve(s: MacaulaySystem) -> Polynomial:
-        det_minor = determinant(s.minor_matrix()) if s.minor_size else ring.one()
+    Where det M' vanishes identically, the same runs on the forms
+    F_i - s x_i^{d_i}, s a new last variable: their matrices are M - sI and
+    M' - sI, and det(M' - sI) = +-s^k' + ... is never 0.  The s-free terms
+    of the quotient C(s) are C(0), the resultant.
+    """
+    def solve(layout: MacaulaySystem) -> Optional[Polynomial]:
+        det_minor = (determinant(layout.minor_matrix()) if layout.minor_size
+                     else layout.ring.one())
         if det_minor.is_zero():
-            raise DegeneracyError("macaulay-minor-singular",
-                                  "reduced minor vanished identically")
-        det_full = determinant(s.matrix())
-        return ring.zero() if det_full.is_zero() else divexact(det_full, det_minor)
+            return None
+        det_full = determinant(layout.matrix())
+        return layout.ring.zero() if det_full.is_zero() else divexact(det_full, det_minor)
 
-    try:
-        return solve(system)
-    except DegeneracyError:
-        pass
-    res, scale = _coordinate_ladder(
-        system, forms, rng, solve,
-        "reduced minor identically zero despite coordinate changes")
-    return res.scale(ring.field.inv(scale))
+    res = solve(system)
+    if res is not None:
+        return res
+    ring = system.ring
+    wide = Ring(ring.nvars + 1, ring.field)
+    s = wide.var(ring.nvars)
+    shifted = [embed(f, wide) - wide.var(i) ** d * s
+               for i, (f, d) in enumerate(zip(forms, system.degrees))]
+    res = solve(MacaulaySystem(shifted, system.block_size))
+    return Polynomial(ring, {m[:-1]: c for m, c in res.terms.items() if not m[-1]})
 
 
 # -- modular interpolation of parametric resultants ---------------------------------
 
-class _BadPrime(Exception):
-    """Internal: this prime divides a denominator or the leading structure."""
-
-
 def _reduce_form_mod(f: Polynomial, target: Ring) -> Polynomial:
-    """f with its coefficients in the prime field of `target`; _BadPrime when
-    a denominator vanishes there."""
+    """f with its coefficients in the prime field of `target`;
+    ZeroDivisionError when a denominator vanishes there."""
     fld = target.field
     terms = {}
-    try:
-        for m, c in f.terms.items():
-            v = fld.coerce(c)
-            if v:
-                terms[m] = v
-    except ZeroDivisionError:
-        raise _BadPrime from None
+    for m, c in f.terms.items():
+        v = fld.coerce(c)
+        if v:
+            terms[m] = v
     return Polynomial(target, terms)
 
 
@@ -868,7 +870,7 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
     full = np.array([plan.point_values(pt) for pt in points],
                     dtype=np.int64).reshape(len(points), len(plan.params))
     k = system.size
-    _, varying, base, cells = system.program
+    varying, base, cells = system.program
     base = np.array(base, dtype=np.int64)
     fixed = np.nonzero(base)
     values: list[int] = []
@@ -902,8 +904,7 @@ def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
     return values, bad
 
 
-def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
-                rng: Random) -> list[int]:
+def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
     """Exact resultant values mod p at parameter points, each a tuple of
     values on the plan's axes.
 
@@ -913,10 +914,10 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
     products could overflow) runs in lockstep on Python ints
     (`_scheduled_ratios`).  Points where that meets a zero pivot (every
     point where a form vanishes does: its rows are zero), and every point
-    of a system without a schedule, go through the point evaluator: zero
-    for a vanishing form, else one elimination that goes dense from the
-    zero pivot on, then the coordinate-change ladder if the reduced minor
-    genuinely vanishes there.
+    of a system without a schedule, go through the point evaluator: one
+    elimination that goes dense from the zero pivot on, then Canny's
+    generalized characteristic polynomial if the reduced minor genuinely
+    vanishes there.
     """
     if system.schedule is None:
         values, todo = [0] * len(points), range(len(points))
@@ -927,7 +928,7 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points,
             system, system._value_matrices([plan.point_values(pt) for pt in points]))
         todo = [i for i, v in enumerate(values) if v is None]
     for i in todo:
-        values[i] = _point_value(system, plan.point_values(points[i]), rng)
+        values[i] = _point_value(system, plan.point_values(points[i]))
     return values
 
 
@@ -943,8 +944,7 @@ def _by_monomial(plan: _GridPlan, items) -> Optional[dict[tuple, int]]:
     return out
 
 
-def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
-                  rng: Random) -> Optional[dict[tuple, int]]:
+def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan) -> Optional[dict[tuple, int]]:
     """Interpolation on the full tensor grid, nodes 1..l on every axis.
 
     Exact values on the whole grid determine the coefficients uniquely, so
@@ -953,7 +953,7 @@ def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
     p = system.ring.field.p
     lengths = [b + 1 for b in plan.axis_bounds]
     points = list(itertools.product(*(range(1, l + 1) for l in lengths)))
-    table = _values_mod(system, plan, points, rng)  # flat, in the order of points
+    table = _values_mod(system, plan, points)  # flat, in the order of points
     for l in lengths:
         # solve along the first axis, then move it last: after every axis
         # the table is back in the order of points
@@ -1009,7 +1009,7 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
         heads = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
         tail = tuple(anchors[k + 1:])
         points = [head + (v,) + tail for v in fresh for head in heads]
-        values = _values_mod(system, plan, points, rng)
+        values = _values_mod(system, plan, points)
         # row j of by_node holds the coefficients on the support at nodes[j]
         if k:
             # one transposed system per fresh node, solved together
@@ -1038,7 +1038,7 @@ def _support_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
     p = system.ring.field.p
     ratios, nodes = _geometric_nodes(support, p, rng)
     points = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
-    coeffs = _vandermonde_solve(nodes, _values_mod(system, plan, points, rng), p,
+    coeffs = _vandermonde_solve(nodes, _values_mod(system, plan, points), p,
                                 transposed=True)
     return _by_monomial(plan, ((s, c) for s, c in zip(support, coeffs) if c))
 
@@ -1059,7 +1059,7 @@ def _image_coeffs(system: MacaulaySystem, plan: _GridPlan, seed: int,
     rng = Random((seed << 20) ^ p)
     probes = _probe_count(plan.degree_bound, p)
     if not plan.axes or probes is None or probes > _MAX_SPARSE_PROBES:
-        coeffs = _dense_coeffs(system, plan, rng)
+        coeffs = _dense_coeffs(system, plan)
         if coeffs is None:
             raise DegeneracyError("interpolation-inconsistent",
                                   "grid coefficient outside the homogeneity range")
@@ -1101,7 +1101,7 @@ def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
     points = [tuple(rng.randrange(p) for _ in plan.axes) for _ in range(probes)]
     pad = [0] * system.block_size
     return all(value == claimed.evaluate(pad + plan.point_values(point))
-               for value, point in zip(_values_mod(system, plan, points, rng), points))
+               for value, point in zip(_values_mod(system, plan, points), points))
 
 
 def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
@@ -1115,9 +1115,10 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
     the product of the primes so far (`crt_combine`), and that candidate is
     probed at the next fresh prime; when it fails, that prime gives the next
     image.  A passing candidate is divided by the factor of `_integral`.
-    Primes dividing that factor are skipped: mod such a prime a cleared
-    form keeps only its terms of largest denominator, and the evaluator's
-    coordinate-change ladder can fail on what is left.
+    Primes dividing that factor are skipped: mod such a prime every image
+    is 0 (the factor divides the integral copy's resultant), so an image
+    there carries nothing, and a probe there checks only that the
+    candidate vanishes mod p.
 
     The stop is a probe, not a proof: a bound B on the coefficients, past
     which prod p > 2B would make it one, is not computed yet, and
@@ -1152,13 +1153,13 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
                        blocks: Optional[Sequence[Sequence[int]]] = None) -> Polynomial:
     """Resultant of n+1 block-homogeneous forms, eliminating the leading block.
 
-    Numeric systems go through the determinant ratio with a seeded
-    coordinate-change ladder.  Parametric systems use fraction-free symbolic
-    elimination ("ratio") or modular interpolation ("modular").  "auto"
-    interpolates over F_p whenever the field can hold the grid, and takes
-    the ratio route only when it cannot.  Over QQ it tries the ratio route
-    first on matrices of order <= 14 and interpolates when that degenerates,
-    and interpolates larger ones.  Returns a polynomial of the ambient ring
+    Numeric systems go through the determinant ratio, or Canny's
+    generalized characteristic polynomial where the reduced minor vanishes;
+    neither draws anything at random.  Parametric systems use fraction-free
+    symbolic elimination ("ratio") or modular interpolation ("modular").
+    "auto" interpolates over F_p whenever the field can hold the grid, and
+    takes the ratio route only when it cannot.  Over QQ it takes the ratio
+    route on matrices of order <= 14 and interpolates larger ones.  Returns a polynomial of the ambient ring
     with zero block degrees (a constant when the input is numeric).
     """
     if strategy not in ("auto", "ratio", "modular"):
@@ -1170,9 +1171,8 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
     if any(f.is_zero() for f in forms):
         return ring.zero()
     system = MacaulaySystem(forms, bs)  # validates shapes and degrees
-    rng = Random(seed)
     if all(not any(m[bs:]) for f in forms for m in f.terms):
-        return ring.const(_point_value(system, None, rng))
+        return ring.const(_point_value(system, None))
 
     # over F_p the grid is planned up front (its size decides whether the
     # field can hold it); over QQ only when interpolation runs
@@ -1189,13 +1189,8 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
             raise DegeneracyError("interpolation-underdetermined",
                                   "field too small for the required grid")
         return interpolate()
-    if strategy == "ratio" or not modular_possible:
-        return _ratio_resultant(system, forms, rng)
-    if plan is None and system.size <= 14:
-        try:
-            return _ratio_resultant(system, forms, rng)
-        except DegeneracyError:
-            pass
+    if strategy == "ratio" or not modular_possible or (plan is None and system.size <= 14):
+        return _ratio_resultant(system, forms)
     return interpolate()
 
 

@@ -68,6 +68,13 @@ class TestTextOutput:
         assert code == 0
         assert out == "1\n"
 
+    def test_resultant_with_a_singular_reduced_minor_is_zero(self):
+        # x3 twice: the forms share a line of zeros, and M' is singular under
+        # every change of coordinates
+        code, out, err = invoke("resultant", "--form", "x3", "--form", "x3",
+                                "--form=-x0*x3", "--form=-x3")
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_certificate_vanishes_at_symmetric_line(self):
         code, out, _ = invoke("improper-cert", "--map", SQUARING3,
                               "--form", "x0+x1+x2", "--indices", "0,1,2")
@@ -156,6 +163,11 @@ class TestExitCodes:
         code, _, err = invoke("jacobian", "--map", "[x0^2, x0^2]")
         assert code == 3
         assert "degeneracy" in err
+        # V(x0) holds two base points of the map: the elimination vanishes
+        code, _, err = invoke("pushforward", "--map", "[x0*x1, x0*x2, x1*x2]",
+                              "--form", "x0")
+        assert code == 3
+        assert "[pushforward-degenerate]" in err
 
 
 JSON_CASES = [

@@ -13,7 +13,7 @@ from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, endomorphism_from_strings,
                                improper_certificate, pushforward_iterated)
 from projdyn.errors import DegeneracyError, InvalidInputError
-from projdyn.mpoly import (Polynomial, Ring, monomials_of_degree,
+from projdyn.mpoly import (Polynomial, Ring, determinant, monomials_of_degree,
                            parse_polynomial, poly_gcd, squarefree_part)
 from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _elimination_schedule,
                                _field_ratio, _probe_count, _vandermonde_solve,
@@ -670,24 +670,26 @@ def test_qq_forms_with_denominators_interpolate_as_integers(monkeypatch):
 
 
 @pytest.mark.parametrize("fld", [GF(DEFAULT_MODULAR_PRIME)], ids=["GF62bit"])
-def test_value_tables_equal_coefficientwise_evaluation(fld):
+def test_point_matrices_equal_coefficientwise_evaluation(fld):
+    # the one matrix the point evaluator builds for a parameter point
     rng = Random(RNG_SEED)
     ring = Ring(5, fld)
     for _ in range(5):
         system = MacaulaySystem(sparse_parametric_forms(ring, 2, (2, 3), rng), 2)
         point = [fld.random(rng) for _ in range(3)]
-        assert system.value_tables(point) == [
-            {mb: c.evaluate([0, 0] + point) for mb, c in tab.items()}
-            for tab in system.coeff_tables]
+        assert system._value_matrices([point]) == [system._matrix_of(
+            [{mb: c.evaluate([0, 0] + point) for mb, c in tab.items()}
+             for tab in system.coeff_tables], 0)]
 
 
 @pytest.mark.parametrize("fld", [GF(7), GF(10007), GF(DEFAULT_MODULAR_PRIME)],
                          ids=["GF7", "GF10007", "GF62bit"])
 def test_compiled_program_matches_coefficientwise_evaluation(fld):
-    # the matrices of a batch valued from the compiled program, and
-    # value_tables, against Polynomial.evaluate coefficient by coefficient
-    # (filled by _matrix_of), for systems built over F_p and for reduced
-    # copies of systems over QQ (where some coefficients vanish mod 7);
+    # the matrices of a batch valued from the compiled program, and those of
+    # its points one at a time (as the point evaluator values them), against
+    # Polynomial.evaluate coefficient by coefficient (filled by _matrix_of),
+    # for systems built over F_p and for reduced copies of systems over QQ
+    # (where some coefficients vanish mod 7);
     # F_0 is multiplied by the first parameter, so it vanishes as a whole
     # wherever that parameter is 0
     rng = Random(RNG_SEED)
@@ -707,9 +709,9 @@ def test_compiled_program_matches_coefficientwise_evaluation(fld):
                              for _ in range(params)) for _ in range(8)]
             expected = [[{mb: c.evaluate(pad + list(point)) for mb, c in tab.items()}
                          for tab in system.coeff_tables] for point in points]
-            assert system._value_matrices(points) == [
-                system._matrix_of(tables, 0) for tables in expected]
-            assert [system.value_tables(point) for point in points] == expected
+            filled = [system._matrix_of(tables, 0) for tables in expected]
+            assert system._value_matrices(points) == filled
+            assert [system._value_matrices([point])[0] for point in points] == filled
             systems += 1
             points_checked += len(points)
             vanished += sum(not any(tables[0].values()) for tables in expected)
@@ -844,8 +846,7 @@ def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
 
         def in_batches(size):
             return [v for start in range(0, len(points), size)
-                    for v in resultant._values_mod(system, plan, points[start:start + size],
-                                                   Random(0))]
+                    for v in resultant._values_mod(system, plan, points[start:start + size])]
 
         batched.clear()
         lockstep = in_batches(small)
@@ -865,7 +866,7 @@ def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
     assert not batched
     assert not zero_pivots
-    assert [point for _, point, _ in evaluated] == [None]
+    assert [point for _, point in evaluated] == [None]
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
@@ -1184,13 +1185,20 @@ def pivoted_ratio(system, tables):
 
 
 def check_value_ratio(system, tables):
-    """_value_ratio against the pivoted reference pair."""
+    """_field_ratio on the system's matrix of these values, along its
+    schedule, against the pivoted reference pair."""
     expected = pivoted_ratio(system, tables)
+    fld = system.ring.field
+
+    def ratio():
+        return _field_ratio(system._matrix_of(tables, fld.zero()), fld,
+                            system.minor_size, system.schedule)
+
     if expected is None:
         with pytest.raises(DegeneracyError):
-            resultant._value_ratio(system, tables)
+            ratio()
     else:
-        assert resultant._value_ratio(system, tables) == expected
+        assert ratio() == expected
     return expected
 
 
@@ -1271,7 +1279,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             # the batch: 64 random value sets on the same structural pattern,
             # with the first pivot planted zero at the first, a middle and
             # the last point, so the batch inversion must skip them; over QQ
-            # each goes through _value_ratio alone
+            # each goes through _field_ratio alone
             columns = [{mb: [fld.random(rng) for _ in range(64)] for mb in tab}
                        for tab in tables]
             points = [[{mb: col[j] for mb, col in tab.items()} for tab in columns]
@@ -1477,6 +1485,189 @@ def test_sylvester_gcd_and_squarefree_match_sympy(fld):
         f = a * a * b
         assert sympy_poly(squarefree_part(f), sympy, gens).monic() \
             == sympy_poly(f, sympy, gens).sqf_part().monic()
+
+
+# -- Canny's generalized characteristic polynomial ----------------------------------
+
+GCP_FIELDS = [QQ, GF(7), GF(10007), GF(DEFAULT_MODULAR_PRIME)]
+GCP_IDS = ["QQ", "GF7", "GF10007", "GF62bit"]
+
+
+def block_triangular(rng, sizes):
+    """Integer matrix, upper block triangular with diagonal blocks of the
+    given sizes: its Hessenberg form has a zero subdiagonal entry."""
+    k = sum(sizes)
+    m = [[0] * k for _ in range(k)]
+    start = 0
+    for size in sizes:
+        for r in range(start, start + size):
+            for c in range(start, k):
+                m[r][c] = rng.randint(-3, 3)
+        start += size
+    return m
+
+
+@pytest.mark.parametrize("fld", GCP_FIELDS, ids=GCP_IDS)
+def test_charpoly_low_matches_sympy(fld):
+    # det(sI - M) against sympy's charpoly of the integer matrix, reduced
+    # mod p over F_p, in full and cut to its first coefficients
+    sympy = pytest.importorskip("sympy")
+    rng = Random(RNG_SEED)
+    integer = [[[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(k)]
+                for _ in range(k)] for k in (1, 2, 3, 5, 8) for _ in range(4)]
+    integer += [block_triangular(rng, sizes) for sizes in ((2, 3), (1, 4, 2), (3, 3, 3))]
+    split = 0
+    for ints in integer:
+        k = len(ints)
+        expected = [fld.coerce(int(c)) for c in sympy.Matrix(ints).charpoly().all_coeffs()[::-1]]
+        values = [[fld.coerce(x) for x in row] for row in ints]
+        m = [row[:] for row in values]
+        assert resultant._charpoly_low(m, fld) == expected
+        # m is left in upper Hessenberg form
+        assert all(fld.is_zero(m[r][c]) for r in range(k) for c in range(r - 1))
+        split += any(fld.is_zero(m[i + 1][i]) for i in range(k - 1))
+        for terms in (1, (k + 1) // 2, k + 1):
+            cut = resultant._charpoly_low([row[:] for row in values], fld, terms)
+            assert cut == expected[:terms]
+    assert split >= 3
+
+
+def macaulay_values(system):
+    """The matrix of a numeric system's field values."""
+    return system._matrix_of(system.value_tables(), system.ring.field.zero())
+
+
+@pytest.mark.parametrize("fld", GCP_FIELDS + [GF(3)], ids=GCP_IDS + ["GF3"])
+def test_canny_ratio_equals_field_ratio_where_the_minor_is_invertible(fld):
+    # with det M' != 0 the order a is 0 and C(0) is det M / det M' itself:
+    # on dense matrices with every minor size, and on Macaulay matrices
+    rng = Random(RNG_SEED)
+    checked = 0
+    for k in (1, 3, 6):
+        for _ in range(6):
+            m = [[fld.coerce(rng.randint(-5, 5)) for _ in range(k)] for _ in range(k)]
+            for km in range(k + 1):
+                try:
+                    expected = _field_ratio([row[:] for row in m], fld, km)
+                except DegeneracyError:
+                    continue
+                assert resultant._canny_ratio([row[:] for row in m], km, fld) == expected
+                checked += 1
+    ring = Ring(3, fld)
+    for degrees in ELIMINATION_SHAPES:
+        for _ in range(4):
+            system = MacaulaySystem([random_form(ring, (0, 1, 2), d, rng) for d in degrees])
+            m = macaulay_values(system)
+            try:
+                expected = _field_ratio([row[:] for row in m], fld, system.minor_size)
+            except DegeneracyError:
+                continue
+            assert resultant._canny_ratio(m, system.minor_size, fld) == expected
+            checked += 1
+    assert checked >= 60
+
+
+def small_forms(ring, rng):
+    """Sparse numeric forms of degree 1 or 2 with coefficients in -2..2."""
+    n1 = ring.nvars
+    forms = []
+    for _ in range(n1):
+        d = rng.randint(1, 2)
+        terms = {mb: ring.field.coerce(c) for mb in monomials_of_degree(n1, d)
+                 if rng.random() < 0.35 and (c := rng.randint(-2, 2))}
+        forms.append(Polynomial(ring, terms) if terms else ring.var(rng.randrange(n1)) ** d)
+    return forms
+
+
+def groebner_common_zero(forms, sympy):
+    """Whether the forms share a projective zero over the closure: unless a
+    Groebner basis has a pure power of every variable among its leading
+    monomials."""
+    gens = sympy.symbols(f"x0:{forms[0].ring.nvars}")
+    basis = sympy.groebner([sympy_poly(f, sympy, gens) for f in forms], *gens,
+                           order="grevlex", **sympy_options(forms[0].ring.field))
+    pure = {next(i for i, e in enumerate(lead) if e)
+            for lead in (sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs)
+            if sum(1 for e in lead if e) == 1}
+    return len(pure) < len(gens)
+
+
+@pytest.mark.parametrize("fld", GCP_FIELDS, ids=GCP_IDS)
+def test_singular_reduced_minors_resolve_by_gcp(fld):
+    # a seeded corpus on P^1..P^3; wherever the reduced minor is singular at
+    # the system's values (among them systems whose M' stays singular under
+    # every change of coordinates), the resultant is 0 exactly when the
+    # forms share a zero: one with entries in -2..2, or else by a Groebner
+    # basis; a nonzero value matches det(A)^(d_0...d_n) Res after a seeded
+    # change of coordinates A under which M' is invertible
+    sympy = pytest.importorskip("sympy")
+    rng, change_rng = Random(RNG_SEED), Random(RNG_SEED + 1)
+    seen = Counter()
+    for _ in range(150):
+        n1 = rng.randint(2, 4)
+        ring = Ring(n1, fld)
+        forms = small_forms(ring, rng)
+        system = MacaulaySystem(forms)
+        try:
+            _field_ratio(macaulay_values(system), fld, system.minor_size)
+            continue
+        except DegeneracyError:
+            pass
+        value = macaulay_resultant(forms).constant_value()
+        if fld.is_zero(value):
+            small = any(any(pt) and all(fld.is_zero(f.evaluate([fld.coerce(x) for x in pt]))
+                                        for f in forms)
+                        for pt in itertools.product(range(-2, 3), repeat=n1))
+            if not small:
+                assert groebner_common_zero(forms, sympy)
+            seen["zero with small common zero" if small else "zero by groebner"] += 1
+            continue
+        assert not groebner_common_zero(forms, sympy)
+        e = math.prod(system.degrees)
+        while True:
+            a = [[fld.coerce(change_rng.randint(-3, 3)) for _ in range(n1)] for _ in range(n1)]
+            det_a = _field_ratio([row[:] for row in a], fld)
+            if fld.is_zero(det_a):
+                continue
+            moved = [f.substitute([sum((ring.var(k).scale(x) for k, x in enumerate(row)),
+                                       ring.zero()) for row in a]) for f in forms]
+            moved_system = MacaulaySystem(moved)
+            try:
+                _field_ratio(macaulay_values(moved_system), fld, moved_system.minor_size)
+            except DegeneracyError:
+                continue
+            break
+        assert macaulay_resultant(moved).constant_value() == fld.mul(fld.pw(det_a, e), value)
+        seen["nonzero"] += 1
+    # 78 of the 150 systems have a singular M'; over GF(7) two more have a
+    # common zero in -2..2, mod 7
+    small, groebner = (59, 2) if fld == GF(7) else (57, 4)
+    assert seen == {"zero with small common zero": small, "zero by groebner": groebner,
+                    "nonzero": 17}
+
+
+@pytest.mark.parametrize("fld", GCP_FIELDS, ids=GCP_IDS)
+def test_coincident_forms_on_p3_give_zero(fld):
+    # two equal forms: the reduced minor is singular under every change
+    # of coordinates, and the resultant is 0
+    ring = Ring(4, fld)
+    forms = [P(t, ring) for t in ("x0", "x0", "-3*x0*x2",
+                                  "x0^2+x0*x1+x0*x3-x1^2+3*x1*x3+2*x2^2-3*x3^2")]
+    assert macaulay_resultant(forms).is_zero()
+
+
+@pytest.mark.parametrize("fld", GCP_FIELDS, ids=GCP_IDS)
+def test_ratio_route_through_gcp_where_the_minor_vanishes_identically(fld):
+    # det M' is 0 as a polynomial in x3, so the ratio route takes C(s) on
+    # F_i - s x_i^{d_i}; Res = 16 (x3 - 2)^2 (x3 + 1)^4 by multiplicativity
+    ring = Ring(4, fld)
+    forms = [P(t, ring) for t in ("x2^2*x3-2*x2^2", "-2*x0*x3-2*x0",
+                                  "x0^2+2*x0*x1+x1^2-x1*x2")]
+    assert determinant(MacaulaySystem(forms, 3).minor_matrix()).is_zero()
+    expected = (P("x3-2", ring) ** 2 * P("x3+1", ring) ** 4).scale(fld.coerce(16))
+    assert macaulay_resultant(forms, 3, strategy="ratio") == expected
+    assert macaulay_resultant(forms, 3, strategy="modular") == expected
+    assert macaulay_resultant(forms, 3) == expected
 
 
 # -- degeneracy and validation ------------------------------------------------------
