@@ -27,9 +27,8 @@ from .errors import (DegeneracyError, InvalidInputError, NotDivisibleError,
 from . import upoly
 from .mpoly import (Polynomial, Ring, _block_coefficients, _primitive_scale,
                     default_aliases, determinant, divexact, embed,
-                    equal_up_to_scalar, format_polynomial, parse_polynomial,
-                    poly_gcd, primitive_part, squarefree_part,
-                    strip_monomial_content)
+                    format_polynomial, parse_polynomial, poly_gcd,
+                    primitive_part, squarefree_part)
 from .resultant import (_field_ratio, _probe_count, macaulay_resultant,
                         sylvester_resultant)
 
@@ -587,30 +586,30 @@ def _composed_trial(phi_q: dict, g_q: dict, fs_q: list, fq: PrimeField,
 
 
 def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
-                strategy: str, rescale: bool,
-                raw_ext: Optional[Polynomial] = None) -> tuple[Polynomial, Polynomial]:
-    """Reduced defining form of f(V(phi)) plus the first raw elimination,
-    which a retry passes back in as `raw_ext`.
+                strategy: str, rescale: bool) -> tuple[Polynomial, Polynomial]:
+    """Reduced defining form of f(V(phi)), plus the raw elimination R.
 
-    n = 1: the Sylvester resultant of phi and y1*f0 - y0*f1 is the exact
-    product of image point forms.  n >= 2: where y0 != 0 the minors
-    y0*f_k - y_k*f0 vanish exactly on f^-1(y), so by the Poisson product
-    formula R_a = Res_x(phi, those minors) is y0^e times the norm of phi
-    along f, up to a scalar.  R_b, from y0*f1 - y1*f0 and the
-    y_k*f_{k+1} - y_{k+1}*f_k, is that norm times a monomial in
-    y1..y_{n-1}; each vanishes identically iff V(phi) meets a base point.
-    So R_a's stripped part is the first candidate, as the stripped gcd of
-    both was.  It lacks any true component y_i = 0 of the image: only when
-    it fails the degree cap or the vanishing check does R_b run, and the
-    candidates come from gcd(R_a, R_b), stripped, then whole.  The
-    parameter-free route never runs R_b; it retries normalized, reusing R_a.
+    One elimination per step.  n = 1: R is the Sylvester resultant of phi
+    and y1*f0 - y0*f1, the exact product of image point forms.  n >= 2:
+    where y0 != 0 the minors y0*f_k - y_k*f0 vanish exactly on f^-1(y), so
+    by the Poisson product formula R = Res_x(phi, those minors) is y0^e
+    times the norm N of phi along f, e = (n-1) * deg phi * d^(n-1): R has
+    y-degree n * deg phi * d^(n-1) and N, the image counted with
+    multiplicity, deg phi * d^(n-1).  R vanishes identically iff V(phi)
+    meets a base point.  R / y0^e is taken by shifting exponents, and a term
+    of R whose y0-exponent is below e raises `pushforward-degenerate`.  N
+    keeps every component of the image, coordinate hyperplanes included;
+    its parameter content is stripped and it is made squarefree.  A
+    candidate that fails the degree cap or the vanishing check raises
+    `pushforward-unreduced`.
 
     With rescale=True every intermediate is primitive-normalized.  With
-    rescale=False no coefficient-dependent normalization is applied: every
-    scalar in the output comes from a Macaulay quotient, an exact division,
-    or a monomial strip, so on parameter-free input the result is a fixed
-    polynomial function of the input coefficients and specializing the
-    coefficients commutes with the computation.
+    rescale=False the only coefficient-dependent normalization is the one
+    `squarefree_part` applies where N has a square factor; otherwise every
+    scalar in the output comes from the Macaulay quotient, so on
+    parameter-free input the result is a fixed polynomial function of the
+    input coefficients and specializing the coefficients commutes with the
+    computation.
     """
     n = f.n
     n1 = n + 1
@@ -623,80 +622,55 @@ def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
     fx = [embed(g, ext, into) for g in f.forms]
     px = embed(phi_poly, ext, into)
     y = [ext.var(n1 + i) for i in range(n1)]
-    rejected = []
-
-    def eliminate(pairs):
-        forms = [px] + [y[j] * fx[k] - y[k] * fx[j] for j, k in pairs]
+    if n == 1:
+        raw_ext = sylvester_resultant(px, y[1] * fx[0] - y[0] * fx[1])
+    else:
+        forms = [px] + [y[0] * fx[k] - y[k] * fx[0] for k in range(1, n1)]
         blocks = _homogeneous_blocks(forms, [range(n1, 2 * n1),
                                              range(2 * n1, ext.nvars)])
-        r = macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
-                               blocks=blocks)
-        if r.is_zero():
+        raw_ext = macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
+                                     blocks=blocks)
+    if raw_ext.is_zero():
+        raise DegeneracyError("pushforward-degenerate",
+                              "an elimination resultant vanished identically" if n > 1
+                              else "elimination produced the zero form")
+    e = (n - 1) * phi_degree * f.d ** (n - 1)
+    if any(m[n1] < e for m in raw_ext.terms):
+        raise DegeneracyError("pushforward-degenerate",
+                              f"the elimination is not divisible by y0^{e}")
+    g = Polynomial(ext, {m[:n1] + (m[n1] - e,) + m[n1 + 1:]: c
+                         for m, c in raw_ext.terms.items()})
+    g = _strip_param_content(norm(g), 2 * n1)
+    if not _probably_squarefree(g, seed):
+        sf = squarefree_part(g)
+        # equal degree means g was already squarefree: keep its scalars
+        if rescale or sf.degree() != g.degree():
+            g = sf
+    if 1 <= g.degree_in_block(tuple(range(n1, 2 * n1))) <= phi_degree * f.d ** (n - 1):
+        if any(g.degree_in(v) for v in range(n1)):
             raise DegeneracyError("pushforward-degenerate",
-                                  "an elimination resultant vanished identically")
-        return r
-
-    def variants(g):
-        if g.is_zero():
-            raise DegeneracyError("pushforward-degenerate",
-                                  "elimination produced the zero form")
-        g = _strip_param_content(norm(g), 2 * n1)
-        return [strip_monomial_content(g), g]
-
-    def first_certified(candidates):
-        for g in candidates:
-            if not _probably_squarefree(g, seed):
-                sf = squarefree_part(g)
-                # equal degree means g was already squarefree: keep its scalars
-                if rescale or sf.degree() != g.degree():
-                    g = sf
-            if not 1 <= g.degree_in_block(tuple(range(n1, 2 * n1))) \
-                    <= phi_degree * f.d ** (n - 1):
-                continue
-            if any(g.degree_in(v) for v in range(n1)):
-                raise DegeneracyError("pushforward-degenerate",
-                                      "x variables survived elimination")
-            g_base = norm(embed(g, f.ring, back))
-            if g_base not in rejected:
-                if _certify_pushforward(f, phi_poly, phi_degree, g_base, seed):
-                    return g_base
-                rejected.append(g_base)
-        return None
-
-    if raw_ext is None:
-        raw_ext = (eliminate([(0, k) for k in range(1, n1)]) if n > 1
-                   else sylvester_resultant(px, y[1] * fx[0] - y[0] * fx[1]))
-    # whole, R_a carries y0^e: for n >= 2 only its stripped part is tried
-    final = first_certified(variants(raw_ext)[:1 if n > 1 else 2])
-    if final is None and rescale and n > 1:
-        second = eliminate([(0, 1)] + [(k, k + 1) for k in range(1, n)])
-        reduced = [_strip_param_content(primitive_part(r), 2 * n1)
-                   for r in (raw_ext, second)]
-        final = first_certified(variants(
-            reduced[0] if equal_up_to_scalar(*reduced) else poly_gcd(*reduced)))
-    if final is None:
-        if not rescale:
-            # a coordinate-hyperplane component needs R_b and a normalizing gcd
-            return _image_form(f, phi_poly, seed=seed, strategy=strategy,
-                               rescale=True, raw_ext=raw_ext)
-        raise DegeneracyError("pushforward-unreduced",
-                              "no candidate passed the degree and vanishing checks")
-    return final, raw_ext
+                                  "x variables survived elimination")
+        g_base = norm(embed(g, f.ring, back))
+        if _certify_pushforward(f, phi_poly, phi_degree, g_base, seed):
+            return g_base, raw_ext
+    raise DegeneracyError("pushforward-unreduced",
+                          "no candidate passed the degree and vanishing checks")
 
 
 def pushforward(f: Endomorphism, phi, *, raw: bool = False, seed: int = 0,
                 strategy: str = "auto"):
     """Image of the hypersurface V(phi) under f, as a reduced primitive form.
 
-    Elimination on the graph ring [x | y | params]: for n = 1 one Sylvester
-    resultant; for n >= 2 one Macaulay resultant R_a of phi and the minors
-    y0*f_k - y_k*f0, whose only extraneous factor is a power of y0.  A
-    second choice of minors, combined by gcd, runs only when the image has
-    a coordinate-hyperplane component (see `_image_form`).  Parameter
-    content and monomial factors are stripped, candidates are arbitrated by
-    an independent vanishing check, and the result is made squarefree.
-    With raw=True R_a is returned alongside.  The map should be a morphism;
-    degenerate eliminations raise.
+    One elimination on the graph ring [x | y | params] (see `_image_form`).
+    For n = 1 it is one Sylvester determinant, which `strategy` and `seed`
+    do not reach (`seed` draws only the checks).  For n >= 2 it is one
+    Macaulay resultant R of phi and the minors y0*f_k - y_k*f0, which is
+    y0^e times the norm of phi along f for the e that the degrees fix;
+    R / y0^e keeps coordinate-hyperplane components of the image.
+    Parameter content is stripped, the candidate is made squarefree and
+    checked by an independent vanishing test.  With raw=True R is returned
+    alongside.  The map should be a morphism; degenerate eliminations
+    raise.
     """
     phi = _as_form(phi, f.n + 1)
     if phi.poly.ring != f.ring:
@@ -704,9 +678,6 @@ def pushforward(f: Endomorphism, phi, *, raw: bool = False, seed: int = 0,
     n1 = f.n + 1
     form, raw_ext = _image_form(f, phi.poly, seed=seed, strategy=strategy, rescale=True)
     if raw:
-        if any(raw_ext.degree_in(v) for v in range(n1)):
-            raise DegeneracyError("pushforward-degenerate",
-                                  "x variables survived elimination")
         _, _, back = _extended_ring(f.ring, f.n)
         return HypersurfaceForm(form, n1), embed(raw_ext, f.ring, back)
     return HypersurfaceForm(form, n1)
@@ -749,9 +720,14 @@ def improper_certificate(f: Endomorphism, phi, indices: Sequence[int], *,
     Zero exactly when those images fail to intersect properly (share a common
     point over the closure).  Constant for parameter-free input; otherwise a
     polynomial in the parameters.  Parameter-free values carry no
-    normalization-dependent scalars: they are a fixed polynomial function of
-    the coefficients of f and phi, so evaluating a parametric certificate at
-    a point agrees with certifying the specialized system directly.
+    normalization-dependent scalar, except where an image's norm has a
+    square factor and `squarefree_part` normalizes it: they are a fixed
+    polynomial function of the coefficients of f and phi, so evaluating a
+    parametric certificate at a point agrees with certifying the
+    specialized system directly.  So scaling phi by c scales the value by
+    c^K, K = sum_i s_i * prod_(j != i) deg(image_j) over the indices, where
+    image i carries c^(s_i): s_i = d^(n*i) before the first normalized
+    image, and 0 from that image on.
     """
     idx = _certificate_indices(indices, f.n)
     pushes = _pushforward_chain(f, phi, max(idx), seed=seed, strategy=strategy)
@@ -768,8 +744,10 @@ def _pushforward_chain(f: Endomorphism, phi, top: int, *, seed: int,
     Certificates compare resultants of these forms across coefficient
     specializations, so for parameter-free systems no step may rescale by a
     coefficient-dependent factor: the given form is used verbatim and the
-    images stay unnormalized.  Parametric systems keep the primitive
-    convention of `pushforward` (the symbolic output is the object itself).
+    images stay unnormalized, coordinate-hyperplane components included,
+    except that `squarefree_part` normalizes an image whose norm has a
+    square factor.  Parametric systems keep the primitive convention of
+    `pushforward` (the symbolic output is the object itself).
     """
     n1 = f.n + 1
     if isinstance(phi, HypersurfaceForm):

@@ -400,18 +400,6 @@ def equal_up_to_scalar(p: Polynomial, q: Polynomial) -> bool:
     return a == b or a == -b
 
 
-def strip_monomial_content(p: Polynomial) -> Polynomial:
-    """Divide out the largest monomial dividing every term."""
-    if p.is_zero():
-        return p
-    n = p.ring.nvars
-    mins = [min(m[i] for m in p.terms) for i in range(n)]
-    if not any(mins):
-        return p
-    out = {tuple(e - lo for e, lo in zip(m, mins)): c for m, c in p.terms.items()}
-    return Polynomial(p.ring, out)
-
-
 # -- exact division ------------------------------------------------------------
 
 def divexact(num: Polynomial, den: Polynomial) -> Polynomial:

@@ -60,8 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import upoly
-from .coeff import (_INTERNAL_PRIME_BOUND, GF, PrimeField, crt_combine,
-                    internal_primes)
+from .coeff import _INTERNAL_PRIME_BOUND, GF, PrimeField, internal_primes
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
 from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
                     divexact, embed, monomials_of_degree)
@@ -1110,11 +1109,11 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
     QQ on the integral copy of the system (`_integral`), whose resultant
     has integer coefficients, reduced once per prime.
 
-    Over QQ the images after the first try the support seen so far.  After
-    every image each coefficient is taken as its symmetric residue modulo
-    the product of the primes so far (`crt_combine`), and that candidate is
-    probed at the next fresh prime; when it fails, that prime gives the next
-    image.  A passing candidate is divided by the factor of `_integral`.
+    Over QQ the images after the first try the support seen so far.  Each
+    coefficient keeps its symmetric residue modulo the product of the
+    primes so far, and one Garner step folds each new image in.  That
+    candidate is probed at the next fresh prime; when it fails, that prime
+    gives the next image.  A passing candidate is divided by the factor of `_integral`.
     Primes dividing that factor are skipped: mod such a prime every image
     is 0 (the factor divides the integral copy's resultant), so an image
     there carries nothing, and a probe there checks only that the
@@ -1131,14 +1130,20 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
     integral, scale = system._integral()
     primes = (p for p in internal_primes() if scale % p)
     fresh = integral._reduced(GF(next(primes)))
-    residue_maps: dict[int, dict[tuple, int]] = {}
+    combined: dict[tuple, int] = {}  # symmetric residues modulo `modulus`
+    modulus = 1
     support: set[tuple] = set()  # exponents on the axes, over every image
-    while len(residue_maps) < _MAX_PRIMES:
+    for _ in range(_MAX_PRIMES):
+        p = fresh.ring.field.p
         image = _image_coeffs(fresh, plan, seed, sorted(support))
-        residue_maps[fresh.ring.field.p] = image
         support.update(tuple(m[v] for v in plan.axes) for m in image)
-        combined = {m: crt_combine((rm.get(m, 0), q) for q, rm in residue_maps.items())[0]
-                    for m in set().union(*residue_maps.values())}
+        # one Garner step per coefficient: c = r mod p, c = c_old mod modulus
+        inverse, product = pow(modulus, -1, p), modulus * p
+        for m in combined.keys() | image.keys():
+            c = combined.get(m, 0)
+            c += modulus * ((image.get(m, 0) - c) * inverse % p)
+            combined[m] = c - product if 2 * c > product else c
+        modulus = product
         candidate = Polynomial(ring, {m: c for m, c in combined.items() if c})
         fresh = integral._reduced(GF(next(primes)))
         if _verify_candidate(candidate, fresh, plan, seed):

@@ -3,6 +3,7 @@
 Numeric oracles here were computed by hand from the definitions (resultant
 row conventions, Vieta expansions, explicit orbit arithmetic) and frozen.
 """
+import functools
 import math
 from fractions import Fraction
 from random import Random
@@ -27,8 +28,7 @@ from projdyn.errors import (DegeneracyError, InvalidInputError,
                             UnsupportedScopeError)
 from projdyn.mpoly import (Polynomial, Ring, embed, equal_up_to_scalar,
                            monomials_of_degree, parse_polynomial, poly_gcd,
-                           primitive_part, squarefree_part,
-                           strip_monomial_content)
+                           primitive_part, squarefree_part)
 from projdyn.resultant import (_probe_count, _reduce_form_mod, macaulay_resultant,
                                sylvester_resultant)
 
@@ -281,10 +281,20 @@ def test_pushforward_checks_a_candidate_when_planned_primes_degenerate():
     assert image.poly == P("x", R3) * conic
 
 
-def eager_image_form(f, phi_poly, *, seed, strategy, rescale):
+def strip_monomial_content(p):
+    """Divide out the largest monomial dividing every term."""
+    if p.is_zero():
+        return p
+    mins = [min(m[i] for m in p.terms) for i in range(p.ring.nvars)]
+    return Polynomial(p.ring, {tuple(e - lo for e, lo in zip(m, mins)): c
+                               for m, c in p.terms.items()})
+
+
+def eager_image_form(f, phi_poly, *, seed, strategy, rescale, retries=None):
     """Oracle: the eager image step.  For n >= 2 both choices of minors are
     eliminated up front, and their stripped forms are compared, or combined
-    by gcd, before any candidate is checked."""
+    by gcd, before any candidate is checked.  Where no unnormalized
+    candidate passes it retries normalized, and records phi in `retries`."""
     n1 = f.n + 1
     ring = f.ring
     phi_degree = phi_poly.homogeneous_degree_in_block(tuple(range(n1)))
@@ -333,7 +343,10 @@ def eager_image_form(f, phi_poly, *, seed, strategy, rescale):
         if _certify_pushforward(f, phi_poly, phi_degree, g_base, seed):
             return g_base, raw
     if not rescale:
-        return eager_image_form(f, phi_poly, seed=seed, strategy=strategy, rescale=True)
+        if retries is not None:
+            retries.append(phi_poly)
+        return eager_image_form(f, phi_poly, seed=seed, strategy=strategy, rescale=True,
+                                retries=retries)
     raise DegeneracyError("pushforward-unreduced", "no candidate passed")
 
 
@@ -353,7 +366,8 @@ def random_block_form(ring, n1, degree, rng, density=1.0):
 def image_step_cases(fld, rng):
     """(map, phi, also certify) triples: seeded P^2 and P^3 maps, parametric
     planes, and phis with a component inside some V(f_i), whose image has
-    the coordinate hyperplane y_i = 0 as a component."""
+    the coordinate hyperplane y_i = 0 as a component (with multiplicity 1 in
+    the norm under the linear map of P^3)."""
     r3, r4 = Ring(3, fld), Ring(4, fld)
     cases = []
     f = Endomorphism([random_block_form(r3, 3, 2, rng, 0.6) for _ in range(3)])
@@ -365,7 +379,7 @@ def image_step_cases(fld, rng):
                for i in range(4) for j, k in [sorted(rng.sample(range(4), 2))]]
     cases.append((Endomorphism(squares), random_block_form(r4, 4, 1, rng), False))
     linear = [r4.var(0) + r4.var(1)] + [random_block_form(r4, 4, 1, rng) for _ in range(3)]
-    cases.append((Endomorphism(linear), linear[0] * random_block_form(r4, 4, 1, rng), False))
+    cases.append((Endomorphism(linear), linear[0] * random_block_form(r4, 4, 1, rng), True))
     r6 = Ring(6, fld)
     plane = P("x3*x0+x4*x1+x5*x2", r6)
     squaring_plane = Endomorphism([r6.var(i) ** 2 for i in range(3)])
@@ -375,39 +389,150 @@ def image_step_cases(fld, rng):
     return cases
 
 
-def image_step_outcomes(f, phi, certify, eliminations):
-    """The pushforward with its raw elimination, the number of eliminations
-    it ran, then the certificate if asked; a raised exception stands as its
-    type, which the other route must match."""
+def image_step_outcomes(f, phi, certify, eliminations, steps):
+    """The pushforward with its raw elimination, then the certificate if
+    asked, each followed by the eliminations it ran less its image steps; a
+    raised exception stands as its type, which the other route must match."""
     def outcome(step):
+        eliminations.clear()
+        steps.clear()
         try:
-            return step()
+            value = step()
         except Exception as exc:
-            return type(exc)
+            value = type(exc)
+        return [value, len(eliminations) - len(steps)]
 
-    eliminations.clear()
-    out = [outcome(lambda: pushforward(f, phi, raw=True)), len(eliminations)]
+    out = outcome(lambda: pushforward(f, phi, raw=True))
     if certify:
-        out.append(outcome(lambda: improper_certificate(f, phi, range(f.n + 1))))
+        out += outcome(lambda: improper_certificate(f, phi, range(f.n + 1)))
     return out
+
+
+def scalar_exponent(f, chain, indices):
+    """K with certificate(f, c*phi) = c^K certificate(f, phi) over the
+    parameter-free `chain` of image forms.  Image i carries c^s_i, s_0 = 1.
+    R is homogeneous of degree d^n in the coefficients of the form it
+    eliminates, so s_i = d^n s_(i-1) where the step's norm is squarefree
+    and the image has degree deg(image_(i-1)) * d^(n-1); where the degree
+    drops, `squarefree_part` normalized the image and s_i = 0.  The
+    resultant is homogeneous of degree prod_(j != i) deg(image_j) in the
+    coefficients of image i."""
+    degrees = [g.degree() for g in chain]
+    s = [1]
+    for prev, cur in zip(degrees, degrees[1:]):
+        s.append(s[-1] * f.d ** f.n if cur == prev * f.d ** (f.n - 1) else 0)
+    return sum(s[i] * math.prod(degrees[j] for j in indices if j != i) for i in indices)
+
+
+def certificate_is_covariant(f, phi, indices, cert, c=2):
+    """improper_certificate(f, c*phi) == c^K * cert, K from `scalar_exponent`."""
+    chain = _pushforward_chain(f, phi, max(indices), seed=0, strategy="auto")
+    scaled = improper_certificate(f, phi.scale(c), indices)
+    return scaled == cert.scale(f.field.coerce(c ** scalar_exponent(f, chain, indices)))
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(7), GF(101), GF(DEFAULT_MODULAR_PRIME)],
                          ids=["QQ", "GF7", "GF101", "GF62bit"])
 def test_lazy_second_elimination_matches_the_eager_route(fld, monkeypatch):
+    # the eager oracle runs both eliminations; the image step runs only R_a
     eliminations = count_calls(monkeypatch, dynamics, "macaulay_resultant")
-    per_step = []
+    steps = count_calls(monkeypatch, dynamics, "_image_form")
+    retried = 0
     for f, phi, certify in image_step_cases(fld, Random(8)):
+        retries = []
         with monkeypatch.context() as m:
-            m.setattr(dynamics, "_image_form", eager_image_form)
-            expected = image_step_outcomes(f, phi, certify, eliminations)
-        got = image_step_outcomes(f, phi, certify, eliminations)
-        per_step.append(got.pop(1))
-        del expected[1]  # the oracle's eliminations are not counted
-        assert got == expected
-    # one elimination where R_a's stripped part is the image, two where the
-    # image has a coordinate-hyperplane component
-    assert 1 in per_step and 2 in per_step
+            m.setattr(dynamics, "_image_form",
+                      functools.partial(eager_image_form, retries=retries))
+            expected = image_step_outcomes(f, phi, certify, eliminations, steps)
+        got = image_step_outcomes(f, phi, certify, eliminations, steps)
+        # one elimination per image step: the pushforward's one step runs one
+        # elimination, and a certificate one per step plus its own resultant
+        assert got[1] == 0
+        if certify:
+            assert got[3] == isinstance(got[2], Polynomial)
+        assert got[0] == expected[0]
+        if not retries:
+            assert got[2::2] == expected[2::2]
+            continue
+        # the oracle normalized a step whose image has a coordinate-hyperplane
+        # component; the certificate keeps the scalar the input form gives it
+        retried += 1
+        cert, oracle = got[2], expected[2]
+        assert isinstance(cert, Polynomial) and isinstance(oracle, Polynomial)
+        assert cert.is_zero() == oracle.is_zero()
+        assert certificate_is_covariant(f, phi, range(f.n + 1), cert)
+    assert retried
+
+
+def planted_image_cases(fld, rng):
+    """(map, phi, k) for seeded morphisms of P^2 and P^3 of degree d:
+    phi = l^k * psi, where the line or plane l divides f0.  Then V(l) lies in
+    V(f0), and f maps it onto V(y0) with degree d^(n-1), as f1..fn restrict
+    to a morphism of V(l); k = 0 is an unplanted phi."""
+    cases = []
+    for n, d, k, rest in [(2, 2, 0, 2), (2, 3, 0, 1), (3, 2, 0, 1), (2, 1, 1, 1),
+                          (2, 2, 1, 1), (2, 2, 2, 0), (2, 3, 1, 0), (3, 1, 1, 1),
+                          (3, 2, 1, 0)]:
+        ring = Ring(n + 1, fld)
+        line = random_block_form(ring, n + 1, 1, rng)
+        while True:
+            forms = [random_block_form(ring, n + 1, d, rng) for _ in range(n + 1)]
+            if k:
+                forms[0] = line * random_block_form(ring, n + 1, d - 1, rng)
+            f = Endomorphism(forms)
+            if f.is_morphism():
+                break
+        cases.append((f, line ** k * random_block_form(ring, n + 1, rest, rng), k))
+    return cases
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(101), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["QQ", "GF101", "GF62bit"])
+def test_image_elimination_carries_the_known_power_of_y0(fld):
+    for f, phi, k in planted_image_cases(fld, Random(25)):
+        n, d, m = f.n, f.d, phi.degree()
+        image, raw = pushforward(f, phi, raw=True)
+        # R is homogeneous of degree deg phi * d^(n-1) in each minor's
+        # coefficients, which are linear in y
+        assert {sum(mono[:n + 1]) for mono in raw.terms} == {n * m * d ** (n - 1)}
+        # R = y0^e * N with e = (n-1) deg phi d^(n-1), and V(y0) has
+        # multiplicity k d^(n-1) in the norm N
+        e = (n - 1) * m * d ** (n - 1)
+        assert min(mono[0] for mono in raw.terms) == e + k * d ** (n - 1)
+        assert min(mono[0] for mono in image.poly.terms) == (k > 0)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(101), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=["QQ", "GF101", "GF62bit"])
+def test_certificates_are_covariant_in_the_input_form(fld):
+    # parameter-free chains through a coordinate hyperplane: V(l) lies in
+    # V(f0) and maps onto V(y0).  Under the linear maps, and on P^1, every
+    # norm is squarefree and no step normalizes; under the quadratic map of
+    # P^2, V(y0) has multiplicity 2 and squarefree_part normalizes that
+    # image.  P^3 keeps phi = l: over QQ the certificate of four quadrics in
+    # P^3 takes tens of seconds
+    rng = Random(2501)
+    cases = []
+    for n, d, planes in [(1, 2, 2), (2, 1, 2), (3, 1, 1), (2, 2, 2)]:
+        ring = Ring(n + 1, fld)
+        line = random_block_form(ring, n + 1, 1, rng)
+        forms = [line * random_block_form(ring, n + 1, d - 1, rng)]
+        forms += [random_block_form(ring, n + 1, d, rng) for _ in range(n)]
+        f = Endomorphism(forms)
+        phi = line
+        for _ in range(planes):
+            cases.append((f, phi))
+            phi = phi * random_block_form(ring, n + 1, 1, rng)
+    carried = 0  # nonzero certificates whose images carry c past phi itself
+    for f, phi in cases:
+        assert f.is_morphism()
+        indices = range(f.n + 1)
+        cert = improper_certificate(f, phi, indices)
+        assert certificate_is_covariant(f, phi, indices, cert)
+        chain = _pushforward_chain(f, phi, f.n, seed=0, strategy="auto")
+        carried += (not cert.is_zero() and scalar_exponent(f, chain, indices)
+                    > math.prod(g.degree() for g in chain[1:]))
+    assert carried >= 4
 
 
 def test_bad_prime_reduction_is_an_internal_signal():

@@ -13,8 +13,7 @@ from projdyn.mpoly import (NEG_INF, Polynomial, Ring, _exact_quotient,
                            content_primitive, determinant, divexact, embed,
                            equal_up_to_scalar, format_polynomial,
                            monomials_of_degree, parse_polynomial, poly_gcd,
-                           primitive_part, squarefree_part,
-                           strip_monomial_content)
+                           primitive_part, squarefree_part)
 
 RNG_SEED = 917
 
@@ -246,11 +245,6 @@ def test_equal_up_to_scalar():
     assert not equal_up_to_scalar(P("x0"), P("x1"))
     assert equal_up_to_scalar(R3.zero(), R3.zero())
     assert not equal_up_to_scalar(R3.zero(), P("x0"))
-
-
-def test_strip_monomial_content():
-    assert strip_monomial_content(P("x0^2*x1+x0*x1^2")) == P("x0+x1")
-    assert strip_monomial_content(P("x0+x1")) == P("x0+x1")
 
 
 # -- division, gcd, squarefree -----------------------------------------------------
