@@ -19,7 +19,10 @@ change in a layer.  With a parent, ``traced_ratios`` pairs the two sides'
 traced runs by seed and keeps, per metric, each pair's change/parent ratio
 and the median of those ratios: a layer's change measured within pairs that
 ran one after the other, not between two medians.  The file also records
-each side's ``src/`` line count and the machine's ``nproc``.
+each side's ``src/`` line count, a sha256 of its ``src/`` sources (the
+``revision`` of ``git describe`` is None in a checkout without git metadata
+and ends in ``-dirty`` before a commit; equal digests mean the sides ran
+the same code) and the machine's ``nproc``.
 
 Each run is spawned through ``spawn_command``, so the ``peak_rss_mib`` it
 reports is its own high-water mark, not this recorder's.
@@ -28,6 +31,7 @@ reports is its own high-water mark, not this recorder's.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -52,6 +56,18 @@ def parse_args(argv=None):
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines())
                for p in sorted((tree / "src").rglob("*.py")))
+
+
+def src_sha256(tree: Path) -> str:
+    """sha256 over each ``src/**/*.py`` in order of relative path: the
+    path, the file's size and its bytes."""
+    src = tree / "src"
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")):
+        data = (src / rel).read_bytes()
+        digest.update(b"%s\0%d\0" % (rel.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def revision(tree: Path):
@@ -149,7 +165,8 @@ def main(argv=None) -> int:
 
     report = {"command": " ".join(spec["command"]), "seconds": args.seconds,
               "seeds": args.seeds, "nproc": os.cpu_count(),
-              "trees": {side: {"revision": revision(tree), "src_lines": src_lines(tree)}
+              "trees": {side: {"revision": revision(tree), "src_sha256": src_sha256(tree),
+                               "src_lines": src_lines(tree)}
                         for side, tree in trees.items()},
               "workloads": {}}
     for w in spec["workloads"]:

@@ -31,10 +31,12 @@ that elimination.  Every route reads that one system:
   int64 numpy batch.  Points where that meets a zero
   pivot go to the point evaluator.  Vandermonde systems are solved by one
   matrix product with a table of quotients: on int64 arrays below 2^28,
-  on Python ints above.  Over QQ the forms' denominators are cleared once,
-  into an integral copy of the system, and each prime gets one reduced copy
-  of that; the images are combined by symmetric CRT, and each candidate is
-  checked at a fresh prime.
+  on Python ints above.  The int64 code is the module `_batch64`, the one
+  that imports numpy; this module imports it inside the two branches that
+  run it, so every other route leaves numpy unloaded.  Over QQ the forms'
+  denominators are cleared once, into an integral copy of the system, and
+  each prime gets one reduced copy of that; the images are combined by
+  symmetric CRT, and each candidate is checked at a fresh prime.
 
 When the reduced minor vanishes, the ratio route and the point evaluator
 take Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
@@ -57,8 +59,6 @@ from operator import add, mul
 from random import Random
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import upoly
 from .coeff import _INTERNAL_PRIME_BOUND, GF, PrimeField, internal_primes
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
@@ -67,7 +67,6 @@ from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
 
 _RETRIES = 5          # attempts before giving up: node draws, sparse images
 _MAX_PRIMES = 24      # CRT budget for interpolation over QQ
-_CHUNK_POINTS = 4096  # grid points per batched numpy pass
 _LOCKSTEP_POINTS = 8  # batches up to this size run on Python ints; they beat
                       # numpy's per-step cost (measured crossover: 12-32
                       # points, orders 3-36), so the bound is conservative
@@ -665,32 +664,6 @@ def _reduce_form_mod(f: Polynomial, target: Ring) -> Polynomial:
     return Polynomial(target, terms)
 
 
-def _batched_ratio_mod(a: np.ndarray, schedule, minor_size: int, p: int):
-    """det M / det M' mod p for a (k, k, n) batch of matrices in the
-    system's layout order, by one unpivoted elimination along the schedule
-    (the batch is overwritten).
-
-    Returns (ratios, ok); entries with ok=False hit a zero pivot and must be
-    recomputed by the point evaluator.
-    """
-    n = a.shape[2]
-    ratio = np.ones(n, dtype=np.int64)
-    ok = np.ones(n, dtype=bool)
-    for i, (below, right) in enumerate(schedule):
-        piv = a[i, i]
-        zero = piv == 0
-        ok &= ~zero
-        if i >= minor_size:
-            ratio = ratio * piv % p
-        if below and right:
-            inv = np.array(_inverses_mod(np.where(zero, 1, piv).tolist(), p),
-                           dtype=np.int64)
-            factors = a[below, i] * inv % p
-            block = np.ix_(below, right)
-            a[block] = (a[block] - factors[:, None, :] * a[i, right][None, :, :]) % p
-    return ratio, ok
-
-
 def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
                        transposed: bool = False) -> list:
     """Solve a Vandermonde system on distinct nodes over F_p in O(t^2).
@@ -706,39 +679,18 @@ def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
     transposed solve is the table times rhs, the plain one its transpose
     times rhs, each one product mod p, with the 1 / M'(v) applied to the t
     rows of the result or of rhs.  Below _NUMPY_SAFE that runs on int64
-    arrays, the product by `_matmul_mod`.  Above it, where int64 products
-    could overflow, on Python ints: M by `upoly.mulmod`, the M'(v)
-    inverted together by `_inverses_mod` (one pow), and each entry of the
-    product one `sum(map(mul, ...))`.  Entries of `rhs` are ints, or rows
-    of ints of one length (one system per position); the result has the
-    same form, in lists of plain ints.
+    arrays, in `_batch64`.  Above it, where int64 products could overflow,
+    on Python ints: M by `upoly.mulmod`, the M'(v) inverted together by
+    `_inverses_mod` (one pow), and each entry of the product one
+    `sum(map(mul, ...))`.  Entries of `rhs` are ints, or rows of ints of
+    one length (one system per position); the result has the same form,
+    in lists of plain ints.
     """
     t = len(nodes)
     z = [v % p for v in nodes]
     if p < _NUMPY_SAFE:
-        z = np.array(z, dtype=np.int64)
-        master = np.array([1] + [0] * t, dtype=np.int64)  # M, constant term first
-        for m, v in enumerate(z):
-            master[1:m + 2] = (master[:m + 1] - v * master[1:m + 2]) % p
-            master[0] = -v * master[0] % p
-        table = np.zeros((t, t), dtype=np.int64)  # row s: M / (z - nodes[s])
-        acc = np.ones(t, dtype=np.int64)
-        for i in range(t - 1, -1, -1):
-            table[:, i] = acc
-            acc = (master[i] + z * acc) % p
-        deriv = np.zeros(t, dtype=np.int64)  # M'(v) = (M / (z - v))(v)
-        for i in range(t - 1, -1, -1):
-            deriv = (deriv * z + table[:, i]) % p
-        if np.count_nonzero(deriv) < t:
-            raise DegeneracyError("interpolation-singular", "repeated interpolation node")
-        scale = np.array([pow(int(d), -1, p) for d in deriv], dtype=np.int64)[:, None]
-        values = np.array(rhs, dtype=np.int64)
-        flat = values.reshape(t, -1) % p
-        if transposed:
-            solved = scale * _matmul_mod(table, flat, p) % p
-        else:
-            solved = _matmul_mod(table.T, scale * flat % p, p)
-        return solved.reshape(values.shape).tolist()
+        from . import _batch64
+        return _batch64._vandermonde_solve(z, rhs, p, transposed)
     master = [1]
     for v in z:
         master = upoly.mulmod([-v, 1], master, p=p)
@@ -761,17 +713,6 @@ def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
         columns = [list(map(mul, col, scale)) for col in columns]
         solved = [[sum(map(mul, row, col)) % p for col in columns] for row in table]
     return [row[0] for row in solved] if scalar else solved
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a . b mod p on int64 operands (p < _NUMPY_SAFE, products below
-    2^56), summed 64 inner terms at a time, so no sum reaches 2^63.  The
-    matmul ufunc, not np.dot: its first call does not grow the process by
-    128 KiB."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for j in range(0, a.shape[1], 64):
-        out = (out + a[:, j:j + 64] @ b[j:j + 64]) % p
-    return out
 
 
 def _probe_count(degree_bound: int, p: int) -> Optional[int]:
@@ -862,55 +803,14 @@ class _GridPlan:
         return tuple(mono)
 
 
-def _batched_values_mod(system: MacaulaySystem, plan: _GridPlan, points):
-    """int64 batch pass over the points: resultant values mod p, plus the
-    indices of the points where unpivoted elimination hit a zero pivot."""
-    p = system.ring.field.p
-    full = np.array([plan.point_values(pt) for pt in points],
-                    dtype=np.int64).reshape(len(points), len(plan.params))
-    k = system.size
-    varying, base, cells = system.program
-    base = np.array(base, dtype=np.int64)
-    fixed = np.nonzero(base)
-    values: list[int] = []
-    bad: list[int] = []
-    for start in range(0, len(points), _CHUNK_POINTS):
-        chunk = full[start:start + _CHUNK_POINTS]
-        count = len(chunk)
-        powers = []
-        for column, top in enumerate(system.param_degrees):
-            row = [np.ones(count, dtype=np.int64)]
-            for _ in range(top):
-                row.append(row[-1] * chunk[:, column] % p)
-            powers.append(row)
-        coefficients = np.zeros((len(varying), count), dtype=np.int64)
-        for out, terms in zip(coefficients, varying):
-            for c, factors in terms:
-                t = np.full(count, c, dtype=np.int64)
-                for v, e in factors:
-                    t = t * powers[v][e] % p
-                out += t
-                out %= p
-        # only structural entries are written, without a (cells, count)
-        # temporary, so zero pages stay unmapped until fill-in reaches them
-        batch = np.zeros((k, k, count), dtype=np.int64)
-        batch[fixed] = base[fixed][:, None]
-        for r, c, j in cells:
-            batch[r, c] = coefficients[j]
-        ratios, ok = _batched_ratio_mod(batch, system.schedule, system.minor_size, p)
-        values.extend(np.where(ok, ratios, 0).tolist())
-        bad.extend(start + int(j) for j in np.nonzero(~ok)[0])
-    return values, bad
-
-
 def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
     """Exact resultant values mod p at parameter points, each a tuple of
     values on the plan's axes.
 
     Every point meets one elimination along the schedule.  A batch of more
     than _LOCKSTEP_POINTS points below _NUMPY_SAFE runs as one int64 numpy
-    batch; any other batch (every batch above _NUMPY_SAFE, where int64
-    products could overflow) runs in lockstep on Python ints
+    batch (`_batch64`); any other batch (every batch above _NUMPY_SAFE,
+    where int64 products could overflow) runs in lockstep on Python ints
     (`_scheduled_ratios`).  Points where that meets a zero pivot (every
     point where a form vanishes does: its rows are zero), and every point
     of a system without a schedule, go through the point evaluator: one
@@ -921,7 +821,8 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
     if system.schedule is None:
         values, todo = [0] * len(points), range(len(points))
     elif system.ring.field.p < _NUMPY_SAFE and len(points) > _LOCKSTEP_POINTS:
-        values, todo = _batched_values_mod(system, plan, points)
+        from . import _batch64
+        values, todo = _batch64._batched_values_mod(system, plan, points)
     else:
         values = _scheduled_ratios(
             system, system._value_matrices([plan.point_values(pt) for pt in points]))

@@ -1,5 +1,6 @@
 import importlib.util
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +80,23 @@ def test_traced_pairs_keep_change_over_parent_ratios_per_seed():
         "z": {"ratios": [1.0, None, 1.0], "median": 1.0}}
     # a seed traced on one side only pairs with nothing
     assert recorder.paired_ratios(parent[:1], change)["seeds"] == [7]
+
+
+def test_src_digest_follows_content_not_location(tmp_path):
+    src_digest = load_recorder().src_sha256
+    tree = tmp_path / "a"
+    (tree / "src" / "pkg").mkdir(parents=True)
+    (tree / "src" / "pkg" / "core.py").write_text("X = 1\n", encoding="utf-8")
+    (tree / "src" / "pkg" / "__init__.py").write_text("", encoding="utf-8")
+    (tree / "src" / "notes.txt").write_text("not code\n", encoding="utf-8")
+    copy = tmp_path / "b"
+    shutil.copytree(tree, copy)
+    assert src_digest(copy) == src_digest(tree)
+    (copy / "src" / "notes.txt").write_text("other\n", encoding="utf-8")
+    assert src_digest(copy) == src_digest(tree)  # only .py files count
+    (copy / "src" / "pkg" / "core.py").write_text("X = 2\n", encoding="utf-8")
+    assert src_digest(copy) != src_digest(tree)
+    # the same bytes under another name are other code
+    (copy / "src" / "pkg" / "core.py").rename(copy / "src" / "pkg" / "main.py")
+    (copy / "src" / "pkg" / "main.py").write_text("X = 1\n", encoding="utf-8")
+    assert src_digest(copy) != src_digest(tree)

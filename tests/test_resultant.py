@@ -1,14 +1,20 @@
 """Resultant layer: Sylvester, Macaulay, strategies, degeneracy handling."""
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
-from projdyn import resultant
+import projdyn
+from projdyn import _batch64, resultant
 from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, endomorphism_from_strings,
                                improper_certificate, pushforward_iterated)
@@ -508,7 +514,7 @@ SPARSE_SHAPES = ((2, (2, 3), 5), (3, (1, 1, 2), 5), (2, (3, 3), 4))
                          ids=["QQ", "GF10007", "GF62bit", "GF101"])
 def test_sparse_parametric_modular_matches_ratio(fld, monkeypatch):
     sparse = count_calls(monkeypatch, resultant, "_sparse_coeffs")
-    batched = count_calls(monkeypatch, resultant, "_batched_values_mod")
+    batched = count_calls(monkeypatch, _batch64, "_batched_values_mod")
     rng = Random(777)
     unscheduled = 0
     for block_size, degrees, nvars in SPARSE_SHAPES:
@@ -528,6 +534,13 @@ def test_sparse_parametric_modular_matches_ratio(fld, monkeypatch):
     assert bool(batched) == (fld != GF(DEFAULT_MODULAR_PRIME))
 
 
+def block_int64_batch(monkeypatch):
+    """For this test, make importing projdyn._batch64 raise ImportError, so
+    a route that reaches the int64 batch fails rather than passes."""
+    monkeypatch.delattr(projdyn, "_batch64", raising=False)
+    monkeypatch.setitem(sys.modules, "projdyn._batch64", None)
+
+
 @pytest.mark.parametrize("p", [DEFAULT_MODULAR_PRIME, 2 ** 89 - 1], ids=["GF62bit", "GF89bit"])
 def test_python_int_vandermonde_route_matches_ratio(p, monkeypatch):
     # above _NUMPY_SAFE every Vandermonde system of Zippel's stages is solved
@@ -542,7 +555,7 @@ def test_python_int_vandermonde_route_matches_ratio(p, monkeypatch):
         return real(nodes, rhs, q, transposed)
 
     monkeypatch.setattr(resultant, "_vandermonde_solve", recorded)
-    monkeypatch.setattr(resultant, "np", None)  # no numpy array on this route
+    block_int64_batch(monkeypatch)  # no numpy array on this route
     rng = Random(RNG_SEED)
     ring = Ring(4, GF(p))
     for degrees in ((2, 2), (2, 3), (1, 3)):
@@ -559,6 +572,50 @@ def test_python_int_vandermonde_route_matches_ratio(p, monkeypatch):
     # per system: stage 0 takes its values as they are and solves once
     # along its axis; stage 1 solves once on the support, once along its axis
     assert len(solves) == 9
+
+
+# one interpreter, one step after another: which steps have loaded numpy
+NUMPY_PROBE = """
+import io, json, sys
+steps = {}
+import projdyn
+steps["import projdyn"] = "numpy" in sys.modules
+from projdyn import cli
+from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ
+from projdyn.dynamics import (endomorphism_from_strings, has_periodic_critical_point,
+                              improper_certificate)
+from projdyn.mpoly import Ring, parse_polynomial
+from projdyn.resultant import macaulay_resultant
+ring = Ring(3, QQ)
+macaulay_resultant([parse_polynomial(t, ring)
+                    for t in ("x0^2-3*x1*x2", "x1^2+2*x0*x2", "x0+x1-5*x2")])
+steps["numeric QQ resultant"] = "numpy" in sys.modules
+f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
+improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
+steps["62-bit certificate"] = "numpy" in sys.modules
+has_periodic_critical_point(endomorphism_from_strings(["x^2+y^2", "x*y"], QQ), 4)
+steps["P^1 periodic critical point"] = "numpy" in sys.modules
+assert cli.run(["resultant", "--form", "x0", "--form", "x1"], out=io.StringIO()) == 0
+steps["CLI resultant"] = "numpy" in sys.modules
+ring = Ring(4, GF(10007))
+macaulay_resultant([parse_polynomial(t, ring)
+                    for t in ("x0^2+x2*x0*x1+x3*x1^2", "x3*x0^2+2*x0*x1+x2*x1^2")],
+                   2, strategy="modular")
+steps["GF(10007) modular"] = "numpy" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_only_with_the_int64_batch():
+    # the 62-bit, numeric, P^1 and CLI routes never reach the int64 batch,
+    # so they leave numpy unimported; a parametric image below 2^28 loads it
+    src = str(Path(projdyn.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout) == {
+        "import projdyn": False, "numeric QQ resultant": False,
+        "62-bit certificate": False, "P^1 periodic critical point": False,
+        "CLI resultant": False, "GF(10007) modular": True}
 
 
 def outcome(call):
@@ -818,7 +875,7 @@ def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
 
 
 def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
-    batched = count_calls(monkeypatch, resultant, "_batched_values_mod")
+    batched = count_calls(monkeypatch, _batch64, "_batched_values_mod")
     evaluated = count_calls(monkeypatch, resultant, "_point_value")
     kernel = resultant._scheduled_ratios
     zero_pivots = []
@@ -1318,7 +1375,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             if flagged:
                 assert dense == 64
                 continue
-            numpy_ratios, ok = resultant._batched_ratio_mod(batch, system.schedule, km, p)
+            numpy_ratios, ok = _batch64._batched_ratio_mod(batch, system.schedule, km, p)
             assert (~ok).sum() <= dense
             assert [r is not None for r in ratios] == ok.tolist()
             assert [r for r in ratios if r is not None] == numpy_ratios[ok].tolist()
@@ -1326,6 +1383,33 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
         assert fallbacks > unscheduled
     assert unscheduled == expect_unscheduled
     assert reordered == expect_reordered
+
+
+def test_int64_batch_elimination_at_worst_case_entries():
+    # at the largest prime the int64 batch takes, every structural entry
+    # p - 1; then the same with the diagonal 1, so the first steps'
+    # factors are p - 1 and their products (p - 1)^2; and with the diagonal
+    # p - 2, which meets no zero pivot: the in-place step agrees with the
+    # Python-int lockstep on every point and every zero pivot
+    p = next(internal_primes())
+    assert p < _NUMPY_SAFE
+    rng = Random(RNG_SEED)
+    ring = Ring(3, GF(p))
+    for degrees in ELIMINATION_SHAPES:
+        system = MacaulaySystem(with_pure_powers(
+            [random_form(ring, (0, 1, 2), d, rng, density=0.7) for d in degrees], 3))
+        k = system.size
+        batch = np.zeros((k, k, 3), dtype=np.int64)
+        for r, c, _, _ in system.cells:
+            batch[r, c] = p - 1
+        batch[range(k), range(k), 1] = 1
+        batch[range(k), range(k), 2] = p - 2
+        ratios = resultant._scheduled_ratios(system, [batch[:, :, j].tolist() for j in range(3)])
+        numpy_ratios, ok = _batch64._batched_ratio_mod(batch, system.schedule,
+                                                       system.minor_size, p)
+        assert ok[2]
+        assert [r is not None for r in ratios] == ok.tolist()
+        assert [r for r in ratios if r is not None] == numpy_ratios[ok].tolist()
 
 
 def check_vandermonde(nodes, rhs, solved, p, transposed):
@@ -1393,7 +1477,7 @@ def test_vandermonde_solve_multiplies_back(p):
     # the int64 product that only the primes below it take
     if p < _NUMPY_SAFE:
         worst = np.array([[p - 1] * 130] * 2, dtype=np.int64)
-        assert resultant._matmul_mod(worst, worst.T, p).tolist() \
+        assert _batch64._matmul_mod(worst, worst.T, p).tolist() \
             == [[130 * (p - 1) ** 2 % p] * 2] * 2
     with pytest.raises(DegeneracyError) as err:
         _vandermonde_solve([1, 1 + p], [0, 0], p)
