@@ -4,16 +4,14 @@ Field objects carry the operations; values themselves stay plain
 (`fractions.Fraction` over QQ, `int` in [0, p) over F_p) so inner loops do not
 pay for a wrapper class.  Text form of a field is ``QQ`` or ``Fp:<prime>``.
 
-Also home to the symmetric CRT kernel and the stream of primes used by the
-modular resultant strategy.
+Also home to the stream of primes used by the modular resultant strategy.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvalidInputError
 
@@ -227,37 +225,6 @@ def parse_field(spec: str) -> Field:
 def random_element(field: Field, rng: Random) -> Value:
     """Seeded random field element; bounds documented at module top for QQ."""
     return field.random(rng)
-
-
-def crt_combine(residues: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Combine residue/modulus pairs; return (symmetric representative, modulus).
-
-    Moduli must be pairwise coprime; duplicates are rejected.  The
-    representative lies in (-M/2, M/2] for M the product of the moduli.
-    """
-    pairs = list(residues)
-    if not pairs:
-        raise InvalidInputError("crt_combine needs at least one residue")
-    mods = [m for _, m in pairs]
-    if len(set(mods)) != len(mods):
-        raise InvalidInputError("duplicate moduli in crt_combine")
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if math.gcd(mods[i], mods[j]) != 1:
-                raise InvalidInputError(
-                    f"moduli {mods[i]} and {mods[j]} are not coprime")
-    x, m = 0, 1
-    for (r, q) in pairs:
-        if q < 2:
-            raise InvalidInputError(f"modulus {q} < 2 in crt_combine")
-        # solve x' = x mod m, x' = r mod q
-        t = (r - x) * pow(m, -1, q) % q
-        x += m * t
-        m *= q
-    x %= m
-    if 2 * x > m:
-        x -= m
-    return x, m
 
 
 # Every prime internal_primes yields lies below this bound, so that products

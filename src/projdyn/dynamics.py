@@ -29,8 +29,7 @@ from .mpoly import (Polynomial, Ring, _block_coefficients, _primitive_scale,
                     default_aliases, determinant, divexact, embed,
                     format_polynomial, parse_polynomial, poly_gcd,
                     primitive_part, squarefree_part)
-from .resultant import (_field_ratio, _probe_count, macaulay_resultant,
-                        sylvester_resultant)
+from .resultant import _probe_count, macaulay_resultant, sylvester_resultant
 
 _CERT_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _EXTRA_CERT_TRIALS = 8       # trials drawn when the planned ones do not decide
@@ -259,9 +258,10 @@ class Endomorphism:
         a = [[fld.coerce(x) for x in row] for row in matrix]
         if len(a) != n1 or any(len(r) != n1 for r in a):
             raise InvalidInputError("conjugation matrix has the wrong shape")
-        if fld.is_zero(_field_ratio([row[:] for row in a], fld)):
-            raise InvalidInputError("conjugation matrix is singular")
         ring = self.ring
+        entries = [[ring.const(x) for x in row] for row in a]
+        if determinant(entries).is_zero():
+            raise InvalidInputError("conjugation matrix is singular")
         images = [sum((ring.var(k).scale(a[j][k]) for k in range(n1)), ring.zero())
                   for j in range(n1)] + ring.gens()[n1:]
         moved = [f.substitute(images) for f in self.forms]
@@ -271,8 +271,8 @@ class Endomorphism:
         for j in range(n1):
             g = self.ring.zero()
             for k in range(n1):
-                cofactor = _field_ratio([row[:j] + row[j + 1:]
-                                         for r, row in enumerate(a) if r != k], fld)
+                cofactor = determinant([row[:j] + row[j + 1:] for r, row in enumerate(entries)
+                                        if r != k]).constant_value()
                 g = g + moved[k].scale(fld.neg(cofactor) if (j + k) % 2 else cofactor)
             out.append(g)
         return Endomorphism(out)

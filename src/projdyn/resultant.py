@@ -16,9 +16,10 @@ groups is ordered by a static Markowitz count, which cuts the fill-in of
 that elimination.  Every route reads that one system:
 
 - numeric forms go through the point evaluator (`_point_value`): det M /
-  det M' on field values, by one elimination (`_field_ratio`) along the
-  schedule, dense with a pivot search inside the current block from a
-  zero pivot on;
+  det M' mod p, by one elimination (`_field_ratio`) along the schedule,
+  dense with a pivot search inside the current block from a zero pivot
+  on; over QQ at internal primes, on the integral copy, combined by CRT
+  up to a proven height bound (`_numeric_resultant`);
 - parametric systems take fraction-free symbolic elimination ("ratio") or
   interpolation of modular images ("modular").  An image is interpolated
   sparsely, by Zippel's variable-by-variable stages, where a few random
@@ -36,10 +37,12 @@ that elimination.  Every route reads that one system:
   run it, so every other route leaves numpy unloaded.  Over QQ the forms'
   denominators are cleared once, into an integral copy of the system, and
   each prime gets one reduced copy of that; the images are combined by
-  symmetric CRT, and each candidate is checked at a fresh prime.
+  symmetric CRT (`_garner_step`, as for numeric systems), and each
+  candidate is checked at a fresh prime.
 
-When the reduced minor vanishes, the ratio route and the point evaluator
-take Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
+Every kernel on matrices of values runs over F_p only.  When the reduced
+minor vanishes, the ratio route and the point evaluator take Canny's
+generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990): row mu carries its form's pure power x_i^{d_i} on the diagonal, so
 F_i - s x_i^{d_i} give M - sI and M' - sI, C(s) = det(M - sI) /
 det(M' - sI) is a polynomial, and C(0) is the resultant, whatever the input.
@@ -78,10 +81,10 @@ _MAX_SPARSE_PROBES = 4  # sparse stages run only where this many probes suffice
 
 # -- small linear algebra over field values ----------------------------------------
 
-def _field_ratio(m, fld, minor_size: int = 0, schedule=None):
-    """det M / det M' for a square matrix M of field values (overwritten),
-    M' its leading minor_size x minor_size block: det M when minor_size is
-    0.  DegeneracyError when M' is singular.
+def _field_ratio(m, p: int, minor_size: int = 0, schedule=None) -> int:
+    """det M / det M' mod p for a square matrix M of ints (overwritten), M'
+    its leading minor_size x minor_size block: det M when minor_size is 0.
+    DegeneracyError when M' is singular mod p.
 
     One elimination.  It follows `schedule` (see _elimination_schedule)
     while the pivots are nonzero; from the first zero pivot on, and from
@@ -90,31 +93,28 @@ def _field_ratio(m, fld, minor_size: int = 0, schedule=None):
     minor_size steps, then the rest.  So the first minor_size pivots give
     det M' and the others the ratio; a row swap inside M' changes the sign
     of both determinants and leaves the ratio, a swap after it negates the
-    ratio.  Over F_p an entry is reduced only where it is read (pivot,
-    pivot row, factor), as in _scheduled_ratios.
+    ratio.  An entry is reduced only where it is read (pivot, pivot row,
+    factor), as in _scheduled_ratios.
     """
-    p = fld.characteristic
-    ratio = fld.one()
+    ratio = 1
     steps = schedule or ()
     k = len(m)
     for i in range(k):
         top = m[i]
-        if p:
-            top[i] %= p
+        top[i] %= p
         if i < len(steps) and top[i]:
             below, right = steps[i]
         else:
             steps = ()
             for r in range(i, minor_size if i < minor_size else k):
-                if p:
-                    m[r][i] %= p
+                m[r][i] %= p
                 if m[r][i]:
                     break
             else:
                 if i < minor_size:
                     raise DegeneracyError("macaulay-minor-singular",
                                           "reduced minor vanished on this input")
-                return fld.zero()
+                return 0
             if r != i:
                 m[i], m[r] = m[r], top
                 top = m[i]
@@ -122,25 +122,24 @@ def _field_ratio(m, fld, minor_size: int = 0, schedule=None):
                     ratio = -ratio
             below = right = range(i + 1, k)
         if i >= minor_size:
-            ratio = ratio * top[i] % p if p else ratio * top[i]
+            ratio = ratio * top[i] % p
         if not (below and right):
             continue
-        inv = fld.inv(top[i])
-        if p:
-            for c in right:
-                top[c] %= p
+        inv = pow(top[i], -1, p)
+        for c in right:
+            top[c] %= p
         for r in below:
             row = m[r]
-            f = row[i] * inv % p if p else row[i] * inv
+            f = row[i] * inv % p
             if f:
                 for c in right:
                     row[c] -= f * top[c]
-    return ratio % p if p else ratio
+    return ratio % p
 
 
-def _charpoly_low(m, fld, terms=None) -> list:
-    """The coefficients of det(sI - M), constant term first, for a square
-    matrix M of reduced field values (overwritten): all k + 1 of them, or
+def _charpoly_low(m, p: int, terms=None) -> list:
+    """The coefficients of det(sI - M) mod p, constant term first, for a
+    square matrix M of residues mod p (overwritten): all k + 1 of them, or
     the first `terms`.
 
     M is reduced to upper Hessenberg form H by similarity, then
@@ -151,7 +150,6 @@ def _charpoly_low(m, fld, terms=None) -> list:
     subdiagonal entry, where H splits into blocks; the reduction skips zero
     multipliers and the zero entries of the pivot row.
     """
-    p = fld.characteristic
     k = len(m)
     n = k + 1 if terms is None else terms
     for j in range(k - 2):
@@ -163,50 +161,49 @@ def _charpoly_low(m, fld, terms=None) -> list:
             for row in m:
                 row[j + 1], row[r] = row[r], row[j + 1]
         top = m[j + 1]
-        inv = fld.inv(top[j])
+        inv = pow(top[j], -1, p)
         # the column operations below change column j + 1 of every row
         right = [c for c in range(j, k) if top[c] or c == j + 1]
         for r in range(j + 2, k):
             row = m[r]
             if not row[j]:
                 continue
-            u = row[j] * inv % p if p else row[j] * inv
+            u = row[j] * inv % p
             # row r -= u * row j+1, then column j+1 += u * column r
             for c in right:
-                row[c] = (row[c] - u * top[c]) % p if p else row[c] - u * top[c]
+                row[c] = (row[c] - u * top[c]) % p
             for other in m:
                 if other[r]:
-                    x = other[j + 1] + u * other[r]
-                    other[j + 1] = x % p if p else x
-    polys = [[fld.one()] + [fld.zero()] * (n - 1)]
+                    other[j + 1] = (other[j + 1] + u * other[r]) % p
+    polys = [[1] + [0] * (n - 1)]
     for j in range(k):
         prev = polys[-1]
         h = m[j][j]
         new = [-h * prev[0]] + [a - h * b for a, b in zip(prev, prev[1:])]
-        t = fld.one()
+        t = 1
         for i in range(j - 1, -1, -1):
-            t = t * m[i + 1][i] % p if p else t * m[i + 1][i]
+            t = t * m[i + 1][i] % p
             if not t:
                 break
-            c = m[i][j] * t % p if p else m[i][j] * t
+            c = m[i][j] * t % p
             if c:
                 new = [a - c * b for a, b in zip(new, polys[i])]
-        polys.append([a % p for a in new] if p else new)
+        polys.append([a % p for a in new])
     return polys[-1]
 
 
-def _canny_ratio(m, minor_size: int, fld):
-    """det M / det M' for a matrix M of reduced field values (overwritten)
+def _canny_ratio(m, minor_size: int, p: int) -> int:
+    """det M / det M' mod p for a matrix M of residues mod p (overwritten)
     in the Macaulay layout, M' its leading minor_size x minor_size block,
     also where M' is singular: C(0) for C(s) = det(M - sI) / det(M' - sI)
     (see the module docstring).  With a the order of s in det(sI - M'),
     that is (-1)^(k - minor_size) [s^a] det(sI - M) / [s^a] det(sI - M');
     only the first a + 1 coefficients of det(sI - M) are computed.
     """
-    minor = _charpoly_low([row[:minor_size] for row in m[:minor_size]], fld)
+    minor = _charpoly_low([row[:minor_size] for row in m[:minor_size]], p)
     a = next(i for i, c in enumerate(minor) if c)  # the s^minor_size one is 1
-    ratio = fld.div(_charpoly_low(m, fld, a + 1)[a], minor[a])
-    return fld.neg(ratio) if (len(m) - minor_size) % 2 else ratio
+    ratio = _charpoly_low(m, p, a + 1)[a] * pow(minor[a], -1, p) % p
+    return -ratio % p if (len(m) - minor_size) % 2 else ratio
 
 
 # -- Sylvester matrices for binary forms --------------------------------------------
@@ -460,11 +457,6 @@ class MacaulaySystem:
         km = self.minor_size
         return [row[:km] for row in self.matrix()[:km]]
 
-    def value_tables(self):
-        """Coefficient tables of numeric forms as field values."""
-        return [{mb: c.constant_value() for mb, c in tab.items()}
-                for tab in self.coeff_tables]
-
     def _coefficient_values(self, coefficients, point) -> list[int]:
         """Coefficients of the program (lists of int terms) at a point of
         ints: each parameter's powers built once, as far as the coefficients
@@ -526,7 +518,8 @@ class MacaulaySystem:
         scale = 1
         for tab, e in zip(self.coeff_tables, resultant_degrees(self.degrees)):
             lcm = math.lcm(*(v.denominator for c in tab.values() for v in c.terms.values()))
-            out.coeff_tables.append({mb: c.scale(lcm) for mb, c in tab.items()})
+            out.coeff_tables.append({mb: c.scale(lcm) for mb, c in tab.items()}
+                                    if lcm > 1 else tab)
             scale *= lcm ** e
         return out, scale
 
@@ -603,23 +596,15 @@ def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
     return [r if ok else None for r, ok in zip(ratios, live)]
 
 
-def _point_value(system: MacaulaySystem, point):
-    """Resultant value with the parameters at `point` (None for numeric
-    forms; otherwise a point of ints over F_p).
-
-    det M / det M' on one matrix of field values, by one elimination
-    (`_field_ratio`: along the schedule, dense from a zero pivot on); where
-    M' is singular there, by Canny's generalized characteristic polynomial
-    (`_canny_ratio`).  A form that vanishes zeroes its rows, and the value
-    is then 0.
-    """
-    fld = system.ring.field
-    m = (system._matrix_of(system.value_tables(), fld.zero()) if point is None
-         else system._value_matrices([point])[0])
+def _point_value(system: MacaulaySystem, m, p: int) -> int:
+    """The resultant's value mod p for one matrix M of ints in the system's
+    layout (left as it is): det M / det M' by `_field_ratio`, or where M'
+    is singular mod p, Canny's C(0) by `_canny_ratio`.  A form that
+    vanishes zeroes its rows, and the value is then 0."""
     try:
-        return _field_ratio([row[:] for row in m], fld, system.minor_size, system.schedule)
+        return _field_ratio([row[:] for row in m], p, system.minor_size, system.schedule)
     except DegeneracyError:
-        return _canny_ratio(m, system.minor_size, fld)
+        return _canny_ratio([[x % p for x in row] for row in m], system.minor_size, p)
 
 
 def _ratio_resultant(system: MacaulaySystem, forms: Sequence[Polynomial]) -> Polynomial:
@@ -818,9 +803,10 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
     generalized characteristic polynomial if the reduced minor genuinely
     vanishes there.
     """
+    p = system.ring.field.p
     if system.schedule is None:
         values, todo = [0] * len(points), range(len(points))
-    elif system.ring.field.p < _NUMPY_SAFE and len(points) > _LOCKSTEP_POINTS:
+    elif p < _NUMPY_SAFE and len(points) > _LOCKSTEP_POINTS:
         from . import _batch64
         values, todo = _batch64._batched_values_mod(system, plan, points)
     else:
@@ -828,7 +814,8 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
             system, system._value_matrices([plan.point_values(pt) for pt in points]))
         todo = [i for i, v in enumerate(values) if v is None]
     for i in todo:
-        values[i] = _point_value(system, plan.point_values(points[i]))
+        m, = system._value_matrices([plan.point_values(points[i])])
+        values[i] = _point_value(system, m, p)
     return values
 
 
@@ -1004,6 +991,50 @@ def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
                for value, point in zip(_values_mod(system, plan, points), points))
 
 
+def _garner_step(combined: dict, modulus: int, image: dict, p: int) -> int:
+    """Fold residues mod p (a missing key is 0) into `combined`, symmetric
+    residues modulo `modulus` coprime to p, in place, by one Garner step
+    per key; returns modulus * p.  Each result lies in (-modulus * p / 2,
+    modulus * p / 2]."""
+    inverse, product = pow(modulus, -1, p), modulus * p
+    for m in combined.keys() | image.keys():
+        c = combined.get(m, 0)
+        c += modulus * ((image.get(m, 0) - c) * inverse % p)
+        combined[m] = c - product if 2 * c > product else c
+    return product
+
+
+def _height_bound_squared(m) -> int:
+    """B^2 for B = C(k, floor(k/2)) prod_r ||M_r||_2, M the integer matrix
+    of order k of a Macaulay layout: |Res| <= B for Res = det M / det M' or
+    Canny's C(0).  Each row holds a nonzero form's coefficients, so
+    ||M_r||_2 >= 1 and Hadamard bounds every principal minor by
+    prod_r ||M_r||_2.  If det M' != 0, |Res| <= |det M|, as det M' is a
+    nonzero integer.  Otherwise, a the order of s in det(sI - M'), |Res| =
+    |[s^a] det(sI - M)| / |[s^a] det(sI - M')| <= |e_{k-a}(M)|, a sum of
+    C(k, a) principal minors."""
+    k = len(m)
+    return math.comb(k, k // 2) ** 2 * math.prod(sum(x * x for x in row) for row in m)
+
+
+def _numeric_resultant(system: MacaulaySystem) -> Fraction:
+    """The resultant of numeric forms over QQ: the integral copy's matrix
+    (`_integral`), valued by the point evaluator mod each internal prime
+    that does not divide its factor, and folded in by `_garner_step`
+    until the primes' product exceeds 2B (`_height_bound_squared`).  The
+    symmetric residue is then the integral resultant: a proof."""
+    integral, scale = system._integral()
+    m = integral._matrix_of([{mb: int(c.constant_value()) for mb, c in tab.items()}
+                             for tab in integral.coeff_tables], 0)
+    bound = 4 * _height_bound_squared(m)
+    primes = (p for p in internal_primes() if scale % p)
+    combined, modulus = {(): 0}, 1
+    while modulus * modulus <= bound:
+        p = next(primes)
+        modulus = _garner_step(combined, modulus, {(): _point_value(integral, m, p)}, p)
+    return Fraction(combined[()], scale)
+
+
 def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
                             seed: int) -> Polynomial:
     """Interpolation on the plan's axes: in the field itself over F_p; over
@@ -1012,7 +1043,7 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
 
     Over QQ the images after the first try the support seen so far.  Each
     coefficient keeps its symmetric residue modulo the product of the
-    primes so far, and one Garner step folds each new image in.  That
+    primes so far, and `_garner_step` folds each new image in.  That
     candidate is probed at the next fresh prime; when it fails, that prime
     gives the next image.  A passing candidate is divided by the factor of `_integral`.
     Primes dividing that factor are skipped: mod such a prime every image
@@ -1021,8 +1052,8 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
     candidate vanishes mod p.
 
     The stop is a probe, not a proof: a bound B on the coefficients, past
-    which prod p > 2B would make it one, is not computed yet, and
-    _MAX_PRIMES images are the budget instead.
+    which prod p > 2B would make it one (as for numeric systems), is not
+    computed yet, and _MAX_PRIMES images are the budget instead.
     """
     ring = system.ring
     if isinstance(ring.field, PrimeField):
@@ -1038,13 +1069,7 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
         p = fresh.ring.field.p
         image = _image_coeffs(fresh, plan, seed, sorted(support))
         support.update(tuple(m[v] for v in plan.axes) for m in image)
-        # one Garner step per coefficient: c = r mod p, c = c_old mod modulus
-        inverse, product = pow(modulus, -1, p), modulus * p
-        for m in combined.keys() | image.keys():
-            c = combined.get(m, 0)
-            c += modulus * ((image.get(m, 0) - c) * inverse % p)
-            combined[m] = c - product if 2 * c > product else c
-        modulus = product
+        modulus = _garner_step(combined, modulus, image, p)
         candidate = Polynomial(ring, {m: c for m, c in combined.items() if c})
         fresh = integral._reduced(GF(next(primes)))
         if _verify_candidate(candidate, fresh, plan, seed):
@@ -1060,8 +1085,10 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
     """Resultant of n+1 block-homogeneous forms, eliminating the leading block.
 
     Numeric systems go through the determinant ratio, or Canny's
-    generalized characteristic polynomial where the reduced minor vanishes;
-    neither draws anything at random.  Parametric systems use fraction-free
+    generalized characteristic polynomial where the reduced minor vanishes:
+    over F_p once, over QQ at internal primes, combined by CRT up to a
+    proven height bound (`_numeric_resultant`).  Neither draws anything at
+    random, and `strategy` does not apply to them.  Parametric systems use fraction-free
     symbolic elimination ("ratio") or modular interpolation ("modular").
     "auto" interpolates over F_p whenever the field can hold the grid, and
     takes the ratio route only when it cannot.  Over QQ it takes the ratio
@@ -1078,7 +1105,10 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
         return ring.zero()
     system = MacaulaySystem(forms, bs)  # validates shapes and degrees
     if all(not any(m[bs:]) for f in forms for m in f.terms):
-        return ring.const(_point_value(system, None))
+        if isinstance(ring.field, PrimeField):
+            m, = system._value_matrices([()])
+            return ring.const(_point_value(system, m, ring.field.p))
+        return ring.const(_numeric_resultant(system))
 
     # over F_p the grid is planned up front (its size decides whether the
     # field can hold it); over QQ only when interpolation runs

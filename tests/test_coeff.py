@@ -1,4 +1,4 @@
-"""Field layer: parsing, arithmetic invariants, CRT, internal primes."""
+"""Field layer: parsing, arithmetic invariants, internal primes."""
 
 import itertools
 from fractions import Fraction
@@ -6,9 +6,8 @@ from random import Random
 
 import pytest
 
-from projdyn.coeff import (DEFAULT_MODULAR_PRIME, GF, QQ, crt_combine,
-                           internal_primes, is_prime, parse_field,
-                           random_element)
+from projdyn.coeff import (DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes,
+                           is_prime, parse_field, random_element)
 from projdyn.errors import InvalidInputError
 
 RNG_SEED = 20240816
@@ -75,32 +74,6 @@ def test_field_axioms_seeded():
             assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
             if not field.is_zero(a):
                 assert field.mul(a, field.inv(a)) == field.one()
-
-
-def test_crt_combine_examples():
-    # frozen oracle values, computed by hand
-    assert crt_combine([(1, 3), (2, 5)]) == (7, 15)
-    assert crt_combine([(2, 3)]) == (-1, 3)
-
-
-def test_crt_symmetric_range_property():
-    rng = Random(RNG_SEED)
-    primes = [3, 5, 7, 11, 13]
-    for _ in range(100):
-        x = rng.randint(-7000, 7000)
-        res = [(x % p, p) for p in primes]
-        v, m = crt_combine(res)
-        assert m == 3 * 5 * 7 * 11 * 13
-        assert -m // 2 < v <= m // 2
-        assert (v - x) % m == 0
-        assert v == x  # |x| < m/2 so recovery is exact
-
-
-def test_crt_rejects_duplicates_and_noncoprime():
-    with pytest.raises(InvalidInputError):
-        crt_combine([(1, 3), (2, 3)])
-    with pytest.raises(InvalidInputError):
-        crt_combine([(1, 6), (2, 9)])
 
 
 def test_random_element_documented_bounds_and_determinism():

@@ -22,7 +22,8 @@ from projdyn.errors import DegeneracyError, InvalidInputError
 from projdyn.mpoly import (Polynomial, Ring, determinant, monomials_of_degree,
                            parse_polynomial, poly_gcd, squarefree_part)
 from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _elimination_schedule,
-                               _field_ratio, _probe_count, _vandermonde_solve,
+                               _field_ratio, _garner_step, _height_bound_squared,
+                               _probe_count, _vandermonde_solve,
                                discriminant_binary, gradient_resultant,
                                macaulay_critical_degree, macaulay_resultant,
                                map_resultant, resultant_degrees,
@@ -923,7 +924,7 @@ def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
     assert not batched
     assert not zero_pivots
-    assert [point for _, point in evaluated] == [None]
+    assert [not any(system.param_degrees) for system, *_ in evaluated] == [True]
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
@@ -1137,12 +1138,26 @@ def pivoted_det(rows, fld):
 
 
 def kernel_det(rows, fld):
-    return _field_ratio([list(r) for r in rows], fld)
+    """det A by a library kernel: _field_ratio over F_p; over QQ, which that
+    kernel does not take, mpoly.determinant on constant entries."""
+    if fld != QQ:
+        return _field_ratio([list(r) for r in rows], fld.p)
+    if not rows:
+        return fld.one()
+    ring = Ring(1, QQ)
+    return determinant([[ring.const(x) for x in r] for r in rows]).constant_value()
+
+
+def kernel_field(fld):
+    """The prime field the F_p kernels run in for values of fld: fld itself,
+    or for QQ the first internal prime, where a numeric QQ resultant takes
+    its first image."""
+    return GF(next(internal_primes())) if fld == QQ else fld
 
 
 def cofactor_inverse(a, fld):
-    """A^(-1) as the adjugate over det A, every determinant by the kernel
-    (the cofactors Endomorphism.conjugate uses); None if A is singular."""
+    """A^(-1) as the adjugate over det A, every determinant by kernel_det;
+    None if A is singular."""
     det = kernel_det(a, fld)
     if fld.is_zero(det):
         return None
@@ -1198,9 +1213,11 @@ def test_field_ratio_continues_past_a_zero_pivot(fld):
     # zero pivot planted at step 1 (inside M': a swap there leaves the
     # ratio), at step 3 (the first trailing step: the swap negates it) or at
     # step 2 (M' singular), run along the full schedule and without one
+    # (over QQ the kernel runs on the images mod kernel_field(QQ))
     rng = Random(RNG_SEED)
     k, km = 7, 3
     schedule = _elimination_schedule(k, [(r, c, 0, ()) for r in range(k) for c in range(k)])
+    fp = kernel_field(fld)
     checked = Counter()
     for _ in range(20):
         base = [[fld.coerce(rng.randint(-99, 99)) if fld == QQ else fld.random(rng)
@@ -1210,18 +1227,21 @@ def test_field_ratio_continues_past_a_zero_pivot(fld):
             plant_zero_pivot(m, step, fld)
             det_minor = pivoted_det([row[:km] for row in m[:km]], fld)
             assert fld.is_zero(det_minor) == (step == km - 1)
+            image = [[fp.coerce(x) for x in row] for row in m]
             for steps in (schedule, None):
                 if step == km - 1:
                     with pytest.raises(DegeneracyError) as err:
-                        _field_ratio([row[:] for row in m], fld, km, steps)
+                        _field_ratio([row[:] for row in image], fp.p, km, steps)
                     assert err.value.code == "macaulay-minor-singular"
                     checked["singular"] += 1
                     continue
                 expected = fld.div(pivoted_det(m, fld), det_minor)
-                assert _field_ratio([row[:] for row in m], fld, km, steps) == expected
+                assert _field_ratio([row[:] for row in image], fp.p, km, steps) \
+                    == fp.coerce(expected)
                 checked[step] += not fld.is_zero(expected)
             # with no minor the kernel gives det M itself
-            assert _field_ratio([row[:] for row in m], fld, 0, schedule) == pivoted_det(m, fld)
+            assert _field_ratio([row[:] for row in image], fp.p, 0, schedule) \
+                == fp.coerce(pivoted_det(m, fld))
     assert checked == {1: 40, 3: 40, "singular": 40}
 
 
@@ -1242,21 +1262,28 @@ def pivoted_ratio(system, tables):
 
 
 def check_value_ratio(system, tables):
-    """_field_ratio on the system's matrix of these values, along its
-    schedule, against the pivoted reference pair."""
+    """_field_ratio on the system's matrix of these values (over QQ, of
+    their images mod kernel_field(QQ)), along its schedule, against the
+    pivoted reference pair."""
     expected = pivoted_ratio(system, tables)
-    fld = system.ring.field
+    fp = kernel_field(system.ring.field)
 
     def ratio():
-        return _field_ratio(system._matrix_of(tables, fld.zero()), fld,
+        images = [{mb: fp.coerce(v) for mb, v in tab.items()} for tab in tables]
+        return _field_ratio(system._matrix_of(images, 0), fp.p,
                             system.minor_size, system.schedule)
 
     if expected is None:
         with pytest.raises(DegeneracyError):
             ratio()
     else:
-        assert ratio() == expected
+        assert ratio() == fp.coerce(expected)
     return expected
+
+
+def value_tables(system):
+    """The coefficient tables of a numeric system as field values."""
+    return [{mb: c.constant_value() for mb, c in tab.items()} for tab in system.coeff_tables]
 
 
 def dense_unpivoted_failures(batch, p):
@@ -1319,7 +1346,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             flagged = system.schedule is None
             assert flagged == (dense_unpivoted_failures(oracle, 10007) == 64)
             unscheduled += flagged
-            tables = system.value_tables()
+            tables = value_tables(system)
             expected = check_value_ratio(system, tables)
             if fld != QQ:
                 got, = resultant._scheduled_ratios(
@@ -1336,7 +1363,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             # the batch: 64 random value sets on the same structural pattern,
             # with the first pivot planted zero at the first, a middle and
             # the last point, so the batch inversion must skip them; over QQ
-            # each goes through _field_ratio alone
+            # the image of each goes through _field_ratio alone
             columns = [{mb: [fld.random(rng) for _ in range(64)] for mb in tab}
                        for tab in tables]
             points = [[{mb: col[j] for mb, col in tab.items()} for tab in columns]
@@ -1594,9 +1621,11 @@ def block_triangular(rng, sizes):
 @pytest.mark.parametrize("fld", GCP_FIELDS, ids=GCP_IDS)
 def test_charpoly_low_matches_sympy(fld):
     # det(sI - M) against sympy's charpoly of the integer matrix, reduced
-    # mod p over F_p, in full and cut to its first coefficients
+    # mod p (over QQ, mod kernel_field(QQ)), in full and cut to its first
+    # coefficients
     sympy = pytest.importorskip("sympy")
     rng = Random(RNG_SEED)
+    fld = kernel_field(fld)
     integer = [[[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(k)]
                 for _ in range(k)] for k in (1, 2, 3, 5, 8) for _ in range(4)]
     integer += [block_triangular(rng, sizes) for sizes in ((2, 3), (1, 4, 2), (3, 3, 3))]
@@ -1606,47 +1635,65 @@ def test_charpoly_low_matches_sympy(fld):
         expected = [fld.coerce(int(c)) for c in sympy.Matrix(ints).charpoly().all_coeffs()[::-1]]
         values = [[fld.coerce(x) for x in row] for row in ints]
         m = [row[:] for row in values]
-        assert resultant._charpoly_low(m, fld) == expected
+        assert resultant._charpoly_low(m, fld.p) == expected
         # m is left in upper Hessenberg form
         assert all(fld.is_zero(m[r][c]) for r in range(k) for c in range(r - 1))
         split += any(fld.is_zero(m[i + 1][i]) for i in range(k - 1))
         for terms in (1, (k + 1) // 2, k + 1):
-            cut = resultant._charpoly_low([row[:] for row in values], fld, terms)
+            cut = resultant._charpoly_low([row[:] for row in values], fld.p, terms)
             assert cut == expected[:terms]
     assert split >= 3
 
 
 def macaulay_values(system):
     """The matrix of a numeric system's field values."""
-    return system._matrix_of(system.value_tables(), system.ring.field.zero())
+    return system._matrix_of(value_tables(system), system.ring.field.zero())
+
+
+def minor_singular(system):
+    """Whether the reduced minor M' is singular at a numeric system's values."""
+    fld = system.ring.field
+    km = system.minor_size
+    return fld.is_zero(pivoted_det([row[:km] for row in macaulay_values(system)[:km]], fld))
 
 
 @pytest.mark.parametrize("fld", GCP_FIELDS + [GF(3)], ids=GCP_IDS + ["GF3"])
 def test_canny_ratio_equals_field_ratio_where_the_minor_is_invertible(fld):
     # with det M' != 0 the order a is 0 and C(0) is det M / det M' itself:
-    # on dense matrices with every minor size, and on Macaulay matrices
+    # on dense matrices with every minor size (over QQ, their images mod
+    # kernel_field(QQ)), and on Macaulay matrices (over QQ, the numeric
+    # resultant against the pivoted reference pair)
     rng = Random(RNG_SEED)
+    fp = kernel_field(fld)
     checked = 0
     for k in (1, 3, 6):
         for _ in range(6):
-            m = [[fld.coerce(rng.randint(-5, 5)) for _ in range(k)] for _ in range(k)]
+            m = [[fp.coerce(rng.randint(-5, 5)) for _ in range(k)] for _ in range(k)]
             for km in range(k + 1):
                 try:
-                    expected = _field_ratio([row[:] for row in m], fld, km)
+                    expected = _field_ratio([row[:] for row in m], fp.p, km)
                 except DegeneracyError:
                     continue
-                assert resultant._canny_ratio([row[:] for row in m], km, fld) == expected
+                assert resultant._canny_ratio([row[:] for row in m], km, fp.p) == expected
                 checked += 1
     ring = Ring(3, fld)
     for degrees in ELIMINATION_SHAPES:
         for _ in range(4):
-            system = MacaulaySystem([random_form(ring, (0, 1, 2), d, rng) for d in degrees])
+            forms = [random_form(ring, (0, 1, 2), d, rng) for d in degrees]
+            system = MacaulaySystem(forms)
+            if fld == QQ:
+                expected = pivoted_ratio(system, value_tables(system))
+                if expected is None:
+                    continue
+                assert macaulay_resultant(forms).constant_value() == expected
+                checked += 1
+                continue
             m = macaulay_values(system)
             try:
-                expected = _field_ratio([row[:] for row in m], fld, system.minor_size)
+                expected = _field_ratio([row[:] for row in m], fld.p, system.minor_size)
             except DegeneracyError:
                 continue
-            assert resultant._canny_ratio(m, system.minor_size, fld) == expected
+            assert resultant._canny_ratio(m, system.minor_size, fld.p) == expected
             checked += 1
     assert checked >= 60
 
@@ -1692,11 +1739,8 @@ def test_singular_reduced_minors_resolve_by_gcp(fld):
         ring = Ring(n1, fld)
         forms = small_forms(ring, rng)
         system = MacaulaySystem(forms)
-        try:
-            _field_ratio(macaulay_values(system), fld, system.minor_size)
+        if not minor_singular(system):
             continue
-        except DegeneracyError:
-            pass
         value = macaulay_resultant(forms).constant_value()
         if fld.is_zero(value):
             small = any(any(pt) and all(fld.is_zero(f.evaluate([fld.coerce(x) for x in pt]))
@@ -1710,17 +1754,13 @@ def test_singular_reduced_minors_resolve_by_gcp(fld):
         e = math.prod(system.degrees)
         while True:
             a = [[fld.coerce(change_rng.randint(-3, 3)) for _ in range(n1)] for _ in range(n1)]
-            det_a = _field_ratio([row[:] for row in a], fld)
+            det_a = pivoted_det(a, fld)
             if fld.is_zero(det_a):
                 continue
             moved = [f.substitute([sum((ring.var(k).scale(x) for k, x in enumerate(row)),
                                        ring.zero()) for row in a]) for f in forms]
-            moved_system = MacaulaySystem(moved)
-            try:
-                _field_ratio(macaulay_values(moved_system), fld, moved_system.minor_size)
-            except DegeneracyError:
-                continue
-            break
+            if not minor_singular(MacaulaySystem(moved)):
+                break
         assert macaulay_resultant(moved).constant_value() == fld.mul(fld.pw(det_a, e), value)
         seen["nonzero"] += 1
     # 78 of the 150 systems have a singular M'; over GF(7) two more have a
@@ -1752,6 +1792,136 @@ def test_ratio_route_through_gcp_where_the_minor_vanishes_identically(fld):
     assert macaulay_resultant(forms, 3, strategy="ratio") == expected
     assert macaulay_resultant(forms, 3, strategy="modular") == expected
     assert macaulay_resultant(forms, 3) == expected
+
+
+# -- numeric resultants over QQ by CRT ----------------------------------------------
+
+def test_garner_step_examples():
+    # frozen oracle values, computed by hand: (1 mod 3, 2 mod 5) is 7 mod
+    # 15, and a residue keeps its representative in (-M/2, M/2]
+    combined = {}
+    assert _garner_step(combined, 1, {"x": 1}, 3) == 3
+    assert _garner_step(combined, 3, {"x": 2}, 5) == 15
+    assert combined == {"x": 7}
+    combined = {}
+    assert _garner_step(combined, 1, {"x": 2}, 3) == 3
+    assert combined == {"x": -1}
+    # a key missing from the image is 0 there, and one missing before is 0
+    combined = {"x": 1}
+    assert _garner_step(combined, 3, {"y": 4}, 5) == 15
+    assert combined == {"x": -5, "y": -6}
+
+
+def test_garner_step_symmetric_range_property():
+    rng = Random(RNG_SEED)
+    primes = [3, 5, 7, 11, 13]
+    m = 3 * 5 * 7 * 11 * 13
+    for _ in range(100):
+        xs = {j: rng.randint(-7000, 7000) for j in range(3)}
+        combined, modulus = {}, 1
+        for p in primes:
+            modulus = _garner_step(combined, modulus, {j: x % p for j, x in xs.items()}, p)
+            assert all(-modulus // 2 < c <= modulus // 2 for c in combined.values())
+        assert modulus == m
+        assert combined == xs  # |x| < m/2 so recovery is exact
+
+
+def test_garner_step_rejects_a_modulus_sharing_a_factor():
+    with pytest.raises(ValueError):
+        _garner_step({"x": 1}, 3, {"x": 2}, 3)
+    with pytest.raises(ValueError):
+        _garner_step({"x": 1}, 6, {"x": 2}, 9)
+
+
+FIRST_PRIME = next(internal_primes())  # 268435399
+
+
+def numeric_qq_system(rng, n1):
+    """Numeric forms over QQ on P^(n1 - 1), degrees 1-2 (1-3 on P^1), with
+    coefficients of up to 40 bits; some lack their own pure power (so M' is
+    often singular), some share a zero with the others, some have
+    denominators."""
+    ring = Ring(n1, QQ)
+    kind = rng.choice(["plain", "no pure power", "common zero", "fractions"])
+    bits = rng.choice([3, 20, 40])
+    forms = []
+    for i in range(n1):
+        d = rng.randint(1, 3 if n1 == 2 else 2)
+        terms = {}
+        for mb in monomials_of_degree(n1, d):
+            if (kind == "no pure power" and mb[i] == d) or (kind == "common zero" and mb[0] == d):
+                continue
+            c = rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.8 else 0
+            if c:
+                den = rng.randint(1, 1000) if kind == "fractions" else 1
+                terms[mb] = Fraction(c, den)
+        forms.append(Polynomial(ring, terms) if terms else ring.var(i) ** d)
+    return forms
+
+
+def check_numeric_qq(forms, monkeypatch):
+    """The numeric QQ resultant against its height bound, the pivoted
+    reference pair (where M' is invertible) and the resultant over
+    GF(DEFAULT_MODULAR_PRIME), a prime the CRT never uses; returns it, with
+    whether M' is singular and the primes of the images."""
+    images = count_calls(monkeypatch, resultant, "_point_value")
+    value = macaulay_resultant(forms).constant_value()
+    monkeypatch.undo()
+    primes = [p for *_, p in images]
+    system = MacaulaySystem(forms)
+    integral, scale = system._integral()
+    bound_squared = _height_bound_squared(integral._matrix_of(value_tables(integral), 0))
+    assert (value * scale) ** 2 <= bound_squared
+    # the images stop at the first prime past 2B
+    assert math.prod(primes[:-1]) ** 2 <= 4 * bound_squared < math.prod(primes) ** 2
+    assert all(scale % p for p in primes)
+    expected = pivoted_ratio(system, value_tables(system))
+    if expected is not None:
+        assert value == expected
+    fp = GF(DEFAULT_MODULAR_PRIME)
+    ring = Ring(len(forms), fp)
+    reduced = [Polynomial(ring, {m: fp.coerce(c) for m, c in f.terms.items()}) for f in forms]
+    assert macaulay_resultant(reduced).constant_value() == fp.coerce(value)
+    return value, expected is None, primes
+
+
+def test_numeric_qq_resultants_by_crt_up_to_the_height_bound(monkeypatch):
+    # a seeded corpus on P^1..P^3, coefficients of up to 40 bits, plus one
+    # system whose first form has the first internal prime as denominator:
+    # the integral copy's factor is then divisible by it, and the loop skips it
+    rng = Random(RNG_SEED)
+    seen = Counter()
+    for _ in range(60):
+        forms = numeric_qq_system(rng, rng.randint(2, 4))
+        value, singular, _ = check_numeric_qq(forms, monkeypatch)
+        seen[("singular M'" if singular else "invertible M'",
+              "zero" if value == 0 else "nonzero")] += 1
+        seen["over 40 bits"] += abs(value.numerator).bit_length() > 40
+    ring = Ring(3, QQ)
+    forms = [P(t, ring) for t in ("x0^2-3*x1*x2+x2^2", "x1^2+2*x0*x2", "x0+x1-5*x2")]
+    forms[0] = forms[0].scale(Fraction(1, FIRST_PRIME))
+    value, _, primes = check_numeric_qq(forms, monkeypatch)
+    assert FIRST_PRIME not in primes and primes[0] == next(
+        itertools.islice(internal_primes(), 1, None))
+    assert value * FIRST_PRIME ** 2 == macaulay_resultant(
+        [P("x0^2-3*x1*x2+x2^2", ring)] + forms[1:]).constant_value()
+    assert seen == {("invertible M'", "nonzero"): 30, ("invertible M'", "zero"): 6,
+                    ("singular M'", "nonzero"): 11, ("singular M'", "zero"): 13,
+                    "over 40 bits": 33}
+
+
+def test_order_56_numeric_system_with_a_singular_reduced_minor():
+    # degrees (2, 2, 2, 2) on P^3, each form without its own pure power:
+    # M' is singular, so every image goes through Canny's polynomial; the
+    # frozen value was computed by Canny's polynomial on Fractions
+    rng = Random(1)
+    ring = Ring(4, QQ)
+    forms = [Polynomial(ring, {mb: Fraction(c) for mb in monomials_of_degree(4, 2)
+                               if mb[i] < 2 and (c := rng.randint(-9, 9))})
+             for i in range(4)]
+    system = MacaulaySystem(forms)
+    assert (system.size, minor_singular(system)) == (56, True)
+    assert macaulay_resultant(forms) == ring.const(1958702468922268321888283296708319)
 
 
 # -- degeneracy and validation ------------------------------------------------------
