@@ -901,33 +901,39 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchRe
     form Phi_s = x0*G_s - x1*F_s of f^s = (F_s, G_s) share a zero on P^1,
     that is Res(J, Phi_s) = 0; the report gives the least such s.
 
+    The whole decision runs on `upoly` coefficient lists: J comes from the
+    forms' coefficients by two convolutions (`_line_jacobian`), never from
+    a determinant of Polynomials, and over QQ every list is an integer list.
+
     Finite zeros: every finite critical point is a root of j(t) = J(t, 1),
     so it is enough to push the generic one, t in K[t]/(j), along f.  From
     (a, b) = (t, 1) the step (a, b) <- (F(a, b), G(a, b)) mod j reaches
-    (F_s(t, 1), G_s(t, 1)) mod j after s steps, so Phi_s(t, 1) is
-    t*b - a mod j there, and J and Phi_s share a finite zero exactly when
-    gcd(j, t*b - a mod j) has positive degree.  The point (1:0) is a zero of
-    J when J's top coefficient vanishes; it is pushed as the number pair
-    (1, 0), and Phi_s(1, 0) = G_s(1, 0) is the pair's second entry after s
-    steps.  Both pairs are trimmed `upoly` coefficient lists, the residues
-    mod j and the number pair as constants, advanced by one step, so a
-    vanishing entry is the empty list.  Rescaling a pair by a nonzero
+    (F_s(t, 1), G_s(t, 1)) mod j after s steps, up to one constant factor,
+    so Phi_s(t, 1) is t*b - a mod j there, and J and Phi_s share a finite
+    zero exactly when gcd(j, t*b - a mod j) has positive degree.  The point
+    (1:0) is a zero of J when J's top coefficient vanishes; it is pushed as
+    the number pair (1, 0), and Phi_s(1, 0) = G_s(1, 0) is the pair's second
+    entry after s steps.  Both pairs are trimmed coefficient lists, the
+    residues mod j and the number pair as constants, advanced by one step,
+    so a vanishing entry is the empty list.  Rescaling a pair by a nonzero
     constant changes no zero, so f^s's scalars do not matter.  All periods
-    up to N cost O(N * d * deg(j)^2) field operations, where f^N has degree
+    up to N cost O(N * d * deg(j)^2) ring operations, where f^N has degree
     d^N.
 
-    Over QQ the forms and J are primitive, so their coefficients are
-    integers, and every period is first screened at one prime p that does
-    not divide the leading coefficient of j.
+    Over QQ the forms and J are primitive integer lists, and every period
+    is first screened at one prime p that does not divide the leading
+    coefficient of j.
     A "no" there is a proof: with lc(j) a unit at p, division by j commutes
     with reduction mod p, so the residue mod p is the reduction of the
     residue r over Q.  The Sylvester resultant with formal degrees is an
     integer polynomial in the coefficients, and with the lead of j a unit,
     Res(j mod p, r mod p) != 0 forces Res(j, r) != 0; likewise
     G_s(1, 0) != 0 mod p forces G_s(1, 0) != 0.  A period the screen does
-    not rule out is decided exactly in Q[t]/(j), with the content taken out
-    at every step.  Heights there still grow like d^s, so a "yes" at a large
-    period over QQ is the slow case: it is not lifted from primes.
+    not rule out is decided exactly in Z[t]/(j), fraction-free: residues
+    are reduced by pseudo-division and their joint content taken out at
+    every step, and the gcd is a primitive remainder sequence over Z.
+    Heights there still grow like d^s, so a "yes" at a large period over QQ
+    is the slow case: it is not lifted from primes.
 
     The report records the proof scope.  Larger n is out of scope and raises.
     """
@@ -937,10 +943,12 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchRe
         raise InvalidInputError("needs a parameter-free map")
     if max_period < 1:
         raise InvalidInputError("max_period must be >= 1")
-    jc = _line_coeffs(jacobian(f).poly)
+    p = f.field.characteristic
     fc, gc = (_line_coeffs(g) for g in f.forms)
-    screen = (_screen_orbit(fc, gc, jc)
-              if isinstance(f.field, RationalField) else None)
+    if p is None:
+        fc, gc = upoly.cleared(fc, gc)
+    jc = _line_jacobian(fc, gc, p)
+    screen = _screen_orbit(fc, gc, jc) if p is None else None
     exact, decided = None, 0
     for s in range(1, max_period + 1):
         if screen is not None and not next(screen):
@@ -955,11 +963,34 @@ def has_periodic_critical_point(f: Endomorphism, max_period: int) -> PCFSearchRe
     return PCFSearchReport(False, None, "closure-exact")
 
 
+def _line_jacobian(fc: list, gc: list, p: Optional[int]) -> list:
+    """`_line_coeffs(jacobian(f).poly)` up to a nonzero scalar, for f = (F, G)
+    on P^1 with fc and gc the `_line_coeffs` of F and G (integer lists over
+    QQ): J = F_x0*G_x1 - F_x1*G_x0 by two bare products, mod p over F_p and
+    with its content taken out over QQ.  Raises what `jacobian` raises."""
+    d = len(fc) - 1
+    if d == 1:
+        raise InvalidInputError("degree-1 maps have a constant Jacobian")
+    # x0- and x1-partials of a degree-d binary form, as degree-(d-1) lists
+    fx, gx = ([i * c[i] for i in range(1, d + 1)] for c in (fc, gc))
+    fy, gy = ([(d - i) * c[i] for i in range(d)] for c in (fc, gc))
+    jc = [u - v for u, v in zip(upoly.mulmod(fx, gy, p=p), upoly.mulmod(fy, gx, p=p))]
+    if p:
+        jc = [c % p for c in jc]
+    if not any(jc):
+        raise DegeneracyError("jacobian-degenerate",
+                              "the Jacobian determinant vanishes identically")
+    if p is None:
+        g = math.gcd(*jc)
+        jc = [c // g for c in jc]
+    return jc
+
+
 def _screen_orbit(fc: list, gc: list, jc: list):
     """`_critical_orbit` of a map over QQ at the first prime, from
     DEFAULT_MODULAR_PRIME on, that does not divide lc(j); only finitely
-    many primes do.  The forms and J are primitive, so their coefficients
-    are integers and reduce mod every p."""
+    many primes do.  The forms and J are integer lists, so they reduce mod
+    every p."""
     top = max(i for i, c in enumerate(jc) if c)
     for p in itertools.chain((DEFAULT_MODULAR_PRIME,), internal_primes()):
         fp = GF(p)
@@ -972,23 +1003,35 @@ def _critical_orbit(fc: list, gc: list, jc: list, fld):
     """Yield, for s = 1, 2, ..., whether J and Phi_s share a zero on P^1.
 
     fc, gc and jc are the `_line_coeffs` of F, G and a nonzero J over fld;
-    see `has_periodic_critical_point` for the iteration.  Residues mod j are
-    trimmed `upoly` lists of length at most deg(j).
+    see `has_periodic_critical_point` for the iteration.  Over F_p residues
+    mod j are trimmed `upoly` lists of length at most deg(j), reduced by
+    the monic j.  Over QQ the run stays in Z[t]/(j): fc and gc are cleared
+    of denominators jointly and jc alone (`upoly.cleared`, ints or
+    Fractions accepted); each step computes F(a, b) and G(a, b) unreduced,
+    reduces the pair by the same pseudo-division steps (`upoly.pseudo_rem`,
+    which scales both by one power of lc(j)), and divides the pair by its
+    joint content; the number pair (u, v) only takes out its content.
     """
     p = fld.characteristic
+    if p is None:
+        fc, gc = upoly.cleared(fc, gc)
+        (jc,) = upoly.cleared(jc)
     j = upoly.trim(list(jc))
     at_infinity = len(j) < len(jc)  # J(1, 0) = 0
+    u, v = [1], []
+    if p is None:
+        a, b = upoly.pseudo_rem(([0, 1], [1]), j)
+        while True:
+            a, b = upoly.primitive(*upoly.pseudo_rem(
+                _orbit_step(fc, gc, a, b, None, None), j))
+            u, v = upoly.primitive(*_orbit_step(fc, gc, u, v, None, None))
+            r = upoly.lincomb(zip((1, -1), upoly.pseudo_rem(([0] + b, a), j)))
+            yield (at_infinity and not v) or len(upoly.gcd(j, r)) > 1
     m = upoly.monic(j, p)
     a, b = upoly.mulmod([1], [0, 1], m, p), upoly.mulmod([1], [1], m, p)
-    u, v = [1], []
     while True:
         a, b = _orbit_step(fc, gc, a, b, m, p)
         u, v = _orbit_step(fc, gc, u, v, None, p)
-        if p is None:
-            scale = _primitive_scale(a + b)
-            a, b = [c * scale for c in a], [c * scale for c in b]
-            scale = _primitive_scale(u + v)
-            u, v = [c * scale for c in u], [c * scale for c in v]
         r = upoly.lincomb(((1, upoly.mulmod([0, 1], b, m, p)), (-1, a)), p)
         yield (at_infinity and not v) or len(upoly.gcd(j, r, p)) > 1
 

@@ -2,16 +2,20 @@
 
 A polynomial is a list [c_0, c_1, ..., c_n], low degree first.  Every
 function takes the coefficient ring as `p`: None for Z or QQ (ints or
-Fractions; `monic`, `quo` and `gcd` divide, so their results are
-Fractions), or a prime p for F_p, where inputs may be any ints and outputs
-are reduced into [0, p).  `lincomb`, `derivative` and `gcd` trim their
-results (no zero top coefficient, so [] is zero).  `mulmod` does not: a
-bare product keeps the length len(a) + len(b) - 1 that a product of binary
-forms needs when a root sits at (0:1) or (1:0).
+Fractions; `monic` and `quo` divide, so their results are Fractions), or a
+prime p for F_p, where inputs may be any ints and outputs are reduced into
+[0, p).  With p = None, `gcd` stays fraction-free: it clears denominators
+(`cleared`) and runs a primitive remainder sequence over Z on
+`pseudo_rem`, so its result is a primitive integer list.  `lincomb`,
+`derivative`, `pseudo_rem` and `gcd` trim their results (no zero top
+coefficient, so [] is zero).  `mulmod` does not: a bare product keeps the
+length len(a) + len(b) - 1 that a product of binary forms needs when a
+root sits at (0:1) or (1:0).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -90,22 +94,63 @@ def quo(a: list, b: list, p: Optional[int] = None) -> list:
     return out
 
 
+def cleared(*polys) -> list:
+    """The lists, each times the lcm L of all their denominators, as ints
+    (numerator * (L // denominator), never a truncating int())."""
+    den = math.lcm(*(c.denominator for a in polys for c in a))
+    return [[c.numerator * (den // c.denominator) for c in a] for a in polys]
+
+
+def primitive(*polys) -> list:
+    """The integer lists, trimmed, each divided by the gcd of all their
+    entries together (their joint content)."""
+    g = math.gcd(*(c for a in polys for c in a))
+    return [trim([c // g for c in a] if g > 1 else list(a)) for a in polys]
+
+
+def pseudo_rem(polys, m: list) -> list:
+    """Each integer list of polys times lc(m)^s, reduced mod m, trimmed;
+    all by the same s = max(0, max len - deg m) pseudo-division steps over
+    Z, so the lists keep their ratios.  m is a trimmed nonzero int list."""
+    n = len(m) - 1
+    lc = m[-1]
+    size = max(map(len, polys), default=0)
+    out = []
+    for a in polys:
+        a = list(a) + [0] * (size - len(a))
+        while len(a) > n:
+            q = a.pop()
+            if lc != 1:
+                a = [lc * c for c in a]
+            if q:
+                k = len(a) - n
+                for i in range(n):
+                    a[k + i] -= q * m[i]
+        out.append(trim(a))
+    return out
+
+
 def gcd(a: list, b: list, p: Optional[int] = None) -> list:
-    """A gcd of a and b by Euclid over the field, not made monic; trimmed,
-    so [] for gcd(0, 0) and length 1 for a unit."""
-    if p:
-        a, b = [c % p for c in a], [c % p for c in b]
-    a, b = trim(list(a)), trim(list(b))
+    """A gcd of a and b, not made monic; trimmed, so [] for gcd(0, 0) and
+    length 1 for a unit.  Over F_p by Euclid; with p = None by the
+    primitive remainder sequence over Z (Collins, J. ACM 14, 1967), whose
+    remainders are primitive pseudo-remainders, so the result is a
+    primitive integer list."""
+    if p is None:
+        (a,), (b,) = (primitive(c) for c in cleared(a, b))
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, primitive(*pseudo_rem([a], b))[0]
+        return a
+    a, b = trim([c % p for c in a]), trim([c % p for c in b])
     while b:
-        inv = _inverse(b[-1], p)
+        inv = pow(b[-1], -1, p)
         n = len(b) - 1
         while len(a) > n:
             q = a.pop() * inv
             shift = len(a) - n
-            if p:
-                a[shift:] = [(x - q * y) % p for x, y in zip(a[shift:], b)]
-            else:
-                a[shift:] = [x - q * y for x, y in zip(a[shift:], b)]
+            a[shift:] = [(x - q * y) % p for x, y in zip(a[shift:], b)]
             trim(a)
         a, b = b, a
     return a

@@ -15,7 +15,7 @@ from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
                               _extended_ring, _homogeneous_blocks,
-                              _line_coeffs, _parse_forms, _probably_squarefree,
+                              _line_coeffs, _line_jacobian, _parse_forms, _probably_squarefree,
                               _pushforward_chain, _strip_param_content,
                               critical_points, dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
@@ -1062,6 +1062,192 @@ def test_periodic_critical_decision_never_builds_iterates(monkeypatch):
         f = endomorphism_from_strings(["x^2+y^2", "x*y"], fld)
         assert not has_periodic_critical_point(f, 8).found
     assert iterates == [] and fixed == []
+
+
+def _planted_conjugate(fld, d, matrix):
+    """A^-1 o (x^d - y^d, x^d) o A: both critical points on a 3-cycle."""
+    return endomorphism_from_strings([f"x^{d}-y^{d}", f"x^{d}"], fld).conjugate(matrix)
+
+
+def _qq_line_maps(rng):
+    """Seeded maps over QQ with their period bounds: dense maps of degree
+    2-4 and heights up to 2^40, forms entered with denominators, (1:0)
+    critical (deg j drops by one or two), and planted 3-cycle conjugates."""
+    ring = Ring(2, QQ)
+
+    def form(coeffs):
+        d = len(coeffs) - 1
+        return sum((P(f"x^{i}*y^{d - i}").scale(QQ.coerce(c))
+                    for i, c in enumerate(coeffs) if c), ring.zero())
+
+    def make(fc, gc):
+        try:
+            f = Endomorphism([form(fc), form(gc)])
+            jacobian(f)
+        except (DegeneracyError, InvalidInputError):
+            return None
+        return f
+
+    out = []
+    for d, bound in ((2, 3), (3, 2), (4, 2)):
+        for height in (9, 2 ** 20, 2 ** 40):
+            for _ in range(3):
+                coeffs = [[rng.randint(-height, height) for _ in range(d + 1)]
+                          for _ in range(2)]
+                out.append((make(*coeffs), bound))
+        for _ in range(3):  # denominators up to 2^20
+            coeffs = [[Fraction(rng.randint(-99, 99), rng.randint(1, 2 ** 20))
+                       for _ in range(d + 1)] for _ in range(2)]
+            out.append((make(*coeffs), bound))
+        for drop in (2, 3):  # G without x^d (and x^(d-1)*y): (1:0) critical
+            if drop <= d:
+                for _ in range(2):
+                    fc = [rng.randint(-99, 99) for _ in range(d)] + [rng.randint(1, 99)]
+                    gc = [rng.randint(-99, 99) for _ in range(d + 1 - drop)] + [0] * drop
+                    out.append((make(fc, gc), bound))
+        for matrix in ([[2, -1], [1, 1]], [[1, 3], [-2, 5]]):
+            out.append((_planted_conjugate(QQ, d, matrix), 3))
+    return [(f, bound) for f, bound in out if f is not None]
+
+
+def test_integer_orbit_matches_sylvester_oracle_over_qq():
+    # the exact Z[t]/(j) run, fed lists with denominators, against
+    # Res(J, Phi_s) at formal degrees at every period up to the bound, and
+    # the screened decision's first period against the oracle's
+    rng = Random(2929)
+    seen, periods = set(), set()
+    for f, bound in _qq_line_maps(rng):
+        jf = jacobian(f).poly
+        fc, gc = (_line_coeffs(g) for g in f.forms)
+        jc = _line_coeffs(jf)
+        scale = Fraction(rng.randint(1, 99), rng.randint(2, 2 ** 20))
+        orbit = _critical_orbit([c * scale for c in fc], [c * scale for c in gc],
+                                [c / 6 for c in jc], QQ)
+        first = None
+        for s in range(1, bound + 1):
+            expect = _resultant_oracle(jf, fixed_form(f, s)).is_zero()
+            assert next(orbit) == expect, (f, s)
+            if expect and first is None:
+                first = s
+        report = has_periodic_critical_point(f, bound)
+        assert (report.found, report.period) == (first is not None, first), f
+        periods.add(first)
+        seen.add(f"degree {f.d}")
+        if max(abs(c) for c in fc + gc) >= 2 ** 39:
+            seen.add("height 2^40")
+        if jc[-1] == 0:
+            seen.add("critical (1:0)")
+        if jc[-1] == jc[-2] == 0:
+            seen.add("deg j drops by two")
+    assert seen == {"degree 2", "degree 3", "degree 4", "height 2^40",
+                    "critical (1:0)", "deg j drops by two"}
+    assert {None, 1, 3} <= periods
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    e = info.value
+    return type(e), getattr(e, "code", None), str(e)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3), GF(7), GF(DEFAULT_MODULAR_PRIME)],
+                         ids=str)
+def test_line_jacobian_matches_the_determinant(fld):
+    # J by two convolutions equals the determinant's form up to a nonzero
+    # scalar, and raises what jacobian(f) raises
+    rng = Random(2930)
+    p = fld.characteristic
+    # in characteristic p | d every J vanishes (Euler: x*F_x + y*F_y = 0),
+    # so dense maps there come from the sparse generator only
+    maps = [_random_line_map(rng, fld, d, -50, 50) for d in (2, 3, 4, 5)
+            if p is None or d % p for _ in range(6)]
+    maps += [_sparse_line_map(rng, fld, d) for d in (1, 2, 3, 4) for _ in range(6)]
+    maps += [endomorphism_from_strings(texts, fld)
+             for texts in (["x^3+y^3", "x^2*y+x*y^2"], ["x", "x+y"], ["x^2", "2*x^2"])]
+    agreed, raised = 0, set()
+    for f in maps:
+        fc, gc = (_line_coeffs(g) for g in f.forms)
+        if p is None:
+            fc, gc = upoly.cleared(fc, gc)
+        try:
+            expect = _line_coeffs(jacobian(f).poly)
+        except (InvalidInputError, DegeneracyError):
+            error = _raised(jacobian, f)
+            assert _raised(_line_jacobian, fc, gc, p) == error
+            raised.add(error)
+            continue
+        got = _line_jacobian(fc, gc, p)
+        assert len(got) == len(expect) and any(got)
+        assert all(fld.is_zero(fld.sub(fld.mul(got[i], expect[k]),
+                                       fld.mul(got[k], expect[i])))
+                   for i in range(len(got)) for k in range(i))
+        if p is None:
+            assert all(isinstance(c, int) for c in got) and math.gcd(*got) == 1
+        agreed += 1
+    assert agreed >= 25
+    kinds = {(error[0], error[1]) for error in raised}
+    assert (InvalidInputError, None) in kinds
+    assert (DegeneracyError, "jacobian-degenerate") in kinds
+    if fld == GF(3):  # (x^3+y^3, x^2*y+x*y^2): J vanishes identically
+        f = endomorphism_from_strings(["x^3+y^3", "x^2*y+x*y^2"], fld)
+        assert jacobian_polynomial(f).is_zero()
+        assert _raised(_line_jacobian, *map(_line_coeffs, f.forms), 3) == (
+            DegeneracyError, "jacobian-degenerate",
+            "jacobian-degenerate: the Jacobian determinant vanishes identically")
+
+
+# per-period verdicts at periods 1-5, as decided in Q[t]/(j) on Fractions:
+# z^2 - 1 (infinity critical and fixed), planted 3-cycle conjugates of
+# degree 2 and 3, a cubic with strictly preperiodic critical points,
+# z + 10007/z, and 1/(z^3 + 1) (deg j drops by two)
+_QQ_VERDICTS = (
+    ((["x^2-y^2", "y^2"], None), [True] * 5),
+    ((["x^2-y^2", "x^2"], [[2, -1], [1, 1]]), [False, False, True, False, False]),
+    ((["x^3-y^3", "x^3"], [[1, 2], [-1, 1]]), [False, False, True, False, False]),
+    ((["8*x^3-9*x*y^2+8*y^3", "x^3-8*x^2*y-5*x*y^2+y^3"], None),
+     [False] * 5),
+    ((["x^2+10007*y^2", "x*y"], None), [False] * 5),
+    ((["y^3", "x^3+y^3"], None), [False] * 5),
+)
+
+
+def _integer_lists(texts, matrix):
+    f = endomorphism_from_strings(texts, QQ)
+    if matrix:
+        f = f.conjugate(matrix)
+    fc, gc = upoly.cleared(*map(_line_coeffs, f.forms))
+    (jc,) = upoly.cleared(_line_coeffs(jacobian(f).poly))
+    return fc, gc, jc
+
+
+def test_qq_orbit_makes_no_fraction(monkeypatch):
+    lists = [_integer_lists(*case) for case, _ in _QQ_VERDICTS]
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction arithmetic in the integer orbit")
+
+    for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+                 "__pow__", "__rpow__", "__neg__", "__abs__"):
+        monkeypatch.setattr(Fraction, name, no_fraction)
+    got = [[next(orbit) for _ in range(5)]
+           for orbit in (_critical_orbit(*cs, QQ) for cs in lists)]
+    monkeypatch.undo()
+    assert got == [verdicts for _, verdicts in _QQ_VERDICTS]
+
+
+def test_qq_orbit_clears_denominators():
+    # jc with Fraction(1, 2) entries, and forms scaled by one fraction,
+    # give the verdicts of the cleared integer lists
+    for case, verdicts in _QQ_VERDICTS:
+        fc, gc, jc = _integer_lists(*case)
+        half = [c * Fraction(1, 2) for c in jc]
+        third = [[c * Fraction(-2, 3) for c in cs] for cs in (fc, gc)]
+        orbit = _critical_orbit(*third, half, QQ)
+        assert [next(orbit) for _ in range(5)] == verdicts
+        assert upoly.cleared(half) == [jc]
 
 
 def test_screen_prime_dividing_the_resultant_falls_back_to_exact(monkeypatch):

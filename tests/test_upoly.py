@@ -1,5 +1,6 @@
 """The coefficient-list kernel against schoolbook arithmetic in the field
 objects of `coeff`, which share no code with it."""
+import math
 from fractions import Fraction
 from random import Random
 
@@ -116,3 +117,70 @@ def test_evaluate_and_lincomb_against_the_field(fld):
         for i, v in enumerate(b):
             total[i] = fld.sub(total[i], v)
         assert upoly.lincomb([(c, a), (-1, b)], p) == trimmed(fld, total)
+
+
+def rand_int(rng, length, height=99):
+    return [rng.randint(-height, height) for _ in range(length)]
+
+
+def test_pseudo_rem_is_a_scaled_remainder():
+    # each list times lc(m)^s, s the common step count, is the remainder
+    # of long division over QQ scaled by lc(m)^s
+    rng = Random(2931)
+    steps = set()
+    for _ in range(200):
+        m = upoly.trim(rand_int(rng, rng.randint(1, 5)))
+        if not m:
+            continue
+        polys = [rand_int(rng, rng.randint(0, 9), 2 ** rng.choice((4, 40)))
+                 for _ in range(rng.randint(1, 3))]
+        s = max(0, max(map(len, polys)) - (len(m) - 1))
+        steps.add(s)
+        got = upoly.pseudo_rem(polys, m)
+        assert len(got) == len(polys)
+        for a, r in zip(polys, got):
+            rem = long_division(QQ, [Fraction(c) for c in a], m)[1]
+            assert r == trimmed(QQ, [m[-1] ** s * c for c in rem])
+            assert all(isinstance(c, int) for c in r) and len(r) < len(m)
+    assert {0, 1} < steps and max(steps) >= 8
+
+
+def test_cleared_and_primitive():
+    assert upoly.cleared([Fraction(1, 2), 3], [Fraction(-5, 3)]) == [[3, 18], [-10]]
+    assert upoly.cleared([2, 0, -4]) == [[2, 0, -4]]
+    assert upoly.primitive([6, -9, 0, 0]) == [[2, -3]]
+    assert upoly.primitive([0, 0]) == [[]]
+    assert upoly.primitive([4, 0], [6, 10]) == [[2], [3, 5]]  # joint content
+
+
+def _with_factor(rng, g):
+    return upoly.mulmod(g, upoly.trim(rand_int(rng, rng.randint(1, 5))) or [1])
+
+
+def test_integer_gcd_degree_against_sympy_and_a_good_prime():
+    # the primitive remainder sequence over Z has the gcd's degree over QQ:
+    # sympy's, and the F_p gcd's at a prime dividing neither leading
+    # coefficient nor the PRS's content (a good prime); its result is
+    # primitive and divides both inputs
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = Random(2932)
+    p = DEFAULT_MODULAR_PRIME
+    degrees = set()
+    for _ in range(120):
+        g = upoly.trim(rand_int(rng, rng.randint(1, 4), 2 ** rng.choice((3, 40))))
+        if not g:
+            continue
+        a, b = _with_factor(rng, g), _with_factor(rng, g)
+        h = upoly.gcd(a, b)
+        expect = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1], t))
+        assert len(h) - 1 == expect.degree()
+        assert len(h) == len(upoly.gcd(a, b, p))
+        assert all(isinstance(c, int) for c in h) and math.gcd(*h) == 1
+        for f in (a, b):
+            assert not trimmed(QQ, long_division(QQ, [Fraction(c) for c in f], h)[1])
+        degrees.add(len(h) - 1)
+    assert {0, 1, 2, 3} <= degrees
+    assert upoly.gcd([], []) == [] and upoly.gcd([0, 6], []) == [0, 1]
+    # Fractions in, a primitive integer gcd out: (t - 1/2) and (t^2 - 1/4)
+    assert upoly.gcd([Fraction(-1, 2), 1], [Fraction(-1, 4), 0, 1]) in ([-1, 2], [1, -2])
