@@ -974,7 +974,8 @@ def _line_jacobian(fc: list, gc: list, p: Optional[int]) -> list:
     # x0- and x1-partials of a degree-d binary form, as degree-(d-1) lists
     fx, gx = ([i * c[i] for i in range(1, d + 1)] for c in (fc, gc))
     fy, gy = ([(d - i) * c[i] for i in range(d)] for c in (fc, gc))
-    jc = [u - v for u, v in zip(upoly.mulmod(fx, gy, p=p), upoly.mulmod(fy, gx, p=p))]
+    jc = [u - v for u, v in zip(upoly.mulmod(fx, gy, p=p),
+                                upoly.mulmod(fy, gx, p=p))]
     if p:
         jc = [c % p for c in jc]
     if not any(jc):

@@ -137,7 +137,7 @@ def gcd(a: list, b: list, p: Optional[int] = None) -> list:
     remainders are primitive pseudo-remainders, so the result is a
     primitive integer list."""
     if p is None:
-        (a,), (b,) = (primitive(c) for c in cleared(a, b))
+        a, b = (primitive(c)[0] for c in cleared(a, b))
         if len(a) < len(b):
             a, b = b, a
         while b:

@@ -15,7 +15,8 @@ from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
                               _extended_ring, _homogeneous_blocks,
-                              _line_coeffs, _line_jacobian, _parse_forms, _probably_squarefree,
+                              _line_coeffs, _line_jacobian, _parse_forms,
+                              _probably_squarefree,
                               _pushforward_chain, _strip_param_content,
                               critical_points, dim_end, dim_forms,
                               endomorphism_from_strings, fixed_form,
