@@ -595,7 +595,10 @@ def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
     by the Poisson product formula R = Res_x(phi, those minors) is y0^e
     times the norm N of phi along f, e = (n-1) * deg phi * d^(n-1): R has
     y-degree n * deg phi * d^(n-1) and N, the image counted with
-    multiplicity, deg phi * d^(n-1).  R vanishes identically iff V(phi)
+    multiplicity, deg phi * d^(n-1).  e goes to the elimination as its
+    pivot floor, so a parameter-free step interpolates R on N's
+    C(deg N + n, n) coefficients, checked by the probe (see
+    `resultant._image_coeffs`).  R vanishes identically iff V(phi)
     meets a base point.  R / y0^e is taken by shifting exponents, and a term
     of R whose y0-exponent is below e raises `pushforward-degenerate`.  N
     keeps every component of the image, coordinate hyperplanes included;
@@ -622,6 +625,7 @@ def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
     fx = [embed(g, ext, into) for g in f.forms]
     px = embed(phi_poly, ext, into)
     y = [ext.var(n1 + i) for i in range(n1)]
+    e = (n - 1) * phi_degree * f.d ** (n - 1)
     if n == 1:
         raw_ext = sylvester_resultant(px, y[1] * fx[0] - y[0] * fx[1])
     else:
@@ -629,12 +633,11 @@ def _image_form(f: Endomorphism, phi_poly: Polynomial, *, seed: int,
         blocks = _homogeneous_blocks(forms, [range(n1, 2 * n1),
                                              range(2 * n1, ext.nvars)])
         raw_ext = macaulay_resultant(forms, n1, strategy=strategy, seed=seed,
-                                     blocks=blocks)
+                                     blocks=blocks, _pivot_floor=e)
     if raw_ext.is_zero():
         raise DegeneracyError("pushforward-degenerate",
                               "an elimination resultant vanished identically" if n > 1
                               else "elimination produced the zero form")
-    e = (n - 1) * phi_degree * f.d ** (n - 1)
     if any(m[n1] < e for m in raw_ext.terms):
         raise DegeneracyError("pushforward-degenerate",
                               f"the elimination is not divisible by y0^{e}")
@@ -1012,6 +1015,8 @@ def _critical_orbit(fc: list, gc: list, jc: list, fld):
     reduces the pair by the same pseudo-division steps (`upoly.pseudo_rem`,
     which scales both by one power of lc(j)), and divides the pair by its
     joint content; the number pair (u, v) only takes out its content.
+    t*b - a goes to `upoly.gcd` unreduced: its first pseudo-remainder
+    reduces it by j.
     """
     p = fld.characteristic
     if p is None:
@@ -1026,7 +1031,7 @@ def _critical_orbit(fc: list, gc: list, jc: list, fld):
             a, b = upoly.primitive(*upoly.pseudo_rem(
                 _orbit_step(fc, gc, a, b, None, None), j))
             u, v = upoly.primitive(*_orbit_step(fc, gc, u, v, None, None))
-            r = upoly.lincomb(zip((1, -1), upoly.pseudo_rem(([0] + b, a), j)))
+            r = upoly.lincomb(((1, [0] + b), (-1, a)))
             yield (at_infinity and not v) or len(upoly.gcd(j, r)) > 1
     m = upoly.monic(j, p)
     a, b = upoly.mulmod([1], [0, 1], m, p), upoly.mulmod([1], [1], m, p)

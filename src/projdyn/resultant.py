@@ -21,18 +21,24 @@ that elimination.  Every route reads that one system:
   on; over QQ at internal primes, on the integral copy, combined by CRT
   up to a proven height bound (`_numeric_resultant`);
 - parametric systems take fraction-free symbolic elimination ("ratio") or
-  interpolation of modular images ("modular").  An image is interpolated
-  sparsely, by Zippel's variable-by-variable stages, where a few random
-  probes bound the chance of a wrong image by 2^-32; elsewhere (a field
-  small against the resultant's degree) on the dense tensor grid, which is
-  exact.  The points of a batch are valued from the program and
-  eliminated along the schedule together: in lockstep on Python ints, in
-  one inlined loop with one modular inverse per pivot step for the whole
-  batch (Montgomery's trick), or, for large batches below 2^28, as one
-  int64 numpy batch.  Points where that meets a zero
-  pivot go to the point evaluator.  Vandermonde systems are solved by one
-  matrix product with a table of quotients: on int64 arrays below 2^28,
-  on Python ints above.  The int64 code is the module `_batch64`, the one
+  interpolation of modular images ("modular").  Where a few random probes
+  bound the chance of a wrong image by 2^-32, each image is probed: a
+  parameter-free pushforward step (`dynamics._image_form`, which claims
+  that y0^e divides R) first interpolates on the lower set of the norm's
+  degree, in as many points as the norm has coefficients; every other
+  image, and one whose probe fails, takes Zippel's variable-by-variable
+  stages.  Elsewhere (a field small against the resultant's degree) the
+  image is interpolated on the box of its degree bounds cut at each
+  homogeneity block's degree, which is exact.  Both lower sets take one
+  solver, Newton interpolation by divided differences along each axis
+  (`_newton_solve`).  The points of a batch are valued from the program
+  and eliminated along the schedule together: in lockstep on Python ints,
+  in one inlined loop with one modular inverse per pivot step for the
+  whole batch (Montgomery's trick), or, for large batches below 2^28, as
+  one int64 numpy batch.  Points where that meets a zero pivot go to the
+  point evaluator.  Zippel's Vandermonde systems are solved by one matrix
+  product with a table of quotients: on int64 arrays below 2^28, on
+  Python ints above.  The int64 code is the module `_batch64`, the one
   that imports numpy; this module imports it inside the two branches that
   run it, so every other route leaves numpy unloaded.  Over QQ the forms'
   denominators are cleared once, into an integral copy of the system, and
@@ -529,9 +535,9 @@ class MacaulaySystem:
 def _inverses_mod(values: list[int], p: int) -> list[int]:
     """Inverses of nonzero residues mod p by Montgomery's simultaneous
     inversion (Math. Comp. 48, 1987): one pow and 3(n-1) products.  The
-    int64 batch inverts each step's pivots with it, and the Python-int
-    Vandermonde solve its M'(v); the lockstep loop of _scheduled_ratios
-    runs the same trick inline."""
+    int64 batch inverts each step's pivots with it, the Python-int
+    Vandermonde solve its M'(v), and the Newton solve its node differences;
+    the lockstep loop of _scheduled_ratios runs the same trick inline."""
     prefix = []  # prefix[j]: the product of values[:j]
     acc = 1
     for v in values:
@@ -720,9 +726,20 @@ class _GridPlan:
     resultant in the parameters: the sum over forms of e_i times the largest
     total degree of a coefficient of F_i, e_i the resultant's degree in
     that form's coefficients.
+
+    `floor` is a claim that the first block's pivot divides the resultant
+    to that power, as y0^e divides a pushforward's elimination (see
+    `dynamics._image_form`).  The resultant's degree in that block's other
+    variables is then at most block degree - floor, and `lower_set` can cap
+    them there.  The plan keeps the floor only where every axis lies in
+    that block, so no other parameter varies (a parameter-free
+    pushforward); elsewhere `floor` reads 0.  Nothing here checks the
+    claim; a floored image is accepted only through the probe
+    (`_image_coeffs`).
     """
 
-    def __init__(self, system: MacaulaySystem, blocks: Optional[Sequence[Sequence[int]]]):
+    def __init__(self, system: MacaulaySystem, blocks: Optional[Sequence[Sequence[int]]],
+                 floor: int = 0):
         ring = system.ring
         bs = system.block_size
         params = list(range(bs, ring.nvars))
@@ -763,9 +780,27 @@ class _GridPlan:
         self.axis_bounds = [bounds[v] for v in self.axes]
         self.params = params
         self.block_size = bs
+        # the floor is kept only where every axis lies in the first block
+        first = list(blocks[0]) if floor and blocks else []
+        self.floor_pivot = first[0] if first and set(self.axes) <= set(first) else None
+        self.floor = floor if self.floor_pivot is not None else 0
 
     def max_axis_length(self) -> int:
         return max((b + 1 for b in self.axis_bounds), default=1)
+
+    def lower_set(self, floored: bool = False) -> list[tuple]:
+        """The exponent tuples on the axes where the resultant can have a
+        term: the box of the axis bounds, cut at each block's degree in the
+        block's axes; with `floored`, the floored block's at block degree -
+        floor.  A lower set: lowering any exponent stays inside it."""
+        caps = []
+        for pivot, others in self.pivot_block.items():
+            cap = self.block_degree[pivot]
+            if floored and pivot == self.floor_pivot:
+                cap -= self.floor
+            caps.append(([k for k, v in enumerate(self.axes) if v in others], cap))
+        return [a for a in itertools.product(*(range(b + 1) for b in self.axis_bounds))
+                if all(sum(a[k] for k in axes) <= cap for axes, cap in caps)]
 
     def point_values(self, axis_values: Sequence[int]) -> list[int]:
         """Full parameter vector from values on the axes (pivots 1, the
@@ -831,25 +866,79 @@ def _by_monomial(plan: _GridPlan, items) -> Optional[dict[tuple, int]]:
     return out
 
 
-def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan) -> Optional[dict[tuple, int]]:
-    """Interpolation on the full tensor grid, nodes 1..l on every axis.
+def _newton_solve(lower: Sequence[tuple], values: Sequence[int], p: int) -> list[int]:
+    """The coefficients, on the exponent tuples of the lower set `lower`,
+    of the polynomial with support in `lower` that takes values[i] at the
+    point (a_0 + 1, ..., a_m + 1) for a = lower[i]: nodes 1..l on each axis,
+    distinct mod p while l <= p.  `lower` is nonempty, in any order.
 
-    Exact values on the whole grid determine the coefficients uniquely, so
-    the result needs no probe.
+    Newton interpolation on a lower set (Dyn and Floater, Acta Numerica 23,
+    2014).  Along each axis the exponent tuples of `lower` fall into fibers,
+    runs 0, 1, ... of that axis's exponent with the others fixed.  Divided
+    differences run along every axis in turn on its fibers, which turns the
+    values into the coefficients on the Newton basis prod_k N_{a_k}(x_k),
+    N_j(x) = (x - 1) ... (x - j).  Then each axis in turn converts its
+    fibers from Newton to monomial form.  All divided differences come
+    first: after a conversion along one axis an entry mixes entries of
+    different fiber lengths, so a later difference along another axis
+    would not see a polynomial's values.  Nodes s apart differ by s, so
+    each axis reads the inverses of 1..l-1, computed once by
+    `_inverses_mod`.
     """
-    p = system.ring.field.p
-    lengths = [b + 1 for b in plan.axis_bounds]
-    points = list(itertools.product(*(range(1, l + 1) for l in lengths)))
-    table = _values_mod(system, plan, points)  # flat, in the order of points
-    for l in lengths:
-        # solve along the first axis, then move it last: after every axis
-        # the table is back in the order of points
-        n = len(table) // l
-        solved = _vandermonde_solve(range(1, l + 1),
-                                    [table[i * n:(i + 1) * n] for i in range(l)], p)
-        table = [c for col in zip(*solved) for c in col]
-    exponents = itertools.product(*(range(l) for l in lengths))
-    return _by_monomial(plan, ((e, c) for e, c in zip(exponents, table) if c))
+    values = [v % p for v in values]
+    index = {a: i for i, a in enumerate(lower)}
+    fibers = []  # per axis: the positions of each fiber, exponent 0 first
+    for k in range(len(lower[0])):
+        runs = []
+        for a in lower:
+            if a[k]:
+                continue
+            run, step = [index[a]], list(a)
+            while True:
+                step[k] += 1
+                i = index.get(tuple(step))
+                if i is None:
+                    break
+                run.append(i)
+            if len(run) > 1:
+                runs.append(run)
+        fibers.append(runs)
+    for runs in fibers:
+        inverses = _inverses_mod(list(range(1, max(map(len, runs), default=1))), p)
+        for run in runs:
+            v = [values[i] for i in run]
+            for s in range(1, len(v)):
+                inv = inverses[s - 1]
+                for i in range(len(v) - 1, s - 1, -1):
+                    v[i] = (v[i] - v[i - 1]) * inv % p
+            for i, c in zip(run, v):
+                values[i] = c
+    for runs in fibers:
+        for run in runs:
+            v = [values[i] for i in run]
+            # Horner from the top: c_s + (x - (s + 1)) * (the higher part)
+            for s in range(len(v) - 2, -1, -1):
+                z = s + 1
+                for i in range(s, len(v) - 1):
+                    v[i] = (v[i] - z * v[i + 1]) % p
+            for i, c in zip(run, v):
+                values[i] = c
+    return values
+
+
+def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
+                  floored: bool = False) -> dict[tuple, int]:
+    """Interpolation on the plan's lower set (`_GridPlan.lower_set`): the
+    resultant's values at its points, then `_newton_solve`.
+
+    Unfloored, the lower set holds the resultant's whole support, so the
+    result is exact and needs no probe.  Floored, it holds it only where
+    the floor's claim is true, and the caller probes the result.
+    """
+    lower = plan.lower_set(floored)
+    values = _values_mod(system, plan, [tuple(e + 1 for e in a) for a in lower])
+    coeffs = _newton_solve(lower, values, system.ring.field.p)
+    return {plan.monomial_for(a): c for a, c in zip(lower, coeffs) if c}
 
 
 def _geometric_nodes(support: list[tuple], p: int, rng: Random):
@@ -935,22 +1024,27 @@ def _image_coeffs(system: MacaulaySystem, plan: _GridPlan, seed: int,
     """Coefficients of the resultant by monomial, over the prime field of
     the system.
 
-    Sparse stages run where the probe needs at most _MAX_SPARSE_PROBES
-    points to reach its bound.  A support already seen at other primes is
-    tried first (t points); then Zippel's stages from fresh anchors.  Each
-    sparse image is probed at its own prime and recomputed when the probe
-    fails.  Elsewhere (D near p, as in small fields) and when no parameter
-    varies, the full tensor grid runs: a proof.
+    Where the probe would need more than _MAX_SPARSE_PROBES points to reach
+    its bound (D near p, as in small fields), and when no parameter
+    varies, the unfloored lower set runs (`_dense_coeffs`): a proof.
+    Elsewhere every image is probed at its own prime, so a wrong one passes
+    with probability at most 2^-32 (`_verify_candidate`):
+    - a plan that keeps a floor (a parameter-free pushforward step), with
+      no support known yet (over QQ the first prime), first interpolates
+      on the floored lower set, which holds the support of y0^e times the
+      norm in as many points as the norm has coefficients;
+    - a support already seen at other primes is tried first (t points);
+    - then, and after a failed probe, Zippel's stages from fresh anchors.
     """
     p = system.ring.field.p
     rng = Random((seed << 20) ^ p)
     probes = _probe_count(plan.degree_bound, p)
     if not plan.axes or probes is None or probes > _MAX_SPARSE_PROBES:
-        coeffs = _dense_coeffs(system, plan)
-        if coeffs is None:
-            raise DegeneracyError("interpolation-inconsistent",
-                                  "grid coefficient outside the homogeneity range")
-        return coeffs
+        return _dense_coeffs(system, plan)
+    if plan.floor and not support:
+        coeffs = _dense_coeffs(system, plan, floored=True)
+        if _verify_candidate(Polynomial(system.ring, coeffs), system, plan, seed):
+            return coeffs
     for attempt in range(_RETRIES):
         if attempt == 0 and support:
             coeffs = _support_coeffs(system, plan, rng, list(support))
@@ -1081,7 +1175,8 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
 
 def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = None,
                        *, strategy: str = "auto", seed: int = 0,
-                       blocks: Optional[Sequence[Sequence[int]]] = None) -> Polynomial:
+                       blocks: Optional[Sequence[Sequence[int]]] = None,
+                       _pivot_floor: int = 0) -> Polynomial:
     """Resultant of n+1 block-homogeneous forms, eliminating the leading block.
 
     Numeric systems go through the determinant ratio, or Canny's
@@ -1094,6 +1189,9 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
     takes the ratio route only when it cannot.  Over QQ it takes the ratio
     route on matrices of order <= 14 and interpolates larger ones.  Returns a polynomial of the ambient ring
     with zero block degrees (a constant when the input is numeric).
+
+    `_pivot_floor` is internal: a pushforward's claim that the first
+    block's pivot divides the resultant to that power (`_GridPlan`).
     """
     if strategy not in ("auto", "ratio", "modular"):
         raise InvalidInputError(f"unknown strategy {strategy!r}")
@@ -1113,11 +1211,11 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
     # over F_p the grid is planned up front (its size decides whether the
     # field can hold it); over QQ only when interpolation runs
     fld = ring.field
-    plan = _GridPlan(system, blocks) if isinstance(fld, PrimeField) else None
+    plan = _GridPlan(system, blocks, _pivot_floor) if isinstance(fld, PrimeField) else None
     modular_possible = plan is None or plan.max_axis_length() <= fld.p
 
     def interpolate() -> Polynomial:
-        grid = plan if plan is not None else _GridPlan(system, blocks)
+        grid = plan if plan is not None else _GridPlan(system, blocks, _pivot_floor)
         return _interpolated_resultant(system, grid, seed)
 
     if strategy == "modular":

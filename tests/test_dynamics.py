@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from projdyn import dynamics, upoly
+from projdyn import dynamics, resultant, upoly
 from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, HypersurfaceForm, ProjectivePoint,
                               _certify_pushforward, _critical_orbit,
@@ -729,6 +729,90 @@ def test_sweep_certificate_never_composes(monkeypatch):
     assert counts == {"substitute": 0, "divexact": 0, "squarefree_part": 0}
     # criterion 03's factored product, up to its one universal constant
     assert ratios[0] == ratios[1] != 0
+
+
+def floored_image_cases(fld, rng):
+    """(map, phi, whole chain) for seeded parameter-free maps: quadratic
+    maps of P^2 with lines and conics, a quadratic map of P^3 with a plane
+    (its pushforward only: a second image there takes minutes) and a linear
+    map of P^3 with a quadric."""
+    r3, r4 = Ring(3, fld), Ring(4, fld)
+    cases = []
+    for degree in (1, 1, 2, 2):
+        f = Endomorphism([random_block_form(r3, 3, 2, rng, 0.6) for _ in range(3)])
+        cases.append((f, random_block_form(r3, 3, degree, rng), True))
+    f = Endomorphism([random_block_form(r4, 4, 2, rng, 0.6) for _ in range(4)])
+    cases.append((f, random_block_form(r4, 4, 1, rng), False))
+    f = Endomorphism([random_block_form(r4, 4, 1, rng) for _ in range(4)])
+    cases.append((f, random_block_form(r4, 4, 2, rng), True))
+    return cases
+
+
+def floored_outcomes(cases, monkeypatch, shift):
+    """Per case the pushforward with its raw elimination, and for a whole
+    chain the second image and the certificate (a DegeneracyError stands as
+    its code), with each image step's pivot floor e moved to e + shift, or
+    taken away when shift is None; and per nonzero floored image, in order,
+    whether its probe passed.  Where R vanishes identically, as where V(phi)
+    meets a base point, the floored image is zero whatever the floor, and
+    right."""
+    real = dynamics.macaulay_resultant
+    dense, verify = resultant._dense_coeffs, resultant._verify_candidate
+    verdicts = []
+
+    def elimination(*args, _pivot_floor=0, **kwargs):
+        if _pivot_floor:
+            _pivot_floor = 0 if shift is None else _pivot_floor + shift
+        return real(*args, _pivot_floor=_pivot_floor, **kwargs)
+
+    def logged_dense(system, plan, floored=False):
+        coeffs = dense(system, plan, floored)
+        if floored and coeffs:
+            verdicts.append(None)  # the next probe is this image's
+        return coeffs
+
+    def logged_verify(*args):
+        verdict = verify(*args)
+        if verdicts and verdicts[-1] is None:
+            verdicts[-1] = verdict
+        return verdict
+
+    def outcome(call):
+        try:
+            return call()
+        except DegeneracyError as exc:
+            return exc.code
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "macaulay_resultant", elimination)
+        m.setattr(resultant, "_dense_coeffs", logged_dense)
+        m.setattr(resultant, "_verify_candidate", logged_verify)
+        out = []
+        for f, phi, whole in cases:
+            out.append(outcome(lambda: pushforward(f, phi, raw=True)))
+            if whole:
+                out.append(outcome(lambda: pushforward_iterated(f, phi, 2)))
+                out.append(outcome(lambda: improper_certificate(f, phi, range(f.n + 1))))
+    return out, verdicts
+
+
+@pytest.mark.parametrize("fld", [GF(DEFAULT_MODULAR_PRIME), GF(1000003), QQ],
+                         ids=["GF62bit", "GF1000003", "QQ"])
+def test_floored_image_steps_match_the_unfloored_route(fld, monkeypatch):
+    # the floored lower set, without the floor (Zippel's stages), and with
+    # a wrong floor e + 1, whose every image fails its probe and falls back
+    # to Zippel's stages: the same images, certificates and error codes
+    cases = floored_image_cases(fld, Random(3030))
+    floorless, none = floored_outcomes(cases, monkeypatch, None)
+    floored, passed = floored_outcomes(cases, monkeypatch, 0)
+    wrong, failed = floored_outcomes(cases, monkeypatch, 1)
+    assert floored == floorless == wrong
+    assert not none
+    # over QQ only systems of order above 14 interpolate: the P^2 maps'
+    # second images and the P^3 images
+    assert len(passed) == len(failed) >= 6
+    assert all(passed) and not any(failed)
+    assert sum(not isinstance(o, str) for o in floored) >= 12  # not error codes
 
 
 def test_pushforward_through_indeterminacy_raises():

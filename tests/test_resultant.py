@@ -858,20 +858,22 @@ def test_symbolic_certificate_takes_one_image_per_resultant(monkeypatch):
 
 def test_sweep_certificate_evaluates_at_most_its_dense_box(monkeypatch):
     # a parameter-free certificate over the 62-bit prime interpolates its
-    # pushforward resultants in y, on supports that fill their boxes
+    # pushforward resultants R = y0^e * N in y on the floored lower set:
+    # as many points as N has coefficients, C(deg N + 2, 2), in a box of
+    # 9 and of 25
     runs = record_interpolations(monkeypatch)
     solves = count_calls(monkeypatch, resultant, "_vandermonde_solve")
+    sparse = count_calls(monkeypatch, resultant, "_sparse_coeffs")
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
-    assert sorted({r["box"] for r in runs}) == [9, 25]
-    # two image steps, each a Zippel image on two axes: stage 0 takes its
-    # values as they are and solves along its axis, stage 1 solves on the
-    # support and along its axis; no t = 1 solve on the empty monomial
-    assert [len(nodes) for nodes, *_ in solves] == [3, 3, 3, 5, 5, 5]
+    assert [r["box"] for r in runs] == [9, 25]
+    # Newton interpolation needs no Vandermonde solve, and the floored
+    # image passes its probe, so no Zippel stage runs
+    assert not solves and not sparse
+    assert [(r["points"], r["probed"]) for r in runs] == [(6, 1), (15, 1)]
     for r in runs:
         probes = _probe_count(r["plan"].degree_bound, DEFAULT_MODULAR_PRIME)
         assert probes == 1 and r["probed"] == probes
-        assert r["points"] <= r["box"]
         assert r["evaluations"] == r["points"] + probes
 
 
@@ -915,16 +917,18 @@ def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
     assert len(evaluated) == 4
 
     # over the 62-bit prime every batch runs in lockstep; the point evaluator
-    # serves the certificate's own numeric resultant and zero-pivot points,
-    # of which this certificate meets none
+    # serves the certificate's own numeric resultant and zero-pivot points.
+    # Each image step's first node is y = (1:1:1), which lies on the image
+    # of this plane (it passes through (-1:-1:1)), so R vanishes there and
+    # that point meets a zero pivot, once per step
     batched.clear()
     evaluated.clear()
     zero_pivots.clear()
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
     assert not batched
-    assert not zero_pivots
-    assert [not any(system.param_degrees) for system, *_ in evaluated] == [True]
+    assert len(zero_pivots) == 2
+    assert [not any(system.param_degrees) for system, *_ in evaluated] == [False, False, True]
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(10007)], ids=["QQ", "GF10007"])
@@ -1509,6 +1513,38 @@ def test_vandermonde_solve_multiplies_back(p):
     with pytest.raises(DegeneracyError) as err:
         _vandermonde_solve([1, 1 + p], [0, 0], p)
     assert err.value.code == "interpolation-singular"
+
+
+def lower_sets(rng, axes, top):
+    """A box, a simplex and a box cut by a simplex in `axes` axes, every
+    exponent at most `top` (nodes 1..top+1 must stay distinct mod p)."""
+    bounds = [rng.randint(0, top) for _ in range(axes)]
+    box = list(itertools.product(*(range(b + 1) for b in bounds)))
+    degree = rng.randint(1, top)
+    simplex = [a for a in itertools.product(range(degree + 1), repeat=axes)
+               if sum(a) <= degree]
+    cut = [a for a in box if sum(a) <= max(bounds) // 2 + 1]
+    return {"box": box, "simplex": simplex, "box and simplex": cut}
+
+
+@pytest.mark.parametrize("p", [7, 10007, DEFAULT_MODULAR_PRIME], ids=["GF7", "GF10007", "GF62bit"])
+def test_newton_solve_recovers_polynomials_on_lower_sets(p):
+    # random polynomials supported on a lower set, valued at its points
+    # (a_0 + 1, ..., a_m + 1) directly, come back exactly; the lower set is
+    # shuffled, as the solver reads its tuples in any order
+    rng = Random(p)
+    shapes = set()
+    for axes in (1, 2, 3):
+        for _ in range(4):
+            for kind, lower in lower_sets(rng, axes, min(p - 1, 6)).items():
+                rng.shuffle(lower)
+                coeffs = [rng.randrange(p) for _ in lower]
+                values = [sum(c * math.prod((x + 1) ** e for x, e in zip(point, a))
+                              for c, a in zip(coeffs, lower)) for point in lower]
+                assert resultant._newton_solve(lower, values, p) == coeffs
+                shapes.add((axes, kind, len(lower) > 1))
+    assert {(axes, kind) for axes, kind, wide in shapes if wide} == {
+        (axes, kind) for axes in (1, 2, 3) for kind in ("box", "simplex", "box and simplex")}
 
 
 # -- independent oracles ------------------------------------------------------------
