@@ -800,8 +800,9 @@ def floored_outcomes(cases, monkeypatch, shift):
                          ids=["GF62bit", "GF1000003", "QQ"])
 def test_floored_image_steps_match_the_unfloored_route(fld, monkeypatch):
     # the floored lower set, without the floor (Zippel's stages), and with
-    # a wrong floor e + 1, whose every image fails its probe and falls back
-    # to Zippel's stages: the same images, certificates and error codes
+    # a wrong floor e + 1, whose every nonzero image fails its probe and
+    # falls back to Zippel's stages: the same images, certificates and
+    # error codes
     cases = floored_image_cases(fld, Random(3030))
     floorless, none = floored_outcomes(cases, monkeypatch, None)
     floored, passed = floored_outcomes(cases, monkeypatch, 0)
