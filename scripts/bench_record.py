@@ -1,9 +1,13 @@
 """Record the benchmark's end-to-end and per-layer numbers in a committed BENCH file.
 
+    git clone --quiet . ../parent-checkout
+    git -C ../parent-checkout checkout --quiet --detach HEAD~1
     python3 scripts/bench_record.py --out BENCH_11.json --seconds 8 \
         --seeds 101 102 103 --parent ../parent-checkout
 
-Runs ``bench/run.py`` (untraced) for every workload of ``BENCHMARK.json``
+The parent checkout is a git clone detached at the parent commit (above,
+with the change committed as HEAD), so that its ``revision`` is recorded;
+a copy without git metadata records None there.  Runs ``bench/run.py`` (untraced) for every workload of ``BENCHMARK.json``
 and every seed, in this checkout and, with ``--parent``, in a checkout of
 the parent commit.  The two sides alternate which runs first from one seed
 to the next.  Per run the file keeps the last-line JSON of ``bench/run.py``

@@ -5,7 +5,10 @@ of more than `_LOCKSTEP_POINTS` points (`_batched_values_mod`) and a
 Vandermonde solve (`_vandermonde_solve`), each over a prime below
 `_NUMPY_SAFE`.  Every other route, and importing `projdyn`, leaves numpy
 unloaded.  Below 2^28 a product of two residues stays under 2^56, so
-int64 arithmetic is exact; above it the callers stay on Python ints.
+int64 arithmetic is exact; above it the callers stay on Python ints.  The
+system is compiled once and the prime is passed in: its program's ints,
+which over QQ are the integral copy's unreduced coefficients, are reduced
+mod p here, before they enter int64.
 """
 from __future__ import annotations
 
@@ -48,15 +51,14 @@ def _batched_ratio_mod(a: np.ndarray, schedule, minor_size: int, p: int):
     return ratio, ok
 
 
-def _batched_values_mod(system, plan, points):
+def _batched_values_mod(system, plan, points, p: int):
     """int64 batch pass over the points: resultant values mod p, plus the
     indices of the points where unpivoted elimination hit a zero pivot."""
-    p = system.ring.field.p
     full = np.array([plan.point_values(pt) for pt in points],
                     dtype=np.int64).reshape(len(points), len(plan.params))
     k = system.size
     varying, base, cells = system.program
-    base = np.array(base, dtype=np.int64)
+    base = np.array([[x % p for x in row] for row in base], dtype=np.int64)
     fixed = np.nonzero(base)
     values: list[int] = []
     bad: list[int] = []
@@ -72,7 +74,7 @@ def _batched_values_mod(system, plan, points):
         coefficients = np.zeros((len(varying), count), dtype=np.int64)
         for out, terms in zip(coefficients, varying):
             for c, factors in terms:
-                t = np.full(count, c, dtype=np.int64)
+                t = np.full(count, c % p, dtype=np.int64)
                 for v, e in factors:
                     t = t * powers[v][e] % p
                 out += t

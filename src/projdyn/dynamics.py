@@ -413,7 +413,7 @@ def _probably_squarefree(g: Polynomial, seed: int = 0) -> bool:
         line = [(rng.randrange(lf.p), rng.randrange(1, lf.p))
                 for _ in range(g.ring.nvars)]
         try:
-            terms = {m: lf.coerce(c) for m, c in g.terms.items()}
+            terms = _specialized(g, g.ring.nvars, [], lf)
         except ZeroDivisionError:
             continue  # bad prime
         r = _evaluate_coeffs(terms, line, lf.p)
@@ -452,14 +452,14 @@ def _specialized(g: Polynomial, n1: int, values: list, fq: PrimeField) -> dict:
     """g with its coefficients mapped into fq and its parameters fixed at
     `values`, as {x monomial: nonzero value}.  ZeroDivisionError when a
     denominator of g vanishes in fq."""
-    p = fq.p
+    p, coerce = fq.p, fq.coerce
     out = {}
     for m, c in g.terms.items():
-        v = fq.coerce(c)
+        v = coerce(c)
         for x, e in zip(values, m[n1:]):
             v = v * pow(x, e, p) % p
-        out[m[:n1]] = (out.get(m[:n1], 0) + v) % p
-    return {m: v for m, v in out.items() if v}
+        out[m[:n1]] = out.get(m[:n1], 0) + v
+    return {m: v % p for m, v in out.items() if v % p}
 
 
 def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,

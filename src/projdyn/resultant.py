@@ -6,14 +6,14 @@ Sylvester matrices for binary forms, and the Macaulay construction
 Each Macaulay resultant builds one `MacaulaySystem`: the matrix layout,
 walked once into a list of cells, plus the forms' coefficient tables and a
 structural elimination schedule (built on one bitset per row).  Over a
-prime field the system also compiles its coefficients, once, into a
-program of int terms and the cells they fill; every F_p point value reads
-it.  Rows and columns put the reduced minor's
-indices first, so det M' is the leading principal minor and one elimination
-without pivoting yields both determinants: det M / det M' is the product of
-the trailing pivots.  When every form has its pure power, each of the two
-groups is ordered by a static Markowitz count, which cuts the fill-in of
-that elimination.  Every route reads that one system:
+prime field, and for the integral copy of a system over QQ, the system
+also compiles its coefficients, once, into a program of int terms and the
+cells they fill; every F_p point value reads it.  Rows and columns put the
+reduced minor's indices first, so det M' is the leading principal minor and
+one elimination without pivoting yields both determinants: det M / det M'
+is the product of the trailing pivots.  When every form has its pure power,
+each of the two groups is ordered by a static Markowitz count, which cuts
+the fill-in of that elimination.  Every route reads that one system:
 
 - numeric forms go through the point evaluator (`_point_value`): det M /
   det M' mod p, by one elimination (`_field_ratio`) along the schedule,
@@ -41,10 +41,12 @@ that elimination.  Every route reads that one system:
   Python ints above.  The int64 code is the module `_batch64`, the one
   that imports numpy; this module imports it inside the two branches that
   run it, so every other route leaves numpy unloaded.  Over QQ the forms'
-  denominators are cleared once, into an integral copy of the system, and
-  each prime gets one reduced copy of that; the images are combined by
-  symmetric CRT (`_garner_step`, as for numeric systems), and each
-  candidate is checked at a fresh prime.
+  denominators are cleared once, into an integral copy of the system; the
+  images are combined by symmetric CRT (`_garner_step`, as for numeric
+  systems), and each candidate is checked at a fresh prime.
+
+A system is compiled once and the prime is passed to the kernels, which
+reduce each entry where they read it: no prime gets a copy of the system.
 
 Every kernel on matrices of values runs over F_p only.  When the reduced
 minor vanishes, the ratio route and the point evaluator take Canny's
@@ -69,7 +71,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from . import upoly
-from .coeff import _INTERNAL_PRIME_BOUND, GF, PrimeField, internal_primes
+from .coeff import _INTERNAL_PRIME_BOUND, PrimeField, internal_primes
 from .errors import DegeneracyError, InvalidInputError, RingMismatchError
 from .mpoly import (Polynomial, Ring, _block_coefficients, determinant,
                     divexact, embed, monomials_of_degree)
@@ -311,6 +313,29 @@ def _elimination_schedule(size: int, cells) -> Optional[list]:
     return schedule
 
 
+def _block_degrees(forms: Sequence[Polynomial], block_size: Optional[int]):
+    """The forms' ring, the block size and each form's block degree, 0 for
+    a zero form.  InvalidInputError for a wrong number of forms, or a
+    nonzero form that is not block-homogeneous of degree >= 1."""
+    if not forms:
+        raise InvalidInputError("no forms given")
+    ring = forms[0].ring
+    if any(f.ring != ring for f in forms):
+        raise RingMismatchError("forms live in different rings")
+    bs = ring.nvars if block_size is None else block_size
+    if bs < 1 or bs > ring.nvars:
+        raise InvalidInputError(f"block size {bs} out of range")
+    if len(forms) != bs:
+        raise InvalidInputError(
+            f"need exactly {bs} forms for a {bs}-variable block, got {len(forms)}")
+    block = tuple(range(bs))
+    degrees = [f.homogeneous_degree_in_block(block) for f in forms]
+    if any(d is None or (d < 1 and not f.is_zero()) for f, d in zip(forms, degrees)):
+        raise InvalidInputError(
+            "each form must be nonzero and block-homogeneous of degree >= 1")
+    return ring, bs, degrees
+
+
 class MacaulaySystem:
     """Macaulay matrix layout for n+1 forms in the leading n+1 variables.
 
@@ -336,16 +361,19 @@ class MacaulaySystem:
     one (row, column, form, block monomial) per entry of the matrix.  The
     symbolic matrices and those of given field values are filled from it.
 
-    Over a prime field (None over QQ), `program` is the same layout
-    compiled once into ints, (varying, base, cells):
+    `program` is the same layout compiled once into ints, (varying, base,
+    cells): over a prime field in `__init__`, for the integral copy of a
+    system over QQ in `_integral` (on the copy's unreduced ints), and None
+    for a system over QQ itself, which is never valued:
     - `varying`: the coefficients that involve a parameter, each as its
       terms (c, ((param, exponent), ...)), params counted from 0;
     - `base`: the k x k matrix of the other coefficients' values, 0
       elsewhere;
     - `cells`: (row, column, n) for each entry of varying[n].
     The matrices of parameter points (`_value_matrices`) and the int64
-    numpy batch both read it: powers of each parameter once per point,
-    then inline arithmetic mod p.
+    numpy batch both read it, for the prime they are given: powers of each
+    parameter once per point, then inline arithmetic mod p.  Base entries
+    are reduced where a kernel reads them.
 
     `schedule[i]` is the structural pattern of unpivoted elimination at
     diagonal step i, closed under fill-in: the rows below i with a nonzero
@@ -359,26 +387,10 @@ class MacaulaySystem:
     """
 
     def __init__(self, forms: Sequence[Polynomial], block_size: Optional[int] = None):
-        if not forms:
-            raise InvalidInputError("no forms given")
-        ring = forms[0].ring
-        for f in forms[1:]:
-            if f.ring != ring:
-                raise RingMismatchError("forms live in different rings")
-        bs = ring.nvars if block_size is None else block_size
-        if bs < 1 or bs > ring.nvars:
-            raise InvalidInputError(f"block size {bs} out of range")
-        if len(forms) != bs:
+        ring, bs, degrees = _block_degrees(forms, block_size)
+        if 0 in degrees:
             raise InvalidInputError(
-                f"need exactly {bs} forms for a {bs}-variable block, got {len(forms)}")
-        block = tuple(range(bs))
-        degrees = []
-        for f in forms:
-            d = f.homogeneous_degree_in_block(block)
-            if f.is_zero() or d is None or d < 1:
-                raise InvalidInputError(
-                    "each form must be nonzero and block-homogeneous of degree >= 1")
-            degrees.append(d)
+                "each form must be nonzero and block-homogeneous of degree >= 1")
         self.ring = ring
         self.block_size = bs
         self.degrees = degrees
@@ -422,8 +434,8 @@ class MacaulaySystem:
         self.program = self._compile() if isinstance(ring.field, PrimeField) else None
 
     def _compile(self):
-        """The coefficient program over a prime field (see the class
-        docstring)."""
+        """The coefficient program (see the class docstring): each
+        coefficient's values as ints, unreduced."""
         bs, k = self.block_size, self.size
         varying = []
         # per form: block monomial -> its index in `varying`, or the value
@@ -433,7 +445,7 @@ class MacaulaySystem:
             position.append({})
             fixed.append({})
             for mb, c in tab.items():
-                coeff = [(v, tuple([(j, e) for j, e in enumerate(m[bs:]) if e]))
+                coeff = [(int(v), tuple([(j, e) for j, e in enumerate(m[bs:]) if e]))
                          for m, v in c.terms.items()]
                 if any(factors for _, factors in coeff):
                     position[-1][mb] = len(varying)
@@ -463,11 +475,10 @@ class MacaulaySystem:
         km = self.minor_size
         return [row[:km] for row in self.matrix()[:km]]
 
-    def _coefficient_values(self, coefficients, point) -> list[int]:
+    def _coefficient_values(self, coefficients, point, p: int) -> list[int]:
         """Coefficients of the program (lists of int terms) at a point of
-        ints: each parameter's powers built once, as far as the coefficients
-        reach, and inline arithmetic mod p."""
-        p = self.ring.field.p
+        ints, mod p: each parameter's powers built once, as far as the
+        coefficients reach, and inline arithmetic mod p."""
         powers = []
         for x, top in zip(point, self.param_degrees):
             row = [1]
@@ -484,41 +495,26 @@ class MacaulaySystem:
             out.append(total % p)
         return out
 
-    def _value_matrices(self, points) -> list[list[list[int]]]:
+    def _value_matrices(self, points, p: int) -> list[list[list[int]]]:
         """The matrix of each parameter point (ints) over F_p: a copy of the
-        program's parameter-free matrix, with the other coefficients' values
-        written straight into their entries."""
+        program's parameter-free matrix (unreduced), with the other
+        coefficients' values mod p written straight into their entries."""
         varying, base, cells = self.program
         mats = []
         for point in points:
-            values = self._coefficient_values(varying, point)
+            values = self._coefficient_values(varying, point, p)
             m = [row[:] for row in base]
             for r, c, j in cells:
                 m[r][c] = values[j]
             mats.append(m)
         return mats
 
-    def _reduced(self, fld: PrimeField) -> "MacaulaySystem":
-        """The same layout with every coefficient reduced into `fld`, and
-        its program.
-
-        A form may vanish there (its resultant image is then zero, which is
-        correct); ZeroDivisionError when a denominator vanishes, which
-        cannot happen on the integral copy (`_integral`) that interpolation
-        reduces.
-        """
-        out = copy.copy(self)
-        out.ring = Ring(self.ring.nvars, fld)
-        out.coeff_tables = [{mb: _reduce_form_mod(c, out.ring) for mb, c in tab.items()}
-                            for tab in self.coeff_tables]
-        out.program = out._compile()
-        return out
-
     def _integral(self) -> tuple["MacaulaySystem", int]:
         """Over QQ: the same layout with the coefficients of each form F_i
-        multiplied by L_i, the lcm of their denominators, and the factor
-        prod L_i^e_i by which that multiplies the resultant (of degree e_i
-        in F_i's coefficients, see resultant_degrees)."""
+        multiplied by L_i, the lcm of their denominators, and its program
+        on those ints; and the factor prod L_i^e_i by which that multiplies
+        the resultant (of degree e_i in F_i's coefficients, see
+        resultant_degrees).  A form that vanishes mod p gives the image 0."""
         out = copy.copy(self)
         out.coeff_tables = []
         scale = 1
@@ -527,6 +523,7 @@ class MacaulaySystem:
             out.coeff_tables.append({mb: c.scale(lcm) for mb, c in tab.items()}
                                     if lcm > 1 else tab)
             scale *= lcm ** e
+        out.program = out._compile()
         return out, scale
 
 
@@ -549,9 +546,9 @@ def _inverses_mod(values: list[int], p: int) -> list[int]:
     return prefix
 
 
-def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
+def _scheduled_ratios(system: MacaulaySystem, mats, p: int) -> list:
     """det M / det M' mod p for each matrix of ints in `mats` (one per
-    point, overwritten), for a system over F_p: the product of the pivots
+    point, overwritten) in the system's layout: the product of the pivots
     after the reduced minor's, from one unpivoted elimination along the
     schedule.  None for a point where a pivot is zero, and for every point
     of a system without a schedule; the point evaluator takes those.
@@ -560,12 +557,13 @@ def _scheduled_ratios(system: MacaulaySystem, mats) -> list:
     step inverts the pivots of the whole batch at once (Montgomery's
     trick, as in _inverses_mod, fused with reading the pivots).  An entry
     is reduced only where it is read (pivot, pivot row, factor); it takes
-    at most one update per step, so stays below k * p^2 in size."""
+    at most one update per step, each below p^2, so it stays below
+    |e| + k * p^2 in size for e its starting value: a residue over F_p, an
+    unreduced integer of the integral copy over QQ."""
     n = len(mats)
     if system.schedule is None:
         return [None] * n
     km = system.minor_size
-    p = system.ring.field.p
     ratios = [1] * n
     live = [True] * n
     for i, (below, right) in enumerate(system.schedule):
@@ -642,18 +640,6 @@ def _ratio_resultant(system: MacaulaySystem, forms: Sequence[Polynomial]) -> Pol
 
 
 # -- modular interpolation of parametric resultants ---------------------------------
-
-def _reduce_form_mod(f: Polynomial, target: Ring) -> Polynomial:
-    """f with its coefficients in the prime field of `target`;
-    ZeroDivisionError when a denominator vanishes there."""
-    fld = target.field
-    terms = {}
-    for m, c in f.terms.items():
-        v = fld.coerce(c)
-        if v:
-            terms[m] = v
-    return Polynomial(target, terms)
-
 
 def _vandermonde_solve(nodes: Sequence[int], rhs: Sequence, p: int,
                        transposed: bool = False) -> list:
@@ -823,7 +809,7 @@ class _GridPlan:
         return tuple(mono)
 
 
-def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
+def _values_mod(system: MacaulaySystem, plan: _GridPlan, points, p: int) -> list[int]:
     """Exact resultant values mod p at parameter points, each a tuple of
     values on the plan's axes.
 
@@ -838,18 +824,17 @@ def _values_mod(system: MacaulaySystem, plan: _GridPlan, points) -> list[int]:
     generalized characteristic polynomial if the reduced minor genuinely
     vanishes there.
     """
-    p = system.ring.field.p
     if system.schedule is None:
         values, todo = [0] * len(points), range(len(points))
     elif p < _NUMPY_SAFE and len(points) > _LOCKSTEP_POINTS:
         from . import _batch64
-        values, todo = _batch64._batched_values_mod(system, plan, points)
+        values, todo = _batch64._batched_values_mod(system, plan, points, p)
     else:
         values = _scheduled_ratios(
-            system, system._value_matrices([plan.point_values(pt) for pt in points]))
+            system, system._value_matrices([plan.point_values(pt) for pt in points], p), p)
         todo = [i for i, v in enumerate(values) if v is None]
     for i in todo:
-        m, = system._value_matrices([plan.point_values(points[i])])
+        m, = system._value_matrices([plan.point_values(points[i])], p)
         values[i] = _point_value(system, m, p)
     return values
 
@@ -926,7 +911,7 @@ def _newton_solve(lower: Sequence[tuple], values: Sequence[int], p: int) -> list
     return values
 
 
-def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
+def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan, p: int,
                   floored: bool = False) -> dict[tuple, int]:
     """Interpolation on the plan's lower set (`_GridPlan.lower_set`): the
     resultant's values at its points, then `_newton_solve`.
@@ -936,8 +921,8 @@ def _dense_coeffs(system: MacaulaySystem, plan: _GridPlan,
     the floor's claim is true, and the caller probes the result.
     """
     lower = plan.lower_set(floored)
-    values = _values_mod(system, plan, [tuple(e + 1 for e in a) for a in lower])
-    coeffs = _newton_solve(lower, values, system.ring.field.p)
+    values = _values_mod(system, plan, [tuple(e + 1 for e in a) for a in lower], p)
+    coeffs = _newton_solve(lower, values, p)
     return {plan.monomial_for(a): c for a, c in zip(lower, coeffs) if c}
 
 
@@ -954,7 +939,7 @@ def _geometric_nodes(support: list[tuple], p: int, rng: Random):
                           "geometric nodes kept colliding on the support")
 
 
-def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
+def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, p: int, rng: Random,
                    anchors: Sequence[int]) -> Optional[dict[tuple, int]]:
     """Zippel's variable-by-variable interpolation (EUROSAM 1979).
 
@@ -971,7 +956,6 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
     densely along the new axis.  Stage k+1 costs b * t points, so a support
     that fills the box costs exactly the dense grid.
     """
-    p = system.ring.field.p
     support: list[tuple] = [()]
     coeffs: list[int] = []  # the previous stage's coefficients on `support`
     for k, bound in enumerate(plan.axis_bounds):
@@ -985,7 +969,7 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
         heads = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
         tail = tuple(anchors[k + 1:])
         points = [head + (v,) + tail for v in fresh for head in heads]
-        values = _values_mod(system, plan, points)
+        values = _values_mod(system, plan, points, p)
         # row j of by_node holds the coefficients on the support at nodes[j]
         if k:
             # one transposed system per fresh node, solved together
@@ -1006,23 +990,21 @@ def _sparse_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
     return _by_monomial(plan, zip(support, coeffs))
 
 
-def _support_coeffs(system: MacaulaySystem, plan: _GridPlan, rng: Random,
+def _support_coeffs(system: MacaulaySystem, plan: _GridPlan, p: int, rng: Random,
                     support: list[tuple]) -> Optional[dict[tuple, int]]:
     """Coefficients on a known support (exponents on the axes): values at
     the geometric points (r_0^i, ..., r_n^i), i < t, and one transposed
     Vandermonde solve."""
-    p = system.ring.field.p
     ratios, nodes = _geometric_nodes(support, p, rng)
     points = [tuple(pow(r, i, p) for r in ratios) for i in range(len(support))]
-    coeffs = _vandermonde_solve(nodes, _values_mod(system, plan, points), p,
+    coeffs = _vandermonde_solve(nodes, _values_mod(system, plan, points, p), p,
                                 transposed=True)
     return _by_monomial(plan, ((s, c) for s, c in zip(support, coeffs) if c))
 
 
-def _image_coeffs(system: MacaulaySystem, plan: _GridPlan, seed: int,
+def _image_coeffs(system: MacaulaySystem, plan: _GridPlan, p: int, seed: int,
                   support: Sequence[tuple] = ()) -> dict[tuple, int]:
-    """Coefficients of the resultant by monomial, over the prime field of
-    the system.
+    """Coefficients of the resultant by monomial, mod p.
 
     Where the probe would need more than _MAX_SPARSE_PROBES points to reach
     its bound (D near p, as in small fields), and when no parameter
@@ -1036,33 +1018,32 @@ def _image_coeffs(system: MacaulaySystem, plan: _GridPlan, seed: int,
     - a support already seen at other primes is tried first (t points);
     - then, and after a failed probe, Zippel's stages from fresh anchors.
     """
-    p = system.ring.field.p
     rng = Random((seed << 20) ^ p)
     probes = _probe_count(plan.degree_bound, p)
     if not plan.axes or probes is None or probes > _MAX_SPARSE_PROBES:
-        return _dense_coeffs(system, plan)
+        return _dense_coeffs(system, plan, p)
     if plan.floor and not support:
-        coeffs = _dense_coeffs(system, plan, floored=True)
-        if _verify_candidate(Polynomial(system.ring, coeffs), system, plan, seed):
+        coeffs = _dense_coeffs(system, plan, p, floored=True)
+        if _verify_candidate(coeffs, system, plan, p, seed):
             return coeffs
     for attempt in range(_RETRIES):
         if attempt == 0 and support:
-            coeffs = _support_coeffs(system, plan, rng, list(support))
+            coeffs = _support_coeffs(system, plan, p, rng, list(support))
         else:
             anchors = [rng.randrange(1, p) for _ in plan.axes]
-            coeffs = _sparse_coeffs(system, plan, rng, anchors)
-        if coeffs is not None and _verify_candidate(
-                Polynomial(system.ring, coeffs), system, plan, seed):
+            coeffs = _sparse_coeffs(system, plan, p, rng, anchors)
+        if coeffs is not None and _verify_candidate(coeffs, system, plan, p, seed):
             return coeffs
     raise DegeneracyError("interpolation-inconsistent",
                           "modular image failed the verification probe")
 
 
-def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
-                      plan: _GridPlan, seed: int) -> bool:
-    """Compare the candidate with the resultant of the (prime-field) system
-    at k random points of the plan's axes (pivots at 1), k the least with
-    (D/p)^k <= 2^-32 for D = plan.degree_bound.
+def _verify_candidate(candidate: dict[tuple, int], system: MacaulaySystem,
+                      plan: _GridPlan, p: int, seed: int) -> bool:
+    """Compare the candidate, {monomial: int} with its terms taken mod p,
+    with the resultant of the system mod p at k random points of the
+    plan's axes (pivots at 1), k the least with (D/p)^k <= 2^-32 for
+    D = plan.degree_bound.
 
     The resultant has total degree at most D in the parameters, so a
     candidate of higher degree is rejected outright.  Otherwise a wrong
@@ -1073,16 +1054,16 @@ def _verify_candidate(candidate: Polynomial, system: MacaulaySystem,
     most (D/p)^k <= 2^-32.  With D >= p no number of probes reaches the
     bound, and the candidate is rejected.
     """
-    p = system.ring.field.p
     probes = _probe_count(plan.degree_bound, p)
-    claimed = _reduce_form_mod(candidate, system.ring)
-    if probes is None or claimed.degree() > plan.degree_bound:
+    claimed = {m: c % p for m, c in candidate.items() if c % p}
+    if probes is None or max(map(sum, claimed), default=0) > plan.degree_bound:
         return False
     rng = Random((seed << 21) ^ p)
     points = [tuple(rng.randrange(p) for _ in plan.axes) for _ in range(probes)]
-    pad = [0] * system.block_size
-    return all(value == claimed.evaluate(pad + plan.point_values(point))
-               for value, point in zip(_values_mod(system, plan, points), points))
+    full = [[0] * system.block_size + plan.point_values(point) for point in points]
+    return all(value == sum(c * math.prod(map(pow, x, m, itertools.repeat(p)))
+                            for m, c in claimed.items()) % p
+               for value, x in zip(_values_mod(system, plan, points, p), full))
 
 
 def _garner_step(combined: dict, modulus: int, image: dict, p: int) -> int:
@@ -1118,8 +1099,7 @@ def _numeric_resultant(system: MacaulaySystem) -> Fraction:
     until the primes' product exceeds 2B (`_height_bound_squared`).  The
     symmetric residue is then the integral resultant: a proof."""
     integral, scale = system._integral()
-    m = integral._matrix_of([{mb: int(c.constant_value()) for mb, c in tab.items()}
-                             for tab in integral.coeff_tables], 0)
+    m = integral.program[1]  # no coefficient varies: the whole matrix
     bound = 4 * _height_bound_squared(m)
     primes = (p for p in internal_primes() if scale % p)
     combined, modulus = {(): 0}, 1
@@ -1133,17 +1113,18 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
                             seed: int) -> Polynomial:
     """Interpolation on the plan's axes: in the field itself over F_p; over
     QQ on the integral copy of the system (`_integral`), whose resultant
-    has integer coefficients, reduced once per prime.
+    has integer coefficients.  The copy is compiled once and each prime is
+    passed to the kernels, which reduce its entries where they read them.
 
     Over QQ the images after the first try the support seen so far.  Each
     coefficient keeps its symmetric residue modulo the product of the
     primes so far, and `_garner_step` folds each new image in.  That
     candidate is probed at the next fresh prime; when it fails, that prime
-    gives the next image.  A passing candidate is divided by the factor of `_integral`.
-    Primes dividing that factor are skipped: mod such a prime every image
-    is 0 (the factor divides the integral copy's resultant), so an image
-    there carries nothing, and a probe there checks only that the
-    candidate vanishes mod p.
+    gives the next image.  A passing candidate is divided by the factor of
+    `_integral`.  Primes dividing that factor are skipped: mod such a prime
+    every image is 0 (the factor divides the integral copy's resultant),
+    so an image there carries nothing, and a probe there checks only that
+    the candidate vanishes mod p.
 
     The stop is a probe, not a proof: a bound B on the coefficients, past
     which prod p > 2B would make it one (as for numeric systems), is not
@@ -1151,23 +1132,21 @@ def _interpolated_resultant(system: MacaulaySystem, plan: _GridPlan,
     """
     ring = system.ring
     if isinstance(ring.field, PrimeField):
-        return Polynomial(ring, _image_coeffs(system, plan, seed))
+        return Polynomial(ring, _image_coeffs(system, plan, ring.field.p, seed))
 
     integral, scale = system._integral()
     primes = (p for p in internal_primes() if scale % p)
-    fresh = integral._reduced(GF(next(primes)))
+    p = next(primes)
     combined: dict[tuple, int] = {}  # symmetric residues modulo `modulus`
     modulus = 1
     support: set[tuple] = set()  # exponents on the axes, over every image
     for _ in range(_MAX_PRIMES):
-        p = fresh.ring.field.p
-        image = _image_coeffs(fresh, plan, seed, sorted(support))
+        image = _image_coeffs(integral, plan, p, seed, sorted(support))
         support.update(tuple(m[v] for v in plan.axes) for m in image)
         modulus = _garner_step(combined, modulus, image, p)
-        candidate = Polynomial(ring, {m: c for m, c in combined.items() if c})
-        fresh = integral._reduced(GF(next(primes)))
-        if _verify_candidate(candidate, fresh, plan, seed):
-            return candidate.scale(Fraction(1, scale))
+        p = next(primes)
+        if _verify_candidate(combined, integral, plan, p, seed):
+            return Polynomial(ring, {m: Fraction(c, scale) for m, c in combined.items() if c})
     raise DegeneracyError("interpolation-unstable", "CRT did not stabilize")
 
 
@@ -1188,24 +1167,21 @@ def macaulay_resultant(forms: Sequence[Polynomial], block_size: Optional[int] = 
     "auto" interpolates over F_p whenever the field can hold the grid, and
     takes the ratio route only when it cannot.  Over QQ it takes the ratio
     route on matrices of order <= 14 and interpolates larger ones.  Returns a polynomial of the ambient ring
-    with zero block degrees (a constant when the input is numeric).
+    with zero block degrees (a constant when the input is numeric), or 0
+    when a form is zero and the others are well-formed.
 
     `_pivot_floor` is internal: a pushforward's claim that the first
     block's pivot divides the resultant to that power (`_GridPlan`).
     """
     if strategy not in ("auto", "ratio", "modular"):
         raise InvalidInputError(f"unknown strategy {strategy!r}")
-    if not forms:
-        raise InvalidInputError("no forms given")
-    ring = forms[0].ring
-    bs = ring.nvars if block_size is None else block_size
     if any(f.is_zero() for f in forms):
-        return ring.zero()
-    system = MacaulaySystem(forms, bs)  # validates shapes and degrees
+        return _block_degrees(forms, block_size)[0].zero()  # the others checked first
+    system = MacaulaySystem(forms, block_size)  # validates shapes and degrees
+    ring, bs = system.ring, system.block_size
     if all(not any(m[bs:]) for f in forms for m in f.terms):
-        if isinstance(ring.field, PrimeField):
-            m, = system._value_matrices([()])
-            return ring.const(_point_value(system, m, ring.field.p))
+        if isinstance(ring.field, PrimeField):  # no coefficient varies
+            return ring.const(_point_value(system, system.program[1], ring.field.p))
         return ring.const(_numeric_resultant(system))
 
     # over F_p the grid is planned up front (its size decides whether the

@@ -68,6 +68,10 @@ class TestTextOutput:
         assert code == 0
         assert out == "1\n"
 
+    def test_resultant_with_a_zero_form_is_zero(self):
+        code, out, err = invoke("resultant", "--form=0", "--form=x^2+y^2", "--form=z")
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_resultant_with_a_singular_reduced_minor_is_zero(self):
         # x3 twice: the forms share a line of zeros, and M' is singular under
         # every change of coordinates
@@ -142,6 +146,9 @@ class TestExitCodes:
             ("orbit", "--map", SQUARING2, "--point", "1,2,3"),
             ("iterate", "--map", "[x0^2, x1]"),
             ("resultant", "--form", "x0^2"),
+            # a zero form does not excuse an inhomogeneous one
+            ("resultant", "--form=0", "--form=x+y^2", "--form=y"),
+            ("resultant", "--form=x", "--form=x+y^2"),
             ("find-pcf", "--d", "2", "--s", "4"),
             ("period-poly", "--d", "2", "--s", "3", "--field", "Fp:4"),
             ("dims", "--n", "2"),

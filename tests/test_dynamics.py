@@ -30,8 +30,7 @@ from projdyn.errors import (DegeneracyError, InvalidInputError,
 from projdyn.mpoly import (Polynomial, Ring, embed, equal_up_to_scalar,
                            monomials_of_degree, parse_polynomial, poly_gcd,
                            primitive_part, squarefree_part)
-from projdyn.resultant import (_probe_count, _reduce_form_mod, macaulay_resultant,
-                               sylvester_resultant)
+from projdyn.resultant import _probe_count, macaulay_resultant, sylvester_resultant
 
 from conftest import count_calls
 from test_acceptance import certificate_product_mod
@@ -537,8 +536,11 @@ def test_certificates_are_covariant_in_the_input_form(fld):
 
 
 def test_bad_prime_reduction_is_an_internal_signal():
+    # a denominator that vanishes mod the prime surfaces from
+    # PrimeField.coerce, through the one Polynomial -> F_q map, as an
+    # internal ZeroDivisionError, which callers take as a bad prime
     with pytest.raises(ZeroDivisionError) as err:
-        _reduce_form_mod(P("x/10007+y"), Ring(2, GF(10007)))
+        dynamics._specialized(P("x/10007+y"), 2, [], GF(10007))
     assert not isinstance(err.value, InvalidInputError)
 
 
@@ -765,8 +767,8 @@ def floored_outcomes(cases, monkeypatch, shift):
             _pivot_floor = 0 if shift is None else _pivot_floor + shift
         return real(*args, _pivot_floor=_pivot_floor, **kwargs)
 
-    def logged_dense(system, plan, floored=False):
-        coeffs = dense(system, plan, floored)
+    def logged_dense(system, plan, p, floored=False):
+        coeffs = dense(system, plan, p, floored)
         if floored and coeffs:
             verdicts.append(None)  # the next probe is this image's
         return coeffs
@@ -885,7 +887,9 @@ def substituted_filter(g, seed):
         images = [line.const(rng.randrange(lf.p)) + t.scale(rng.randrange(1, lf.p))
                   for _ in range(g.ring.nvars)]
         try:
-            gm = _reduce_form_mod(g, Ring(g.ring.nvars, lf)).substitute(images)
+            gm = Polynomial(Ring(g.ring.nvars, lf),
+                            {m: v for m, c in g.terms.items() if (v := lf.coerce(c))}
+                            ).substitute(images)
         except ZeroDivisionError:
             why = "bad prime"
             continue

@@ -18,7 +18,7 @@ from projdyn import _batch64, resultant
 from projdyn.coeff import DEFAULT_MODULAR_PRIME, GF, QQ, internal_primes
 from projdyn.dynamics import (Endomorphism, endomorphism_from_strings,
                                improper_certificate, pushforward_iterated)
-from projdyn.errors import DegeneracyError, InvalidInputError
+from projdyn.errors import DegeneracyError, InvalidInputError, RingMismatchError
 from projdyn.mpoly import (Polynomial, Ring, determinant, monomials_of_degree,
                            parse_polynomial, poly_gcd, squarefree_part)
 from projdyn.resultant import (_NUMPY_SAFE, MacaulaySystem, _elimination_schedule,
@@ -459,11 +459,10 @@ def test_one_macaulay_system_per_call(monkeypatch):
     assert macaulay_resultant(forms, block_size=2, strategy="ratio") == P("x2^2+1", ring)
     assert len(builds) == 1
 
-    # over QQ: one system, then one reduced copy for each prime: the
-    # image's prime, where the sparse image is probed, then a fresh prime
-    # that probes the CRT candidate
+    # over QQ: one system and its one integral copy, handed every prime:
+    # the image's prime, where the sparse image is probed, then a fresh
+    # prime that probes the CRT candidate
     builds.clear()
-    copies = count_calls(monkeypatch, MacaulaySystem, "_reduced")
     images = count_calls(monkeypatch, resultant, "_image_coeffs")
     probes = count_calls(monkeypatch, resultant, "_verify_candidate")
     f0, f1, closed = quadratic_pair(Ring(8, QQ))
@@ -471,19 +470,21 @@ def test_one_macaulay_system_per_call(monkeypatch):
                               blocks=QUADRATIC_BLOCKS) == closed
     p1, p2 = itertools.islice(internal_primes(), 2)
     assert len(builds) == 1
-    assert [system.ring.field.p for system, *_ in images] == [p1]
-    assert [system.ring.field.p for _, system, *_ in probes] == [p1, p2]
-    assert probes[1][0].ring.field == QQ  # the rational candidate
-    assert [fld.p for _, fld in copies] == [p1, p2]
+    assert [p for _, _, p, *_ in images] == [p1]
+    assert [p for *_, p, _ in probes] == [p1, p2]
+    integral = images[0][0]
+    assert integral.ring.field == QQ and all(system is integral for _, system, *_ in probes)
+    # the CRT candidate: symmetric residues, here the integer resultant
+    assert {m: c for m, c in probes[1][0].items() if c} == closed.terms
 
     # a parameter-free certificate over F_p: one system per resultant, one
-    # elimination per pushforward step
+    # elimination per pushforward step, every image at the field's prime
     builds.clear()
-    copies.clear()
+    images.clear()
     f = endomorphism_from_strings(["x^2", "y^2", "z^2"], GF(DEFAULT_MODULAR_PRIME))
     improper_certificate(f, parse_polynomial("x+2*y+3*z", f.ring), (0, 1, 2))
     assert len(builds) == 3
-    assert not copies
+    assert [p for _, _, p, *_ in images] == [DEFAULT_MODULAR_PRIME] * 2
 
 
 def sparse_parametric_forms(ring, block_size, degrees, rng):
@@ -722,7 +723,7 @@ def test_qq_forms_with_denominators_interpolate_as_integers(monkeypatch):
             nonintegral += max(denominators, default=1) > 1
             if trial == 0:
                 assert any(d % p0 == 0 for d in denominators)
-                assert images[0][0].ring.field.p == p1
+                assert images[0][2] == p1
     # the other three resultants are zero
     assert nonintegral == 6
 
@@ -735,7 +736,7 @@ def test_point_matrices_equal_coefficientwise_evaluation(fld):
     for _ in range(5):
         system = MacaulaySystem(sparse_parametric_forms(ring, 2, (2, 3), rng), 2)
         point = [fld.random(rng) for _ in range(3)]
-        assert system._value_matrices([point]) == [system._matrix_of(
+        assert system._value_matrices([point], fld.p) == [system._matrix_of(
             [{mb: c.evaluate([0, 0] + point) for mb, c in tab.items()}
              for tab in system.coeff_tables], 0)]
 
@@ -744,10 +745,11 @@ def test_point_matrices_equal_coefficientwise_evaluation(fld):
                          ids=["GF7", "GF10007", "GF62bit"])
 def test_compiled_program_matches_coefficientwise_evaluation(fld):
     # the matrices of a batch valued from the compiled program, and those of
-    # its points one at a time (as the point evaluator values them), against
-    # Polynomial.evaluate coefficient by coefficient (filled by _matrix_of),
-    # for systems built over F_p and for reduced copies of systems over QQ
-    # (where some coefficients vanish mod 7);
+    # its points one at a time (as the point evaluator values them), mod p,
+    # against Polynomial.evaluate coefficient by coefficient (filled by
+    # _matrix_of), for systems built over F_p and for the integral copies
+    # of systems over QQ, valued at the prime they are handed (where some
+    # coefficients vanish mod 7);
     # F_0 is multiplied by the first parameter, so it vanishes as a whole
     # wherever that parameter is 0
     rng = Random(RNG_SEED)
@@ -761,15 +763,21 @@ def test_compiled_program_matches_coefficientwise_evaluation(fld):
             forms[0] = forms[0] * ring.var(block_size)
             system = MacaulaySystem(forms, block_size)
             if source == QQ:
-                system = system._reduced(fld)
+                system, _ = system._integral()
             points = [(0,) * params, (0,) + tuple(fld.random(rng) for _ in range(params - 1))]
             points += [tuple(fld.random(rng) if rng.random() < 0.7 else 0
                              for _ in range(params)) for _ in range(8)]
-            expected = [[{mb: c.evaluate(pad + list(point)) for mb, c in tab.items()}
+            expected = [[{mb: fld.coerce(c.evaluate(pad + list(point)))
+                          for mb, c in tab.items()}
                          for tab in system.coeff_tables] for point in points]
             filled = [system._matrix_of(tables, 0) for tables in expected]
-            assert system._value_matrices(points) == filled
-            assert [system._value_matrices([point])[0] for point in points] == filled
+
+            def reduced(mats):
+                return [[[x % fld.p for x in row] for row in m] for m in mats]
+
+            assert reduced(system._value_matrices(points, fld.p)) == filled
+            assert reduced([system._value_matrices([point], fld.p)[0]
+                            for point in points]) == filled
             systems += 1
             points_checked += len(points)
             vanished += sum(not any(tables[0].values()) for tables in expected)
@@ -777,6 +785,45 @@ def test_compiled_program_matches_coefficientwise_evaluation(fld):
     # F_0 vanishes at the first two points of every system, and wherever
     # else the first parameter was drawn 0
     assert vanished > 2 * systems
+
+
+def test_integral_copy_values_reduce_large_and_vanishing_coefficients(monkeypatch):
+    # the integral copy of a QQ system keeps its coefficients unreduced: one
+    # of them 3 (2^63 + 1) in a parameter term, one 2^64 + 1, parameter-
+    # free, and one 9p.  Every route values them mod p: lockstep (up to
+    # _LOCKSTEP_POINTS points), the int64 batch (more, p below 2^28; a
+    # coefficient it did not reduce would overflow int64) and the point
+    # evaluator, all against Polynomial.evaluate of the exact resultant
+    p = 10007
+    assert p < _NUMPY_SAFE
+    ring, fp = Ring(3, QQ), GF(p)
+    forms = [P(f"{2 ** 64 + 1}/3*x0^2+{2 ** 63 + 1}*x2*x0*x1+{3 * p}*x2^2*x1^2", ring),
+             P("x0*x1+5*x1^2-x2*x0^2/2", ring)]
+    system = MacaulaySystem(forms, 2)
+    integral, scale = system._integral()
+    assert scale == 3 ** 2 * 2 ** 2
+    coefficients = {v for tab in integral.coeff_tables for c in tab.values()
+                    for v in c.terms.values()}
+    assert {2 ** 64 + 1, 3 * (2 ** 63 + 1), 9 * p} <= coefficients
+    assert integral.schedule is not None
+    plan = resultant._GridPlan(system, None)
+    assert plan.axes == [2]
+    exact = macaulay_resultant(forms, 2, strategy="ratio")
+    points = [(t,) for t in range(1, 13)]
+    expected = [fp.coerce(exact.evaluate([0, 0, t]) * scale) for t, in points]
+    batched = count_calls(monkeypatch, _batch64, "_batched_values_mod")
+    small = resultant._LOCKSTEP_POINTS
+    assert len(points) > small
+    assert resultant._values_mod(integral, plan, points[:small], p) == expected[:small]
+    assert not batched
+    assert resultant._values_mod(integral, plan, points, p) == expected
+    assert len(batched) == 1
+    mats = integral._value_matrices([plan.point_values(pt) for pt in points], p)
+    assert [resultant._point_value(integral, m, p) for m in mats] == expected
+    for m, (t,) in zip(mats, points):
+        assert [[x % p for x in row] for row in m] == integral._matrix_of(
+            [{mb: fp.coerce(c.evaluate([0, 0, t])) for mb, c in tab.items()}
+             for tab in integral.coeff_tables], 0)
 
 
 def record_interpolations(monkeypatch):
@@ -788,8 +835,8 @@ def record_interpolations(monkeypatch):
     evaluations = count_calls(monkeypatch, resultant, "_point_value")
     kernel = resultant._scheduled_ratios
 
-    def counted_kernel(system, batch):
-        ratios = kernel(system, batch)
+    def counted_kernel(system, batch, p):
+        ratios = kernel(system, batch, p)
         evaluations.extend(r for r in ratios if r is not None)
         return ratios
 
@@ -798,10 +845,10 @@ def record_interpolations(monkeypatch):
     probes = []
     probe = resultant._verify_candidate
 
-    def counted_probe(candidate, system, plan, seed):
+    def counted_probe(candidate, system, plan, p, seed):
         before = len(values)
-        verdict = probe(candidate, system, plan, seed)
-        probes.append((system.ring.field.p, sum(len(v[2]) for v in values[before:])))
+        verdict = probe(candidate, system, plan, p, seed)
+        probes.append((p, sum(len(v[2]) for v in values[before:])))
         return verdict
 
     monkeypatch.setattr(resultant, "_verify_candidate", counted_probe)
@@ -817,7 +864,7 @@ def record_interpolations(monkeypatch):
         runs.append({"size": system.size, "box": box, "plan": plan,
                      "points": sum(len(v[2]) for v in values) - probed,
                      "probed": probed, "evaluations": len(evaluations),
-                     "images": [s.ring.field.p for s, *_ in images],
+                     "images": [p for _, _, p, *_ in images],
                      "probes": [q for q, _ in probes]})
         return out
 
@@ -883,8 +930,8 @@ def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
     kernel = resultant._scheduled_ratios
     zero_pivots = []
 
-    def counted_kernel(system, batch):
-        ratios = kernel(system, batch)
+    def counted_kernel(system, batch, p):
+        ratios = kernel(system, batch, p)
         zero_pivots.extend(r for r in ratios if r is None)
         return ratios
 
@@ -906,7 +953,8 @@ def test_values_mod_routes_batches_by_size_and_prime(monkeypatch):
 
         def in_batches(size):
             return [v for start in range(0, len(points), size)
-                    for v in resultant._values_mod(system, plan, points[start:start + size])]
+                    for v in resultant._values_mod(system, plan, points[start:start + size],
+                                                   fld.p)]
 
         batched.clear()
         lockstep = in_batches(small)
@@ -940,11 +988,11 @@ def test_anchor_on_a_root_of_a_coefficient_is_caught_and_retried(fld, monkeypatc
     attempts = []
     real = resultant._sparse_coeffs
 
-    def forced(system, plan, rng, anchors):
+    def forced(system, plan, p, rng, anchors):
         anchors = list(anchors)
         if not attempts:
             anchors[plan.axes.index(3)] = 5
-        attempts.append(real(system, plan, rng, anchors))
+        attempts.append(real(system, plan, p, rng, anchors))
         return attempts[-1]
 
     monkeypatch.setattr(resultant, "_sparse_coeffs", forced)
@@ -1354,7 +1402,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
             expected = check_value_ratio(system, tables)
             if fld != QQ:
                 got, = resultant._scheduled_ratios(
-                    system, [system._matrix_of(tables, fld.zero())])
+                    system, [system._matrix_of(tables, fld.zero())], fld.p)
                 if got is None:
                     fallbacks += 1
                     if expected is None:
@@ -1381,7 +1429,7 @@ def test_scheduled_elimination_matches_pivoted_determinants(fld, expect_unschedu
                     check_value_ratio(system, at_j)
                 continue
             ratios = resultant._scheduled_ratios(
-                system, [system._matrix_of(t, fld.zero()) for t in points])
+                system, [system._matrix_of(t, fld.zero()) for t in points], fld.p)
             if flagged:
                 assert ratios == [None] * 64
             else:
@@ -1435,7 +1483,8 @@ def test_int64_batch_elimination_at_worst_case_entries():
             batch[r, c] = p - 1
         batch[range(k), range(k), 1] = 1
         batch[range(k), range(k), 2] = p - 2
-        ratios = resultant._scheduled_ratios(system, [batch[:, :, j].tolist() for j in range(3)])
+        ratios = resultant._scheduled_ratios(system, [batch[:, :, j].tolist() for j in range(3)],
+                                             p)
         numpy_ratios, ok = _batch64._batched_ratio_mod(batch, system.schedule,
                                                        system.minor_size, p)
         assert ok[2]
@@ -1968,6 +2017,25 @@ def test_macaulay_rejects_inhomogeneous_and_wrong_count():
         macaulay_resultant([P("x0^2+x1", ring), P("x1^2", ring), P("x2^2", ring)])
     with pytest.raises(InvalidInputError):
         macaulay_resultant([P("x0", ring), P("x1", ring)])
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_zero_form_gives_zero_only_after_the_other_forms_are_checked(fld):
+    ring = Ring(3, fld)
+    zero = ring.zero()
+    bad = [
+        ([zero, P("x0", ring)], 3),                      # two forms, three variables
+        ([zero, P("x0+x1^2", ring), P("x1", ring)], 3),  # not block-homogeneous
+        ([zero, P("x2", ring)], 2),                      # block degree 0
+    ]
+    for forms, block_size in bad:
+        with pytest.raises(InvalidInputError):
+            macaulay_resultant(forms, block_size=block_size)
+    with pytest.raises(RingMismatchError):
+        macaulay_resultant([zero, P("x0", Ring(2, fld))], block_size=2)
+    # well-formed systems with a zero form: numeric and parametric
+    assert macaulay_resultant([zero, P("x0^2+x1^2", ring), P("x2", ring)]).is_zero()
+    assert macaulay_resultant([P("x0-x2*x1", ring), zero], block_size=2).is_zero()
 
 
 def test_macaulay_unknown_strategy():
