@@ -7,7 +7,9 @@
 
 The parent checkout is a git clone detached at the parent commit (above,
 with the change committed as HEAD), so that its ``revision`` is recorded;
-a copy without git metadata records None there.  Runs ``bench/run.py`` (untraced) for every workload of ``BENCHMARK.json``
+a copy without git metadata records None there.
+
+Runs ``bench/run.py`` (untraced) for every workload of ``BENCHMARK.json``
 and every seed, in this checkout and, with ``--parent``, in a checkout of
 the parent commit.  The two sides alternate which runs first from one seed
 to the next.  Per run the file keeps the last-line JSON of ``bench/run.py``

@@ -452,14 +452,14 @@ def _specialized(g: Polynomial, n1: int, values: list, fq: PrimeField) -> dict:
     """g with its coefficients mapped into fq and its parameters fixed at
     `values`, as {x monomial: nonzero value}.  ZeroDivisionError when a
     denominator of g vanishes in fq."""
-    p, coerce = fq.p, fq.coerce
+    p = fq.p
     out = {}
     for m, c in g.terms.items():
-        v = coerce(c)
+        v = fq.coerce(c)
         for x, e in zip(values, m[n1:]):
             v = v * pow(x, e, p) % p
-        out[m[:n1]] = out.get(m[:n1], 0) + v
-    return {m: v % p for m, v in out.items() if v % p}
+        out[m[:n1]] = (out.get(m[:n1], 0) + v) % p
+    return {m: v for m, v in out.items() if v}
 
 
 def _certify_pushforward(f: Endomorphism, phi_poly: Polynomial, phi_degree: int,
